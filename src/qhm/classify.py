@@ -69,10 +69,9 @@ def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None =
     vector of zero energy, which is returned as the witness.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
-    qh = check_quasihypermetric(space, tol=t)
-    if not qh:
-        return Verdict(False, witness=qh.witness)
     w, v = jacobi_eigh(double_center(space.dist))
+    if w[-1] > t.pos_tol(space.n, space.diameter):
+        return check_quasihypermetric(space, tol=t)  # fails, with its witness
     near = (w >= -t.neg_tol(space.n, space.diameter)) & (
         w <= t.pos_tol(space.n, space.diameter)
     )

@@ -58,8 +58,9 @@ class SEmbedding:
         return 2.0 * (self.sphere.radius**2 - self.hull_distance**2)
 
     def squared_point_distances(self) -> np.ndarray:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
+        # one coordinate at a time, in n^2 memory rather than n^2 * dim
+        n = self.points.shape[0]
+        return sum(((x[:, None] - x[None, :]) ** 2 for x in self.points.T), np.zeros((n, n)))
 
 
 def s_embed(space: MetricSpace, tol: Tolerances | None = None) -> SEmbedding:

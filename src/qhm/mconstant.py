@@ -22,7 +22,7 @@ import numpy as np
 from .classify import check_quasihypermetric
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import eigh_pinv_solve, gram_rank, lstsq_minnorm, symmetric_rank_and_nullspace
+from .linalg import eigh_pinv_solve, gram_rank, lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure, potential
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -125,7 +125,7 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
         )
 
     ones = np.ones(space.n)
-    w0, residual, _, null_basis = eigh_pinv_solve(space.dist, ones, rank_rel=t.rank)
+    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, ones, rank_rel=t.rank)
     if residual > t.res_tol(space.n):
         raise InconsistentSystemError(
             f"the system d w = 1 is inconsistent (residual {residual:.3e}) although the "
@@ -157,7 +157,9 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
         m_value=m_value,
         maximal_measure=measure,
         m_plus=None,
-        unique_maximal=uniqueness_of_maximal(space, tol=t),
+        # d w = 1 is consistent, so null vectors of d have mass zero and the
+        # bordered matrix of uniqueness_of_maximal has full rank iff d does
+        unique_maximal=rank == space.n,
         invariant_value=m_value,
         method_tags=("m:linear-system-pseudoinverse", f"m:{how}"),
         solution_mass=mass,
@@ -175,10 +177,9 @@ def mass_of_solution_is_canonical(space: MetricSpace, tol: Tolerances | None = N
     emitted and True returned.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
-    rank, null_basis = symmetric_rank_and_nullspace(space.dist, rank_rel=t.rank)
+    _, residual, _, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), rank_rel=t.rank)
     if null_basis.shape[1] == 0:
         raise PreconditionError("the distance matrix is nonsingular")
-    _, residual, _, _ = eigh_pinv_solve(space.dist, np.ones(space.n), rank_rel=t.rank)
     if residual > t.res_tol(space.n):
         warnings.warn(
             "the system d w = 1 is inconsistent; the canonical-mass claim is vacuous",
@@ -209,7 +210,8 @@ def uniqueness_of_maximal(space: MetricSpace, tol: Tolerances | None = None) -> 
 
     True iff the distance matrix bordered by a row of ones has full column
     rank, i.e. the solution set of {d w = M 1, sum w = 1} is a single point.
-    Meaningful when M(X) is finite.
+    Meaningful when M(X) is finite. ``compute_m`` reads the same answer off
+    rank(d) = n; this bordered Gram rank is the independent route.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     bordered = np.vstack([space.dist, np.ones((1, space.n))])
@@ -236,10 +238,9 @@ def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
     t = tol if tol is not None else DEFAULT_TOLERANCES
     if space.n == 1:
         return 0.0
-    qh = check_quasihypermetric(space, tol=t)
-    if not qh:
-        raise PreconditionError("M+ is only computed for quasihypermetric spaces")
     report = compute_m(space, tol=t)
+    if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
+        raise PreconditionError("M+ is only computed for quasihypermetric spaces")
     if not report.is_finite:
         raise PreconditionError("M+ is only computed when M(X) is finite")
     result = maximize_energy_over_probability(space, tol=t)

@@ -62,9 +62,11 @@ def validate_distance_matrix(dist: np.ndarray, tol: Tolerances, n_labels: int | 
         i, j = zero[0]
         raise DuplicatePointError(int(i), int(j))
     if n >= 3:
-        # detour[i,j] = min_k d(i,k) + d(k,j); direct paths may exceed it only
-        # within the configured slack (matrices read from decimal text)
-        detour = np.min(dist[:, :, None] + dist[None, :, :], axis=1)
+        # detour[i,j] = min_k d(i,k) + d(k,j), in n^2 memory; direct paths may exceed
+        # it only within the configured slack (matrices read from decimal text)
+        detour = np.full((n, n), np.inf)
+        for k in range(n):
+            np.minimum(detour, dist[:, k, None] + dist[None, k, :], out=detour)
         slack = tol.triangle_rel * float(dist.max())
         viol = np.argwhere(dist > detour + slack)
         if viol.size:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DescriptorError, DuplicatePointError
+from .errors import DescriptorError
 from .mconstant import TAG_NOT_QUASIHYPERMETRIC, compute_m
 from .metric import MetricSpace
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -114,14 +114,8 @@ def from_euclidean(points) -> MetricSpace:
     if pts.ndim == 1:
         pts = pts[:, None]
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    n = pts.shape[0]
-    off = dist + np.diag(np.full(n, np.inf))
-    dup = np.argwhere(off == 0.0)
-    if dup.size:
-        i, j = dup[0]
-        raise DuplicatePointError(int(i), int(j))
-    return MetricSpace(dist)
+    # MetricSpace raises DuplicatePointError on repeated points
+    return MetricSpace(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
 
 
 def random_metric(n: int, seed: int) -> MetricSpace:

@@ -102,8 +102,13 @@ def test_isometry_invariant():
     spaces += euclidean_corpus(10, seed=41)
     for space in spaces:
         emb = qhm.s_embed(space)
-        err = np.max(np.abs(emb.squared_point_distances() - space.dist))
+        sq = emb.squared_point_distances()
+        err = np.max(np.abs(sq - space.dist))
         assert err <= 1e-7 * max(1.0, space.diameter)
+        # reference: the n x n x dim difference tensor, summed in another order
+        diff = emb.points[:, None, :] - emb.points[None, :, :]
+        ref = np.einsum("ijk,ijk->ij", diff, diff)
+        assert np.allclose(sq, ref, rtol=0.0, atol=16 * np.finfo(float).eps * max(1.0, ref.max()))
 
 
 def test_energy_identity_on_sphere(star):

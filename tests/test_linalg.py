@@ -1,7 +1,12 @@
 """The Jacobi engine against numpy's LAPACK-backed reference."""
 
-import numpy as np
+import warnings
 
+import numpy as np
+import pytest
+
+import qhm
+from qhm.errors import ConvergenceWarning
 from qhm.linalg import (
     double_center,
     eigh_pinv_solve,
@@ -19,11 +24,13 @@ def random_symmetric(n, rng):
 
 def test_eigenvalues_match_numpy():
     rng = np.random.default_rng(1)
-    for n in (1, 2, 3, 5, 8, 13):
+    # odd sizes run the padded round-robin schedule
+    for n in (1, 2, 3, 5, 8, 13, 16, 33, 64):
         a = random_symmetric(n, rng)
         w, v = jacobi_eigh(a)
         ref = np.linalg.eigvalsh(a)
         assert np.allclose(w, ref, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        assert np.linalg.norm(a @ v - v * w) <= 1e-13 * max(1.0, np.linalg.norm(a))
         # reconstruction and orthogonality
         assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-12 * max(1.0, np.abs(a).max()))
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-13)
@@ -39,11 +46,47 @@ def test_eigenvectors_are_eigenvectors():
 
 def test_deterministic_bitwise():
     rng = np.random.default_rng(3)
-    a = random_symmetric(7, rng)
-    w1, v1 = jacobi_eigh(a)
-    w2, v2 = jacobi_eigh(a)
-    assert w1.tobytes() == w2.tobytes()
-    assert v1.tobytes() == v2.tobytes()
+    for n in (7, 8, 33):
+        a = random_symmetric(n, rng)
+        w1, v1 = jacobi_eigh(a)
+        w2, v2 = jacobi_eigh(a)
+        assert w1.tobytes() == w2.tobytes()
+        assert v1.tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cycle4_arclength", "equilateral3_6"])
+def test_repeated_eigenvalues(name):
+    # P d P of these spaces has multiple eigenvalues (and a zero one)
+    a = double_center(qhm.make_fixture(name).dist)
+    w, v = jacobi_eigh(a)
+    ref = np.linalg.eigvalsh(a)
+    assert np.unique(np.round(ref, 9)).size < ref.size
+    assert np.allclose(w, ref, atol=1e-13 * np.abs(ref).max())
+    assert np.allclose(a @ v, v * w, atol=1e-13 * np.abs(ref).max())
+    assert np.allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-14)
+
+
+def test_tiny_off_diagonal_rotates_without_overflow():
+    # the tiny-angle regime: theta = (a_qq - a_pp) / (2 a_pq) is 5e169 and 1e308, and
+    # |theta| + hypot(theta, 1) overflows at the second; sweep_tol=0 keeps the rotation
+    for a in ([[0.0, 1e-200], [1e-200, 1e-30]], [[0.0, 5e-159], [5e-159, 1e150]]):
+        a = np.array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = jacobi_eigh(a, sweep_tol=0.0)
+        assert np.allclose(w, np.linalg.eigvalsh(a), rtol=1e-15, atol=1e-300)
+        assert w[1] == a[1, 1] and v[0, 0] == 1.0 and v[1, 1] == 1.0
+        assert abs(v[1, 0]) == pytest.approx(a[0, 1] / a[1, 1])
+
+
+def test_sweep_cap_warns():
+    a = random_symmetric(8, np.random.default_rng(7))
+    with pytest.warns(ConvergenceWarning, match="cap of 1 sweeps"):
+        w, _ = jacobi_eigh(a, max_sweeps=1)
+    assert w.shape == (8,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jacobi_eigh(a)
 
 
 def test_zero_and_diagonal_matrices():

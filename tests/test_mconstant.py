@@ -120,6 +120,21 @@ def test_uniqueness(equilateral, cycle4, star, one_point):
     assert qhm.uniqueness_of_maximal(one_point) is True
 
 
+def test_unique_maximal_matches_bordered_rank(equilateral, cycle4, star, one_point):
+    spaces = [equilateral, cycle4, star, one_point]
+    rng = np.random.default_rng(41)
+    for n in range(5, 10):
+        spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
+        spaces.append(qhm.from_euclidean(rng.normal(size=(n, 3))))
+    checked = 0
+    for space in spaces:
+        rep = qhm.compute_m(space)
+        if rep.is_finite:
+            checked += 1
+            assert rep.unique_maximal == qhm.uniqueness_of_maximal(space)
+    assert checked >= 9
+
+
 def test_scale_covariance(star, cycle4):
     for space in (star, cycle4):
         base = qhm.compute_m(space)

@@ -43,6 +43,19 @@ def test_validation_triangle():
     assert i != j
 
 
+def test_triangle_violation_reports_the_tensor_formula_triple():
+    d = qhm.from_euclidean(np.random.default_rng(12).normal(size=(12, 2))).dist.copy()
+    for i, j in ((3, 9), (7, 5)):
+        d[i, j] = d[j, i] = 2.0 * d.max()
+    # reference: the first violation by the n x n x n detour tensor
+    detour = np.min(d[:, :, None] + d[None, :, :], axis=1)
+    i, j = np.argwhere(d > detour + 1e-9 * d.max())[0]
+    k = int(np.argmin(d[i, :] + d[:, j]))
+    with pytest.raises(TriangleViolationError) as exc:
+        qhm.MetricSpace(d)
+    assert exc.value.indices == (i, k, j) == (3, 5, 9)
+
+
 def test_validation_diagonal():
     with pytest.raises(DiagonalError):
         qhm.MetricSpace([[0.5, 1], [1, 0]])
