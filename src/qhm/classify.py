@@ -52,13 +52,7 @@ def check_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) ->
     On failure the witness is the eigenvector of the largest positive
     eigenvalue of P d P, projected back onto the mass-zero hyperplane.
     """
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    w, v = jacobi_eigh(double_center(space.dist))
-    if w[-1] <= t.pos_tol(space.n, space.diameter):
-        return Verdict(True)
-    alpha = v[:, -1] - v[:, -1].mean()
-    alpha /= np.linalg.norm(alpha)
-    return Verdict(False, witness=SignedMeasure(space, alpha))
+    return _centred_verdicts(space, tol)[0]
 
 
 def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) -> Verdict:
@@ -68,15 +62,23 @@ def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None =
     always contributes one; any further one belongs to a nonzero mass-zero
     vector of zero energy, which is returned as the witness.
     """
+    return _centred_verdicts(space, tol)[1]
+
+
+def _centred_verdicts(space: MetricSpace, tol: Tolerances | None) -> tuple[Verdict, Verdict]:
+    """The quasihypermetric and the strict verdict, from one decomposition of P d P."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     w, v = jacobi_eigh(double_center(space.dist))
     if w[-1] > t.pos_tol(space.n, space.diameter):
-        return check_quasihypermetric(space, tol=t)  # fails, with its witness
+        alpha = v[:, -1] - v[:, -1].mean()
+        alpha /= np.linalg.norm(alpha)
+        fails = Verdict(False, witness=SignedMeasure(space, alpha))
+        return fails, fails
     near = (w >= -t.neg_tol(space.n, space.diameter)) & (
         w <= t.pos_tol(space.n, space.diameter)
     )
     if int(near.sum()) <= 1:
-        return Verdict(True)
+        return Verdict(True), Verdict(True)
     # the near-kernel mixes the constants direction with the degenerate
     # directions; project it off and keep the largest remainder
     cand = v[:, near]
@@ -86,7 +88,7 @@ def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None =
     alpha = proj[:, best] / norms[best]
     if alpha[int(np.argmax(np.abs(alpha)))] < 0:
         alpha = -alpha
-    return Verdict(False, witness=SignedMeasure(space, alpha))
+    return Verdict(True), Verdict(False, witness=SignedMeasure(space, alpha))
 
 
 @lru_cache(maxsize=8)
@@ -155,9 +157,10 @@ def classify_space(
     """Run all property checks and bundle the verdicts."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     rank, basis = distance_matrix_nullspace(space, tol=t)
+    qh, strict = _centred_verdicts(space, t)
     return Classification(
-        quasihypermetric=check_quasihypermetric(space, tol=t),
-        strictly_quasihypermetric=check_strictly_quasihypermetric(space, tol=t),
+        quasihypermetric=qh,
+        strictly_quasihypermetric=strict,
         hypermetric_bound=hyper_bound,
         hypermetric_up_to_bound=check_hypermetric_bounded(space, bound=hyper_bound, tol=t),
         matrix_rank=rank,

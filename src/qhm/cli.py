@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
+        return QhmError.exit_code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContradictionError, ConvergenceWarning, NotQuasihypermetricError, PreconditionError
-from .linalg import double_center, gram_rank, jacobi_eigh, lstsq_minnorm
+from .linalg import double_center, jacobi_eigh, lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure
 from .minnorm import min_norm_point_in_hull
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -101,21 +101,23 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None) -> SEmbedding:
 def fit_circumsphere(emb: SEmbedding) -> Sphere:
     """Least-squares circumsphere of the embedded points, never thresholded.
 
-    Solves the linear conditions 2 (y_1 - y_i) . z = |y_1|^2 - |y_i|^2 and
-    reports the relative residual; a genuinely spherical point set has
-    residual at machine level, a non-spherical one a large residual.
+    In centred coordinates yc_i = y_i - mean(y), with s_i = |yc_i|^2, the
+    conditions |yc_i - z|^2 = r^2 become 2 Yc z = s - mean(s), solved in
+    least squares (Yc'Yc is diagonal on ``s_embed`` output). Reports the
+    residual per equation relative to max(1, diameter): machine level for a
+    spherical point set, large otherwise.
     """
     pts = emb.points
     n = pts.shape[0]
     if n == 1:
         return Sphere(pts[0].copy(), 0.0, 0.0)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    a = 2.0 * (pts[0][None, :] - pts[1:])
-    rhs = sq[0] - sq[1:]
-    z, residual = lstsq_minnorm(a, rhs)
-    radii = np.linalg.norm(pts - z[None, :], axis=1)
-    rel = residual / (math.sqrt(n - 1) * max(1.0, emb.space.diameter))
-    return Sphere(z, float(radii.mean()), rel)
+    centroid = pts.mean(axis=0)
+    yc = pts - centroid[None, :]
+    sq = np.einsum("ij,ij->i", yc, yc)
+    zc, residual = lstsq_minnorm(2.0 * yc, sq - sq.mean())
+    radii = np.linalg.norm(yc - zc[None, :], axis=1)
+    rel = residual / (math.sqrt(n) * max(1.0, emb.space.diameter))
+    return Sphere(zc + centroid, float(radii.mean()), rel)
 
 
 def circumsphere(emb: SEmbedding, tol: Tolerances | None = None) -> Sphere | None:
@@ -187,22 +189,16 @@ def recentred_embedding(space: MetricSpace, tol: Tolerances | None = None) -> SE
         raise ContradictionError(
             f"recentred points do not satisfy |y|^2 = M/2 within tolerance (deviation {dev:.3e})"
         )
-    return SEmbedding(
-        space,
-        points,
-        emb.dim,
-        emb.gram_eigenvalues,
-        sphere=Sphere(np.zeros(emb.dim), sphere.radius, sphere.residual),
-        hull_distance=emb.hull_distance,
-    )
+    return replace(emb, points=points, sphere=replace(sphere, centre=np.zeros(emb.dim)))
 
 
 def affinely_independent(emb: SEmbedding, tol: Tolerances | None = None) -> bool:
-    """Whether the embedded points are affinely independent."""
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    n = emb.points.shape[0]
-    homog = np.hstack([emb.points, np.ones((n, 1))])
-    return gram_rank(homog, rank_rel=t.rank) == n
+    """Whether the embedded points are affinely independent.
+
+    They are iff the embedding dimension, the rank ``s_embed`` found for the
+    centred kernel, is n - 1. ``tol`` is accepted for compatibility only.
+    """
+    return emb.dim == emb.points.shape[0] - 1
 
 
 def embedding_to_json(emb: SEmbedding) -> dict:

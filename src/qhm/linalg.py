@@ -119,8 +119,11 @@ def eigh_pinv_solve(a, b, rank_rel: float = 1e-10):
     orthonormal near-null eigenvectors as columns.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w, v = jacobi_eigh(a)
+    return _pinv_solve_eigh(a, np.asarray(b, dtype=float), *jacobi_eigh(a), rank_rel=rank_rel)
+
+
+def _pinv_solve_eigh(a, b, w, v, rank_rel: float = 1e-10):
+    """``eigh_pinv_solve`` on a matrix whose eigenpairs ``(w, v)`` are known."""
     largest = float(np.max(np.abs(w))) if w.size else 0.0
     keep = np.abs(w) > rank_rel * largest
     inv = np.zeros_like(w)
@@ -164,6 +167,5 @@ def lstsq_minnorm(a, b, rank_rel: float = 1e-10):
 def double_center(a) -> np.ndarray:
     """Conjugate a symmetric matrix by the centering projector ``I - J/n``."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
     row = a.mean(axis=0)
     return a - row[None, :] - row[:, None] + row.mean()

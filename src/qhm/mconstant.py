@@ -5,7 +5,8 @@ decided by the linear system d w = 1 (one equation per point): the system is
 always consistent when the space is quasihypermetric, the total mass of any
 solution is solution-independent, and M equals its reciprocal, with w
 normalized to mass 1 being a maximal measure. Zero total mass means the
-supremum is infinite, as does failure of the quasihypermetric property.
+supremum is infinite, as does failure of the quasihypermetric property, which
+the spectrum of the same d decides in all but degenerate cases.
 
 M+(X), the same supremum over probability measures, is generally smaller and
 is computed by away-step Frank-Wolfe over the simplex.
@@ -22,7 +23,7 @@ import numpy as np
 from .classify import check_quasihypermetric
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import eigh_pinv_solve, gram_rank, lstsq_minnorm
+from .linalg import _pinv_solve_eigh, eigh_pinv_solve, gram_rank, jacobi_eigh, lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure, potential
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -57,6 +58,10 @@ class MReport:
 
     def with_m_plus(self, value: float) -> "MReport":
         return replace(self, m_plus=value)
+
+    @classmethod
+    def _infinite(cls, tags: tuple[str, ...], mass=None, residual=None) -> "MReport":
+        return cls(math.inf, None, None, None, None, tags, mass, residual)
 
 
 def _canonical_solution(w0: np.ndarray, null_basis: np.ndarray) -> tuple[np.ndarray, str]:
@@ -96,37 +101,31 @@ def _canonical_solution(w0: np.ndarray, null_basis: np.ndarray) -> tuple[np.ndar
 def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
     """Compute M(X), a maximal measure when one exists, and the bookkeeping.
 
-    Runs the quasihypermetric check first and short-circuits to an infinite
-    verdict when it fails. A one-point space has M = 0 attained by its only
-    probability measure; this degenerate convention is ours, the linear-system
-    route needs at least two points.
+    One decomposition of d gives the solve of d w = 1 and the verdict, read
+    off lambda_2, the second-largest eigenvalue of d, with ptol = ``pos_tol``.
+    lambda_2 > ptol: not quasihypermetric (by interlacing, lambda_2 is at most
+    the top eigenvalue of P d P). lambda_2 < -ptol, a consistent system and a
+    mass m > ``mass_tol``: quasihypermetric (u = w/m has u'du = 1/m > 0 and
+    u'dx = 0 for mass-zero x, so x'dx > 0 would give d a second positive
+    eigenvalue). Anything else falls back to ``check_quasihypermetric``.
+    A one-point space has M = 0 attained by its only probability measure;
+    this degenerate convention is ours, the linear-system route needs at
+    least two points.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     if space.n == 1:
-        return MReport(
-            m_value=0.0,
-            maximal_measure=SignedMeasure(space, np.ones(1)),
-            m_plus=None,
-            unique_maximal=True,
-            invariant_value=0.0,
-            method_tags=("m:single-point-convention",),
-            solution_mass=None,
-            system_residual=None,
-        )
-    qh = check_quasihypermetric(space, tol=t)
-    if not qh:
-        return MReport(
-            m_value=math.inf,
-            maximal_measure=None,
-            m_plus=None,
-            unique_maximal=None,
-            invariant_value=None,
-            method_tags=(TAG_NOT_QUASIHYPERMETRIC,),
-        )
-
-    ones = np.ones(space.n)
-    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, ones, rank_rel=t.rank)
-    if residual > t.res_tol(space.n):
+        unit = SignedMeasure(space, np.ones(1))
+        return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
+    lam, vec = jacobi_eigh(space.dist)
+    w0, residual, rank, null_basis = _pinv_solve_eigh(
+        space.dist, np.ones(space.n), lam, vec, rank_rel=t.rank
+    )
+    ptol = t.pos_tol(space.n, space.diameter)
+    consistent = residual <= t.res_tol(space.n)
+    one_positive = lam[-2] < -ptol and consistent and float(w0.sum()) > t.mass_tol(space.n)
+    if lam[-2] > ptol or not (one_positive or check_quasihypermetric(space, tol=t)):
+        return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
+    if not consistent:
         raise InconsistentSystemError(
             f"the system d w = 1 is inconsistent (residual {residual:.3e}) although the "
             "quasihypermetric check passed; tolerances may be mis-set for this input"
@@ -134,16 +133,7 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
     w, how = _canonical_solution(w0, null_basis)
     mass = float(w.sum())
     if abs(mass) <= t.mass_tol(space.n):
-        return MReport(
-            m_value=math.inf,
-            maximal_measure=None,
-            m_plus=None,
-            unique_maximal=None,
-            invariant_value=None,
-            method_tags=(TAG_ZERO_MASS, f"m:{how}"),
-            solution_mass=mass,
-            system_residual=residual,
-        )
+        return MReport._infinite((TAG_ZERO_MASS, f"m:{how}"), mass, residual)
     m_value = 1.0 / mass
     measure = SignedMeasure(space, w / mass)
     level = potential(measure)
@@ -236,9 +226,13 @@ def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
     returns the best value found if the iteration cap is hit.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
+    return _m_plus_from_report(space, compute_m(space, tol=t), t)
+
+
+def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> float:
+    """``compute_m_plus`` for a space whose ``compute_m`` report is in hand."""
     if space.n == 1:
         return 0.0
-    report = compute_m(space, tol=t)
     if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
         raise PreconditionError("M+ is only computed for quasihypermetric spaces")
     if not report.is_finite:
@@ -250,7 +244,7 @@ def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
                 f"Frank-Wolfe hit the cap of {t.fw_max_iter} iterations "
                 f"(gap {result.gap:.3e}); returning the best value found"
             ),
-            stacklevel=2,
+            stacklevel=3,
         )
     slack = t.inv_tol(space.n, space.diameter)
     if result.value > report.m_value + slack:

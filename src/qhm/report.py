@@ -18,7 +18,7 @@ from . import __version__
 from .classify import Classification, Verdict, classify_space
 from .embedding import embedding_to_json, full_embedding
 from .io import matrix_digest
-from .mconstant import MReport, compute_m, compute_m_plus
+from .mconstant import MReport, _m_plus_from_report, compute_m
 from .metric import MetricSpace, SignedMeasure
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -93,7 +93,7 @@ def build_report(
                 "two_r_squared": two_r2,
                 "discrepancy": abs(m_rep.m_value - two_r2),
             }
-            m_plus = compute_m_plus(space, tol=t)
+            m_plus = _m_plus_from_report(space, m_rep, t)
             m_rep = m_rep.with_m_plus(m_plus)
             geo = emb.m_plus_geometric
             if geo is not None:

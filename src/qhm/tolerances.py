@@ -86,14 +86,14 @@ class Tolerances:
         unknown = set(data) - known
         if unknown:
             raise KeyError(f"unknown tolerance keys: {sorted(unknown)}")
-        return cls(**{k: type(getattr(cls, k))(v) for k, v in data.items()})
+        return cls(**{k: cls._cast(k, v) for k, v in data.items()})
 
     @classmethod
     def from_overrides(cls, pairs=(), env=None) -> "Tolerances":
         """Build a record from defaults, then env vars, then ``key=value`` pairs."""
         env = os.environ if env is None else env
         values: dict = {}
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        fields = {f.name for f in dataclasses.fields(cls)}
         for name in fields:
             raw = env.get(ENV_PREFIX + name.upper())
             if raw is not None:
@@ -103,13 +103,15 @@ class Tolerances:
             if not sep:
                 raise ValueError(f"tolerance override {pair!r} is not of the form key=value")
             values[key.strip()] = raw.strip()
-        out = {}
-        for key, raw in values.items():
+        for key in values:
             if key not in fields:
                 raise ValueError(f"unknown tolerance {key!r}")
-            kind = fields[key].type
-            out[key] = int(raw) if kind == "int" else float(raw)
-        return cls(**out)
+        return cls(**{k: cls._cast(k, v) for k, v in values.items()})
+
+    @classmethod
+    def _cast(cls, name: str, raw) -> float | int:
+        """The one casting rule: a value takes the type of its field's default."""
+        return type(getattr(cls, name))(raw)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -157,3 +157,21 @@ def test_verdicts_are_scale_invariant(assouad, cycle4, star):
 def test_verdict_truthiness():
     assert bool(qhm.Verdict(True)) is True
     assert bool(qhm.Verdict(False, witness=np.array([1, -1]))) is False
+
+
+def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_quasihypermetric):
+    rng = np.random.default_rng(17)
+    spaces = [assouad, cycle4, star, non_quasihypermetric]
+    spaces += [qhm.random_metric(6, seed=int(rng.integers(0, 2**31))) for _ in range(10)]
+    for space in spaces:
+        c = qhm.classify_space(space, hyper_bound=1)
+        pairs = (
+            (c.quasihypermetric, qhm.check_quasihypermetric(space)),
+            (c.strictly_quasihypermetric, qhm.check_strictly_quasihypermetric(space)),
+        )
+        for got, alone in pairs:
+            assert got.holds == alone.holds
+            if alone.witness is None:
+                assert got.witness is None
+            else:  # the same decomposition, so the same witness bit for bit
+                assert np.array_equal(got.witness.weights, alone.witness.weights)

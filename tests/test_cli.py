@@ -220,3 +220,15 @@ def test_module_entry_point(assouad_csv):
     )
     assert proc.returncode == 0
     assert "5 points" in proc.stdout
+
+
+def test_out_of_memory_is_exit_10_without_traceback(capsys, monkeypatch, assouad_csv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB for an array")
+
+    monkeypatch.setattr(qhm.cli, "build_report", exhausted)
+    code, out, err = run(capsys, "report", assouad_csv)
+    assert code == 10
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

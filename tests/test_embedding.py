@@ -1,12 +1,14 @@
 """Schoenberg embeddings, circumspheres, hull distances, recentring."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qhm
 from qhm.errors import NotQuasihypermetricError, PreconditionError
+from qhm.linalg import gram_rank
 
 from conftest import euclidean_corpus
 
@@ -169,3 +171,24 @@ def test_embedding_json(star):
     assert len(doc["points"]) == 4
     assert set(doc["sphere"]) == {"centre", "radius", "residual"}
     assert doc["hull_distance"] is not None
+
+
+def test_circumsphere_follows_a_rigid_motion(star, equilateral):
+    rng = np.random.default_rng(9)
+    for space in (star, equilateral):
+        emb = qhm.s_embed(space)
+        base = qhm.fit_circumsphere(emb)
+        q, _ = np.linalg.qr(rng.normal(size=(emb.dim, emb.dim)))
+        shift = rng.normal(size=emb.dim) * 5.0
+        moved = qhm.fit_circumsphere(replace(emb, points=emb.points @ q + shift))
+        assert np.allclose(moved.centre, base.centre @ q + shift, atol=1e-10)
+        assert abs(moved.radius - base.radius) < 1e-10
+        assert moved.residual < 1e-12
+
+
+def test_affinely_independent_matches_homogeneous_rank(equilateral, cycle4, star, assouad):
+    spaces = [equilateral, cycle4, star, assouad] + euclidean_corpus(30, seed=12)
+    for space in spaces:
+        emb = qhm.s_embed(space)
+        homog = np.hstack([emb.points, np.ones((space.n, 1))])
+        assert qhm.affinely_independent(emb) == (gram_rank(homog) == space.n)

@@ -7,7 +7,9 @@ import pytest
 
 import qhm
 from qhm.errors import PreconditionError
+from qhm.linalg import eigh_pinv_solve
 from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS
+from qhm.spaces import FIXTURE_NAMES
 
 from conftest import euclidean_corpus
 
@@ -194,3 +196,118 @@ def test_oracle_equivalence_small():
             assert math.isinf(ref) == math.isinf(mine)
         else:
             assert abs(mine - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+def _circle(n, circumference=8.0):
+    desc = qhm.CompactSpaceDescriptor(kind="circle", circumference=circumference)
+    return desc.sample_space(n)
+
+
+def _seeded_spaces(seed, rounds):
+    """random_metric (n = 3..9), from_euclidean (n = 3..11) and circle samples:
+    inputs for every branch of the quasihypermetric decision in compute_m."""
+    rng = np.random.default_rng(seed)
+    spaces = []
+    for _ in range(rounds):
+        for n in range(3, 10):
+            spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
+        for n in range(3, 12):
+            dim = int(rng.integers(1, 5))
+            spaces.append(qhm.from_euclidean(rng.normal(size=(n, dim))))
+    for n in range(2, 14):
+        spaces.append(_circle(n, circumference=float(rng.uniform(1.0, 10.0))))
+    return spaces
+
+
+def test_qh_decision_matches_the_centred_route(monkeypatch):
+    """compute_m reads the verdict off the spectrum of d; P d P must agree."""
+    reference_check = qhm.mconstant.check_quasihypermetric
+    calls = []
+    monkeypatch.setattr(
+        qhm.mconstant,
+        "check_quasihypermetric",
+        lambda space, tol=None: calls.append(1) or reference_check(space, tol=tol),
+    )
+    spaces = _seeded_spaces(2024, 64)
+    spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
+    assert len(spaces) >= 1000
+    branches = {"not-qh": 0, "one-positive": 0, "fallback": 0}
+    t = qhm.DEFAULT_TOLERANCES
+    for space in spaces:
+        before = len(calls)
+        rep = qhm.compute_m(space)
+        fell_back = len(calls) > before
+        qh = reference_check(space).holds
+        assert (TAG_NOT_QUASIHYPERMETRIC in rep.method_tags) == (not qh)
+        if fell_back:
+            branches["fallback"] += 1
+        else:
+            branches["one-positive" if qh else "not-qh"] += 1
+        if not qh:
+            assert rep.system_residual is None
+            continue
+        w0, residual, _, _ = eigh_pinv_solve(space.dist, np.ones(space.n))
+        assert residual <= t.res_tol(space.n)
+        mass = float(w0.sum())  # null vectors of a consistent system have mass zero
+        if abs(mass) <= t.mass_tol(space.n):
+            assert math.isinf(rep.m_value) and TAG_ZERO_MASS in rep.method_tags
+        else:
+            assert abs(rep.m_value - 1.0 / mass) <= 1e-9 * max(1.0, 1.0 / mass)
+    assert min(branches.values()) >= 10, branches
+
+
+def _permuted(space, perm):
+    return qhm.MetricSpace(space.dist[np.ix_(perm, perm)])
+
+
+def test_permutation_invariance():
+    rng = np.random.default_rng(61)
+    for space in _seeded_spaces(61, 3):
+        perm = rng.permutation(space.n)
+        base, moved = qhm.compute_m(space), qhm.compute_m(_permuted(space, perm))
+        assert base.method_tags[0] == moved.method_tags[0]
+        if not base.is_finite:
+            assert not moved.is_finite
+            continue
+        assert abs(moved.m_value - base.m_value) <= 1e-9 * max(1.0, base.m_value)
+        assert moved.unique_maximal == base.unique_maximal
+        if base.unique_maximal:
+            expected = base.maximal_measure.weights[perm]
+            assert np.allclose(moved.maximal_measure.weights, expected, atol=1e-9)
+        else:  # another maximal measure; its potential is still constant at M
+            level = qhm.potential(moved.maximal_measure)
+            assert np.max(np.abs(level - base.m_value)) <= 1e-9 * max(1.0, base.m_value)
+
+
+def test_scale_covariance_seeded():
+    for space in _seeded_spaces(62, 3):
+        base = qhm.compute_m(space)
+        for lam in (0.3, 7.0):
+            scaled = qhm.compute_m(space.scaled(lam))
+            assert scaled.method_tags == base.method_tags
+            if base.is_finite:
+                expected = lam * base.m_value
+                assert abs(scaled.m_value - expected) <= 1e-9 * max(1.0, expected)
+            else:
+                assert not scaled.is_finite
+
+
+def test_monotone_under_subsets_and_mplus_bounds():
+    rng = np.random.default_rng(63)
+    checked = 0
+    for space in _seeded_spaces(63, 3):
+        rep = qhm.compute_m(space)
+        if not rep.is_finite or space.n < 3:
+            continue
+        # D/2 <= M+ <= M: the two diameter points at weight 1/2 each give D/2
+        m_plus = qhm.compute_m_plus(space)
+        slack = 1e-9 * max(1.0, rep.m_value)
+        assert space.diameter / 2 - slack <= m_plus <= rep.m_value + slack
+        keep = np.sort(rng.choice(space.n, size=int(rng.integers(2, space.n)), replace=False))
+        sub = qhm.MetricSpace(space.dist[np.ix_(keep, keep)])
+        sub_rep = qhm.compute_m(sub)
+        assert sub_rep.is_finite  # a subspace of a finite-M space has finite M
+        assert sub_rep.m_value <= rep.m_value + slack
+        assert qhm.compute_m_plus(sub) <= m_plus + slack
+        checked += 1
+    assert checked >= 30

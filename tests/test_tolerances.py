@@ -36,3 +36,16 @@ def test_override_validation():
         Tolerances.from_overrides(["rank"], env={})
     with pytest.raises(ValueError):
         Tolerances.from_overrides(["nope=3"], env={})
+
+
+def test_env_and_dict_cast_alike():
+    raw = {"rank": "1e-12", "fw_max_iter": "500", "hyper_budget": "2e7", "sphere": "3"}
+    env = {"QHM_TOL_" + k.upper(): v for k, v in raw.items()}
+    from_env = Tolerances.from_overrides([], env=env)
+    from_dict = Tolerances.from_dict(raw)
+    assert from_env == from_dict
+    assert type(from_dict.fw_max_iter) is int and type(from_dict.sphere) is float
+    with pytest.raises(ValueError):
+        Tolerances.from_dict({"fw_max_iter": "1.5"})
+    with pytest.raises(ValueError):
+        Tolerances.from_overrides(["fw_max_iter=1.5"], env={})
