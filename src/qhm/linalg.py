@@ -1,9 +1,10 @@
 """Deterministic dense linear algebra for small symmetric problems.
 
-Everything here is built on one engine, a Jacobi eigendecomposition in the
-Brent-Luk round-robin order, so that eigenvalues, eigenvectors, ranks and
-pseudoinverse solutions are bit-reproducible from run to run. Jacobi is
-exceptionally accurate on these matrices (Demmel & Veselic 1992).
+Two numpy kernels without LAPACK, so results are bit-reproducible from run to
+run: a Jacobi eigendecomposition in the Brent-Luk round-robin order for
+eigenvalues, ranks and pseudoinverse solutions, exceptionally accurate on
+these matrices (Demmel & Veselic 1992), and a Cholesky factorization that
+decides positive definiteness and solves positive definite systems.
 """
 
 from __future__ import annotations
@@ -119,11 +120,8 @@ def eigh_pinv_solve(a, b, rank_rel: float = 1e-10):
     orthonormal near-null eigenvectors as columns.
     """
     a = np.asarray(a, dtype=float)
-    return _pinv_solve_eigh(a, np.asarray(b, dtype=float), *jacobi_eigh(a), rank_rel=rank_rel)
-
-
-def _pinv_solve_eigh(a, b, w, v, rank_rel: float = 1e-10):
-    """``eigh_pinv_solve`` on a matrix whose eigenpairs ``(w, v)`` are known."""
+    b = np.asarray(b, dtype=float)
+    w, v = jacobi_eigh(a)
     largest = float(np.max(np.abs(w))) if w.size else 0.0
     keep = np.abs(w) > rank_rel * largest
     inv = np.zeros_like(w)
@@ -131,6 +129,29 @@ def _pinv_solve_eigh(a, b, w, v, rank_rel: float = 1e-10):
     x = v @ (inv * (v.T @ b))
     residual = float(np.linalg.norm(a @ x - b))
     return x, residual, int(np.count_nonzero(keep)), v[:, ~keep]
+
+
+def cholesky(a):
+    """Lower Cholesky factor of a symmetric matrix, or None at the first pivot
+    that is not positive. One numpy step per row of the upper factor."""
+    a = np.asarray(a, dtype=float)
+    up = np.zeros_like(a)
+    for k in range(len(a)):
+        row = a[k, k:] - up[:k, k] @ up[:k, k:]
+        if not row[0] > 0.0:
+            return None
+        up[k, k:] = row / math.sqrt(row[0])
+    return up.T
+
+
+def cholesky_solve(low, b) -> np.ndarray:
+    """Solve ``(low low') x = b`` for a lower factor from ``cholesky``."""
+    x = np.array(b, dtype=float)
+    for i in range(len(x)):  # forward substitution, low z = b
+        x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
+    for i in reversed(range(len(x))):  # back substitution, low' x = z
+        x[i] = (x[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
+    return x
 
 
 def symmetric_rank_and_nullspace(a, rank_rel: float = 1e-10):

@@ -5,8 +5,8 @@ decided by the linear system d w = 1 (one equation per point): the system is
 always consistent when the space is quasihypermetric, the total mass of any
 solution is solution-independent, and M equals its reciprocal, with w
 normalized to mass 1 being a maximal measure. Zero total mass means the
-supremum is infinite, as does failure of the quasihypermetric property, which
-the spectrum of the same d decides in all but degenerate cases.
+supremum is infinite, as does failure of the quasihypermetric property. Away
+from its threshold, Cholesky factorizations of Schoenberg's form decide both.
 
 M+(X), the same supremum over probability measures, is generally smaller and
 is computed by away-step Frank-Wolfe over the simplex.
@@ -23,7 +23,7 @@ import numpy as np
 from .classify import check_quasihypermetric
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import _pinv_solve_eigh, eigh_pinv_solve, gram_rank, jacobi_eigh, lstsq_minnorm
+from .linalg import cholesky, cholesky_solve, eigh_pinv_solve, gram_rank, lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure, potential
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -101,31 +101,36 @@ def _canonical_solution(w0: np.ndarray, null_basis: np.ndarray) -> tuple[np.ndar
 def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
     """Compute M(X), a maximal measure when one exists, and the bookkeeping.
 
-    One decomposition of d gives the solve of d w = 1 and the verdict, read
-    off lambda_2, the second-largest eigenvalue of d, with ptol = ``pos_tol``.
-    lambda_2 > ptol: not quasihypermetric (by interlacing, lambda_2 is at most
-    the top eigenvalue of P d P). lambda_2 < -ptol, a consistent system and a
-    mass m > ``mass_tol``: quasihypermetric (u = w/m has u'du = 1/m > 0 and
-    u'dx = 0 for mass-zero x, so x'dx > 0 would give d a second positive
-    eigenvalue). Anything else falls back to ``check_quasihypermetric``.
-    A one-point space has M = 0 attained by its only probability measure;
-    this degenerate convention is ours, the linear-system route needs at
-    least two points.
+    Schoenberg's form at the last point, K_ij = d_in + d_jn - d_ij, is -d on
+    mass-zero vectors in the basis B = [I; -1'], and B'B = S = I + 11'. With
+    ptol = ``pos_tol``, K - ptol S positive definite means strictly QH, and
+    K y = g (the last column of d) gives M = g'y and the maximal measure
+    [y; 1 - sum y]; K + ptol S not positive definite means not QH, as in
+    ``check_quasihypermetric``. In the band between, P d P and d are
+    decomposed; d alone if the Cholesky solution fails a check. A one-point
+    space has M = 0, attained by its only probability measure (our convention).
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     if space.n == 1:
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
-    lam, vec = jacobi_eigh(space.dist)
-    w0, residual, rank, null_basis = _pinv_solve_eigh(
-        space.dist, np.ones(space.n), lam, vec, rank_rel=t.rank
-    )
-    ptol = t.pos_tol(space.n, space.diameter)
-    consistent = residual <= t.res_tol(space.n)
-    one_positive = lam[-2] < -ptol and consistent and float(w0.sum()) > t.mass_tol(space.n)
-    if lam[-2] > ptol or not (one_positive or check_quasihypermetric(space, tol=t)):
+    g = space.dist[:-1, -1]
+    k = g[:, None] + g[None, :] - space.dist[:-1, :-1]
+    s = t.pos_tol(space.n, space.diameter) * (np.eye(space.n - 1) + 1.0)
+    # with pos >= rank every eigenvalue of d clears the rank cutoff of the
+    # eigendecomposition route, so the maximal measure is unique
+    if t.pos >= t.rank and cholesky(k - s) is not None and (low := cholesky(k)) is not None:
+        y = cholesky_solve(low, g)
+        y += cholesky_solve(low, g - k @ y)  # one step of iterative refinement
+        w = np.append(y, 1.0 - y.sum()) / float(g @ y)
+        try:
+            return _certified(space, w, True, "unique-solution", t)
+        except InconsistentSystemError:
+            pass  # the eigendecomposition route decides, and raises if it fails too
+    elif cholesky(k + s) is None or not check_quasihypermetric(space, tol=t):
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
-    if not consistent:
+    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), rank_rel=t.rank)
+    if residual > t.res_tol(space.n):
         raise InconsistentSystemError(
             f"the system d w = 1 is inconsistent (residual {residual:.3e}) although the "
             "quasihypermetric check passed; tolerances may be mis-set for this input"
@@ -134,27 +139,30 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
     mass = float(w.sum())
     if abs(mass) <= t.mass_tol(space.n):
         return MReport._infinite((TAG_ZERO_MASS, f"m:{how}"), mass, residual)
-    m_value = 1.0 / mass
+    # d w = 1 is consistent, so null vectors of d have mass zero and the
+    # bordered matrix of uniqueness_of_maximal has full rank iff d does
+    return _certified(space, w, rank == space.n, how, t)
+
+
+def _certified(space: MetricSpace, w: np.ndarray, unique: bool, how: str, t: Tolerances) -> MReport:
+    """The report for a solution w of d w = 1, once its residual, its mass and
+    the potential of the maximal measure w / mass have passed their checks."""
+    mass = float(w.sum())
+    residual = float(np.linalg.norm(space.dist @ w - 1.0))
     measure = SignedMeasure(space, w / mass)
-    level = potential(measure)
-    if float(np.max(np.abs(level - m_value))) > t.inv_tol(space.n, space.diameter):
+    deviation = float(np.max(np.abs(potential(measure) - 1.0 / mass)))
+    if (
+        residual > t.res_tol(space.n)
+        or abs(mass) <= t.mass_tol(space.n)
+        or deviation > t.inv_tol(space.n, space.diameter)
+    ):
         raise InconsistentSystemError(
-            "maximal-measure certificate failed: the potential of the solved measure "
-            f"is not constant at M within tolerance (max deviation "
-            f"{float(np.max(np.abs(level - m_value))):.3e})"
+            "maximal-measure certificate failed: the solution of d w = 1 has residual "
+            f"{residual:.3e} and mass {mass:.3e}, and the potential of the solved measure "
+            f"deviates from M by up to {deviation:.3e}"
         )
-    return MReport(
-        m_value=m_value,
-        maximal_measure=measure,
-        m_plus=None,
-        # d w = 1 is consistent, so null vectors of d have mass zero and the
-        # bordered matrix of uniqueness_of_maximal has full rank iff d does
-        unique_maximal=rank == space.n,
-        invariant_value=m_value,
-        method_tags=("m:linear-system-pseudoinverse", f"m:{how}"),
-        solution_mass=mass,
-        system_residual=residual,
-    )
+    tags = ("m:linear-system-pseudoinverse", f"m:{how}")
+    return MReport(1.0 / mass, measure, None, unique, 1.0 / mass, tags, mass, residual)
 
 
 def mass_of_solution_is_canonical(space: MetricSpace, tol: Tolerances | None = None) -> bool:
@@ -201,7 +209,8 @@ def uniqueness_of_maximal(space: MetricSpace, tol: Tolerances | None = None) -> 
     True iff the distance matrix bordered by a row of ones has full column
     rank, i.e. the solution set of {d w = M 1, sum w = 1} is a single point.
     Meaningful when M(X) is finite. ``compute_m`` reads the same answer off
-    rank(d) = n; this bordered Gram rank is the independent route.
+    a strict margin or rank(d) = n; this bordered Gram rank is the
+    independent route.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     bordered = np.vstack([space.dist, np.ones((1, space.n))])

@@ -248,6 +248,8 @@ class CompactSpaceDescriptor:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CompactSpaceDescriptor":
+        if not isinstance(doc, dict):
+            raise DescriptorError(f"a descriptor is a JSON object, not {doc!r}")
         kind = doc.get("kind")
         if kind == "interval":
             return cls(kind="interval", length=doc.get("length"))

@@ -110,8 +110,16 @@ class Tolerances:
 
     @classmethod
     def _cast(cls, name: str, raw) -> float | int:
-        """The one casting rule: a value takes the type of its field's default."""
-        return type(getattr(cls, name))(raw)
+        """The one casting rule: a value takes the type of its field's default;
+        an int field takes any integral number, ``1e5`` included."""
+        kind = type(getattr(cls, name))
+        try:
+            value = float(raw)
+            if kind is float or value.is_integer():
+                return kind(value)
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"tolerance {name!r} expects {kind.__name__}, got {raw!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -232,3 +232,27 @@ def test_out_of_memory_is_exit_10_without_traceback(capsys, monkeypatch, assouad
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("descriptor", ["[1,2]", '"circle"'])
+def test_approx_non_object_descriptor_is_exit_18(capsys, descriptor):
+    code, out, err = run(capsys, "approx", descriptor)
+    assert code == 18
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_integral_tolerance_for_int_field(capsys, tmp_path, monkeypatch):
+    path = str(tmp_path / "star.csv")
+    qhm.dump(qhm.make_fixture("star_1_2"), path)
+    code, out, _ = run(capsys, "mplus", path, "--tol", "fw_max_iter=1e5")
+    assert code == 0 and json.loads(out)["m_plus"] > 0
+    monkeypatch.setenv("QHM_TOL_FW_MAX_ITER", "2e3")
+    code, out, _ = run(capsys, "report", path)
+    assert code == 0 and json.loads(out)["tolerances"]["fw_max_iter"] == 2000
+    for argv in (["--tol", "fw_max_iter=1.5"], []):
+        monkeypatch.setenv("QHM_TOL_FW_MAX_ITER", "1.5" if not argv else "2e3")
+        code, out, err = run(capsys, "mplus", path, *argv)
+        assert code == 1 and out == ""
+        assert "fw_max_iter" in err and "int" in err and err.count("\n") == 1

@@ -8,6 +8,8 @@ import pytest
 import qhm
 from qhm.errors import ConvergenceWarning
 from qhm.linalg import (
+    cholesky,
+    cholesky_solve,
     double_center,
     eigh_pinv_solve,
     gram_rank,
@@ -157,3 +159,63 @@ def test_symmetric_rank_and_nullspace():
     assert rank == 2
     assert null.shape == (3, 1)
     assert abs(abs(null[1, 0]) - 1.0) < 1e-14
+
+
+def random_pd(n, rng):
+    x = rng.normal(size=(n, n))
+    return x @ x.T + n * np.eye(n)
+
+
+def schoenberg_form(space):
+    g = space.dist[:-1, -1]
+    return g[:, None] + g[None, :] - space.dist[:-1, :-1]
+
+
+def test_cholesky_matches_numpy():
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        a = random_pd(n, rng)
+        low = cholesky(a)
+        ref = np.linalg.cholesky(a)
+        assert np.allclose(low, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+        assert np.array_equal(np.triu(low, 1), np.zeros((n, n)))
+
+
+def test_cholesky_refuses_indefinite_and_singular():
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 17, 40):
+        a = random_pd(n, rng)
+        lowest = np.linalg.eigvalsh(a)[0]
+        assert cholesky(a - 1.001 * lowest * np.eye(n)) is None
+        assert cholesky(-a) is None
+        assert cholesky(random_symmetric(n, rng)) is None
+    assert cholesky(np.ones((3, 3))) is None
+    assert cholesky(np.zeros((1, 1))) is None
+    # Gram forms of spaces that are quasihypermetric but not strictly so:
+    # positive semidefinite with a null vector
+    circle = qhm.CompactSpaceDescriptor(kind="circle", circumference=8.0)
+    for space in [qhm.make_fixture("cycle4_arclength")] + [circle.sample_space(n) for n in (4, 8, 16)]:
+        k = schoenberg_form(space)
+        assert np.linalg.eigvalsh(k)[0] <= 1e-12 * np.abs(k).max()
+        assert cholesky(k) is None
+
+
+def test_cholesky_deterministic_bitwise():
+    rng = np.random.default_rng(13)
+    for n in (7, 33, 64):
+        a = random_pd(n, rng)
+        b = rng.normal(size=n)
+        assert cholesky(a).tobytes() == cholesky(a).tobytes()
+        low = cholesky(a)
+        assert cholesky_solve(low, b).tobytes() == cholesky_solve(low, b).tobytes()
+
+
+def test_cholesky_solve_residual_at_rounding_level():
+    rng = np.random.default_rng(14)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 9, 32, 64):
+        a = random_pd(n, rng)
+        b = rng.normal(size=n)
+        x = cholesky_solve(cholesky(a), b)
+        assert np.linalg.norm(a @ x - b) <= 10 * n * eps * np.linalg.norm(a) * np.linalg.norm(x)
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=0.0)

@@ -7,11 +7,11 @@ import pytest
 
 import qhm
 from qhm.errors import PreconditionError
-from qhm.linalg import eigh_pinv_solve
+from qhm.linalg import eigh_pinv_solve, jacobi_eigh
 from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS
 from qhm.spaces import FIXTURE_NAMES
 
-from conftest import euclidean_corpus
+from conftest import NON_QH_SEED, euclidean_corpus
 
 
 def test_equilateral(equilateral):
@@ -311,3 +311,61 @@ def test_monotone_under_subsets_and_mplus_bounds():
         assert qhm.compute_m_plus(sub) <= m_plus + slack
         checked += 1
     assert checked >= 30
+
+
+def _restricted_top(space):
+    """Largest eigenvalue of d on the mass-zero hyperplane (the top one of
+    P d P there), by LAPACK as the reference."""
+    q = np.linalg.qr(np.eye(space.n) - 1.0 / space.n)[0][:, : space.n - 1]
+    return float(np.linalg.eigvalsh(q.T @ space.dist @ q)[-1])
+
+
+def test_jacobi_runs_only_in_the_band(monkeypatch):
+    """Away from the threshold compute_m decides by Cholesky and never
+    calls the eigensolver; within +-pos_tol of it, the spectral route runs."""
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(1)
+        return jacobi_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted)
+    monkeypatch.setattr(qhm.classify, "jacobi_eigh", counted)
+    spaces = _seeded_spaces(4048, 64) + [_circle(n) for n in range(14, 25)]
+    spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
+    assert len(spaces) >= 1000
+    t = qhm.DEFAULT_TOLERANCES
+    branches = {"strict": 0, "not-qh": 0, "band": 0}
+    for space in spaces:
+        top, ptol = _restricted_top(space), t.pos_tol(space.n, space.diameter)
+        calls.clear()
+        rep = qhm.compute_m(space)
+        if top < -ptol:
+            branch = "strict"
+            assert rep.is_finite and rep.unique_maximal
+        elif top > ptol:
+            branch = "not-qh"
+            assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
+        else:
+            branch = "band"
+            assert calls
+        assert branch == "band" or not calls, (branch, space.n)
+        branches[branch] += 1
+    assert min(branches.values()) >= 10, branches
+
+
+def test_qh_verdict_at_the_threshold_follows_pos_tol():
+    """With ptol = 2 kappa both spaces sit in the band, with kappa / 2 neither
+    does; compute_m's verdict equals check_quasihypermetric's every time."""
+    rng = np.random.default_rng(71)
+    strict = qhm.from_euclidean(rng.normal(size=(7, 3)))
+    non_qh = qhm.random_metric(5, seed=NON_QH_SEED)
+    assert _restricted_top(strict) < 0.0 < _restricted_top(non_qh)
+    for space in (strict, non_qh):
+        kappa = abs(_restricted_top(space))
+        for ptol in (2.0 * kappa, 0.5 * kappa):
+            t = qhm.Tolerances(pos=ptol / (space.n * space.diameter))
+            verdict = qhm.check_quasihypermetric(space, tol=t).holds
+            assert verdict == (space is strict or ptol > kappa)
+            rep = qhm.compute_m(space, tol=t)
+            assert (TAG_NOT_QUASIHYPERMETRIC not in rep.method_tags) == verdict
