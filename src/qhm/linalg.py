@@ -154,6 +154,17 @@ def cholesky_solve(low, b) -> np.ndarray:
     return x
 
 
+def definite_solve(a, b, shift):
+    """``(low, x)`` with ``low`` the Cholesky factor of ``a`` and ``x`` the
+    solution of ``a x = b`` after one step of iterative refinement, when
+    ``a - shift`` is positive definite; None otherwise."""
+    if cholesky(a - shift) is None or (low := cholesky(a)) is None:
+        return None
+    x = cholesky_solve(low, b)
+    x += cholesky_solve(low, b - a @ x)
+    return low, x
+
+
 def symmetric_rank_and_nullspace(a, rank_rel: float = 1e-10):
     """Rank of a symmetric matrix and an orthonormal basis of its nullspace."""
     w, v = jacobi_eigh(np.asarray(a, dtype=float))

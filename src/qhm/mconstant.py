@@ -23,8 +23,8 @@ import numpy as np
 from .classify import check_quasihypermetric
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import cholesky, cholesky_solve, eigh_pinv_solve, gram_rank, lstsq_minnorm
-from .metric import MetricSpace, SignedMeasure, potential
+from .linalg import cholesky, definite_solve, eigh_pinv_solve, gram_rank, lstsq_minnorm
+from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TAG_NOT_QUASIHYPERMETRIC = "m:infinite:not-quasihypermetric"
@@ -114,14 +114,12 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
     if space.n == 1:
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
-    g = space.dist[:-1, -1]
-    k = g[:, None] + g[None, :] - space.dist[:-1, :-1]
-    s = t.pos_tol(space.n, space.diameter) * (np.eye(space.n - 1) + 1.0)
+    k, g, s = schoenberg_form(space.dist)
+    s *= t.pos_tol(space.n, space.diameter)
     # with pos >= rank every eigenvalue of d clears the rank cutoff of the
     # eigendecomposition route, so the maximal measure is unique
-    if t.pos >= t.rank and cholesky(k - s) is not None and (low := cholesky(k)) is not None:
-        y = cholesky_solve(low, g)
-        y += cholesky_solve(low, g - k @ y)  # one step of iterative refinement
+    if t.pos >= t.rank and (strict := definite_solve(k, g, s)) is not None:
+        y = strict[1]
         w = np.append(y, 1.0 - y.sum()) / float(g @ y)
         try:
             return _certified(space, w, True, "unique-solution", t)

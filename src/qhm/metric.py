@@ -190,6 +190,20 @@ def potential(mu: SignedMeasure) -> np.ndarray:
     return mu.space.dist @ mu.weights
 
 
+def schoenberg_form(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schoenberg's form at the last point: ``(K, g, S)`` with
+    K_ij = d_in + d_jn - d_ij, g = d[:-1, -1] and S = I + 11'.
+
+    In the basis B = [I; -1'] of the mass-zero hyperplane, K is -d and S is
+    B'B. A mass-one vector b = (y, 1 - sum y) has b'db = 2 g'y - y'Ky, so
+    when K is positive definite and K y* = g, b'db = M - (y - y*)'K(y - y*)
+    with M = g'y* = M(X).
+    """
+    g = dist[:-1, -1]
+    k = g[:, None] + g[None, :] - dist[:-1, :-1]
+    return k, g, np.eye(len(g)) + 1.0
+
+
 def seminorm(mu: SignedMeasure, tol: Tolerances | None = None) -> float:
     """The seminorm sqrt(-energy) of a mass-zero measure.
 

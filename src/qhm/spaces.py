@@ -195,6 +195,8 @@ class CompactSpaceDescriptor:
                 pts = tuple(tuple(float(x) for x in p) for p in self.points)
             except (TypeError, ValueError):
                 raise DescriptorError("points must be lists of numbers") from None
+            if len({len(p) for p in pts}) != 1 or not pts[0]:
+                raise DescriptorError("points must all have the same, nonzero number of coordinates")
             object.__setattr__(self, "points", pts)
         else:
             raise DescriptorError(f"unknown descriptor kind {self.kind!r}")

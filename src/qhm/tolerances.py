@@ -8,11 +8,15 @@ absolute thresholds.
 
 Overrides: ``Tolerances.from_overrides`` merges, in order, the defaults,
 ``QHM_TOL_<NAME>`` environment variables, and explicit ``key=value`` pairs.
+Every value must be a finite non-negative number; any other raises
+``ValueError`` naming the key when the record is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -47,6 +51,14 @@ class Tolerances:
     fw_max_iter: int = 100000
     # refuse integer enumerations needing more than this much work, n*(2B+1)^n
     hyper_budget: float = 1e8
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerance {f.name!r} must be a finite non-negative number, got {value!r}"
+                )
 
     # -- absolute thresholds -------------------------------------------------
 

@@ -50,3 +50,10 @@ def euclidean_corpus(count, seed, max_n=8, max_dim=4):
         dim = int(rng.integers(1, max_dim + 1))
         spaces.append(qhm.from_euclidean(rng.normal(size=(n, dim))))
     return spaces
+
+
+def restricted_top(space):
+    """Largest eigenvalue of d on the mass-zero hyperplane (the top one of
+    P d P there), by LAPACK as the reference."""
+    q = np.linalg.qr(np.eye(space.n) - 1.0 / space.n)[0][:, : space.n - 1]
+    return float(np.linalg.eigvalsh(q.T @ space.dist @ q)[-1])

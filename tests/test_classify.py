@@ -1,14 +1,18 @@
 """Property verdicts: fixtures, witnesses, and the supporting laws."""
 
+from collections import Counter
+from functools import cache
+
 import numpy as np
 import pytest
 
 import qhm
+from qhm import classify
 from qhm.errors import BudgetExceededError
 from qhm.linalg import double_center, jacobi_eigh
 from qhm.tolerances import DEFAULT_TOLERANCES
 
-from conftest import euclidean_corpus
+from conftest import NON_QH_SEED, euclidean_corpus, restricted_top
 
 
 def collinear(u, v):
@@ -175,3 +179,167 @@ def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_qua
                 assert got.witness is None
             else:  # the same decomposition, so the same witness bit for bit
                 assert np.array_equal(got.witness.weights, alone.witness.weights)
+
+
+@cache
+def _full_box_grid(n, bound):
+    """Reference: every vector of [-bound, bound]^n in lexicographic order,
+    row r being the base-(2B+1) digits of r, then the rows summing to 1.
+    Built in slices of the row index, so n = 8 stays small in memory."""
+    base = 2 * bound + 1
+    parts = []
+    for start in range(0, base**n, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), base**n))
+        flat = np.stack([(idx // base ** (n - 1 - i)) % base - bound for i in range(n)], axis=1)
+        parts.append(flat[flat.sum(axis=1) == 1])
+    return np.concatenate(parts).astype(float)
+
+
+def _full_box_witness(space, bound, tol=DEFAULT_TOLERANCES):
+    """Reference: the first row of the whole grid with b'db > pos_tol, or None."""
+    grid = _full_box_grid(space.n, bound)
+    viol = ((grid @ space.dist) * grid).sum(axis=1) > tol.pos_tol(space.n, space.diameter)
+    return grid[int(np.argmax(viol))].astype(int) if viol.any() else None
+
+
+def _routes(space, bound, tol=DEFAULT_TOLERANCES):
+    """The route check_hypermetric_bounded takes, its verdict, and the box
+    route's witness for the same input."""
+    classify._mass_one_grid.cache_clear()
+    verdict = qhm.check_hypermetric_bounded(space, bound=bound, tol=tol)
+    route = "box" if classify._mass_one_grid.cache_info().currsize else "ellipsoid"
+    box = classify._box_witness(space, bound, tol.pos_tol(space.n, space.diameter))
+    return route, verdict, box
+
+
+def _assert_matches(verdict, box, reference):
+    assert verdict.holds == (reference is None) == (box is None)
+    if reference is not None:
+        assert np.array_equal(verdict.witness, reference)
+        assert np.array_equal(box, reference)
+        assert verdict.witness.dtype.kind == "i"
+
+
+def test_mass_one_grid_matches_the_full_box():
+    for n in range(1, 8):
+        for bound in (1, 2, 3):
+            grid = classify._mass_one_grid(n, bound)
+            assert not grid.flags.writeable
+            assert np.array_equal(grid, _full_box_grid(n, bound)), (n, bound)
+
+
+def test_both_routes_match_the_full_box():
+    rng = np.random.default_rng(4242)
+    seen = Counter()
+    for n in range(2, 9):
+        for bound in (1, 2, 3):
+            spaces = [qhm.random_metric(n, seed=int(rng.integers(2**31))) for _ in range(4)]
+            spaces += [qhm.from_euclidean(rng.normal(size=(n, 1 + i % 4))) for i in range(2)]
+            for space in spaces:
+                route, verdict, box = _routes(space, bound)
+                _assert_matches(verdict, box, _full_box_witness(space, bound))
+                seen[route, verdict.holds] += 1
+    # both routes ran, and both found violations
+    assert seen["ellipsoid", False] >= 10 and seen["ellipsoid", True] >= 40, seen
+    assert seen["box", False] >= 5, seen
+
+
+def test_routes_agree_either_side_of_the_strictness_threshold():
+    """With top the largest eigenvalue of d on the mass-zero hyperplane,
+    ptol just below |top| leaves K - ptol S barely positive definite and the
+    ellipsoid route runs; just above it, the box route runs."""
+    rng = np.random.default_rng(71)
+    spaces = [qhm.from_euclidean(rng.normal(size=(7, 3))), qhm.random_metric(5, seed=NON_QH_SEED)]
+    violators = 0
+    for seed in range(200):
+        space = qhm.random_metric(5 + seed % 3, seed=seed)
+        if violators < 6 and restricted_top(space) < 0 and _full_box_witness(space, 2) is not None:
+            spaces.append(space)
+            violators += 1
+    assert violators == 6
+    for space in spaces:
+        top = restricted_top(space)
+        for ptol in (2.0 * abs(top), abs(top) * (1 + 1e-6), abs(top) * (1 - 1e-6), 0.5 * abs(top)):
+            t = qhm.Tolerances(pos=ptol / (space.n * space.diameter))
+            route, verdict, box = _routes(space, 2, tol=t)
+            assert route == ("ellipsoid" if top < -ptol else "box")
+            _assert_matches(verdict, box, _full_box_witness(space, 2, tol=t))
+
+
+def test_ellipsoid_witness_keeps_the_last_entry_in_bound():
+    """These ellipsoids hold violators whose last entry 1 - sum y exceeds the
+    bound and that come before every in-bound violator lexicographically."""
+    for n, seed in ((6, 363), (7, 39)):
+        space = qhm.random_metric(n, seed=seed)
+        for bound in (1, 2):
+            route, verdict, box = _routes(space, bound)
+            assert route == "ellipsoid"
+            _assert_matches(verdict, box, _full_box_witness(space, bound))
+
+
+def test_violation_just_above_pos_tol_is_found():
+    """On the segment from a Euclidean space to a non-hypermetric one, pick
+    the point where the largest violation is 1.5 pos_tol: the ellipsoid must
+    reach out to b'db = pos_tol, not stop short of it."""
+    tol = DEFAULT_TOLERANCES
+    bad = qhm.random_metric(6, seed=363).dist
+    good = qhm.from_euclidean(np.random.default_rng(6).normal(size=(6, 3))).dist
+    good = good * bad.max() / good.max()
+    grid = _full_box_grid(6, 1)
+
+    def excess(t):
+        space = qhm.MetricSpace((1 - t) * good + t * bad)
+        top = ((grid @ space.dist) * grid).sum(axis=1).max()
+        return top / tol.pos_tol(6, space.diameter) - 1.5, space
+
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid)[0] > 0 else (mid, hi)
+    space = excess(hi)[1]
+    route, verdict, box = _routes(space, 1)
+    assert route == "ellipsoid" and not verdict.holds
+    _assert_matches(verdict, box, _full_box_witness(space, 1))
+    b = verdict.witness.astype(float)
+    assert 1.0 < b @ space.dist @ b / tol.pos_tol(6, space.diameter) <= 2.0
+
+
+def test_bounds_beyond_int8_on_few_points():
+    """The budget allows B in the hundreds for n <= 3; a large pos_tol sends
+    these spaces down the box route, the default one down the ellipsoid."""
+    for space, bound in ((qhm.random_metric(2, seed=1), 128), (qhm.random_metric(3, seed=2), 130)):
+        for tol in (DEFAULT_TOLERANCES, qhm.Tolerances(pos=1.0)):
+            route, verdict, box = _routes(space, bound, tol=tol)
+            assert route == ("ellipsoid" if tol is DEFAULT_TOLERANCES else "box")
+            _assert_matches(verdict, box, _full_box_witness(space, bound, tol=tol))
+
+
+def test_strictly_quasihypermetric_8_point_space_builds_no_grid():
+    space = qhm.from_euclidean(np.random.default_rng(8).normal(size=(8, 3)))
+    classify._mass_one_grid.cache_clear()
+    assert qhm.check_hypermetric_bounded(space, bound=3).holds
+    assert classify._mass_one_grid.cache_info().currsize == 0
+
+
+def test_chunked_witness_is_the_first_violating_row_of_the_full_grid():
+    rows = []
+    for seed in (0, 2, 4, 9, 31, 40, 58):
+        space = qhm.random_metric(8, seed=seed)
+        assert not qhm.check_quasihypermetric(space).holds
+        route, verdict, box = _routes(space, 3)
+        reference = _full_box_witness(space, 3)
+        assert route == "box"
+        _assert_matches(verdict, box, reference)
+        rows.append(int(np.flatnonzero((_full_box_grid(8, 3) == reference).all(axis=1))[0]))
+    # witnesses in the first chunk and several chunks in
+    assert min(rows) < classify._CHUNK_ROWS < 10 * classify._CHUNK_ROWS < max(rows)
+
+
+def test_euclidean_spaces_are_hypermetric():
+    """Euclidean metrics embed in l1 and so are hypermetric (Deza & Laurent)."""
+    rng = np.random.default_rng(1985)
+    for n in range(3, 9):
+        for dim in (1, 2, 3, 4):
+            for _ in range(3):
+                space = qhm.from_euclidean(rng.normal(size=(n, dim)))
+                assert qhm.check_hypermetric_bounded(space, bound=3).holds, (n, dim)

@@ -256,3 +256,25 @@ def test_integral_tolerance_for_int_field(capsys, tmp_path, monkeypatch):
         code, out, err = run(capsys, "mplus", path, *argv)
         assert code == 1 and out == ""
         assert "fw_max_iter" in err and "int" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pair", ["pos=-1", "pos=nan", "hyper_budget=-5"])
+def test_invalid_tolerance_is_exit_1_naming_the_key(capsys, monkeypatch, pair):
+    key, raw = pair.split("=")
+    argv = ["approx", '{"kind":"interval","length":1}', "--max-n", "3"]
+    for extra, env in ((["--tol", pair], None), ([], raw)):
+        if env is not None:
+            monkeypatch.setenv("QHM_TOL_" + key.upper(), env)
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: tolerance '{key}'") and err.count("\n") == 1
+        assert "descriptor" not in err
+
+
+@pytest.mark.parametrize("points", ["[[0,1],[1]]", "[[],[]]", "[[0,1],[1,2,3]]"])
+def test_approx_ragged_points_is_exit_18(capsys, points):
+    code, out, err = run(capsys, "approx", f'{{"kind":"euclidean_pointcloud","points":{points}}}', "--max-n", "2")
+    assert code == 18
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "inhomogeneous" not in err

@@ -12,6 +12,7 @@ from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS
 from qhm.spaces import FIXTURE_NAMES
 
 from conftest import NON_QH_SEED, euclidean_corpus
+from conftest import restricted_top as _restricted_top
 
 
 def test_equilateral(equilateral):
@@ -311,13 +312,6 @@ def test_monotone_under_subsets_and_mplus_bounds():
         assert qhm.compute_m_plus(sub) <= m_plus + slack
         checked += 1
     assert checked >= 30
-
-
-def _restricted_top(space):
-    """Largest eigenvalue of d on the mass-zero hyperplane (the top one of
-    P d P there), by LAPACK as the reference."""
-    q = np.linalg.qr(np.eye(space.n) - 1.0 / space.n)[0][:, : space.n - 1]
-    return float(np.linalg.eigvalsh(q.T @ space.dist @ q)[-1])
 
 
 def test_jacobi_runs_only_in_the_band(monkeypatch):

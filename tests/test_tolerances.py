@@ -49,3 +49,19 @@ def test_env_and_dict_cast_alike():
         Tolerances.from_dict({"fw_max_iter": "1.5"})
     with pytest.raises(ValueError):
         Tolerances.from_overrides(["fw_max_iter=1.5"], env={})
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("pos", "-1"), ("pos", "nan"), ("neg", "inf"), ("hyper_budget", "-5"), ("fw_max_iter", "-3")]
+)
+def test_negative_nan_and_infinite_values_are_refused(key, raw):
+    builds = (
+        lambda: Tolerances(**{key: float(raw)}),
+        lambda: Tolerances.from_overrides([f"{key}={raw}"], env={}),
+        lambda: Tolerances.from_overrides([], env={"QHM_TOL_" + key.upper(): raw}),
+        lambda: Tolerances.from_dict({key: raw}),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=key):
+            build()
+    assert Tolerances(**{key: 0}).to_dict()[key] == 0
