@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 from . import __version__
 from .classify import classify_space
@@ -138,7 +139,9 @@ def _add_common(p, with_format=True):
         p.add_argument("--format", choices=("csv", "json"), help="input format (default: by extension)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="qhm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qhm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -205,6 +208,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         print("error: out of memory; the input is too large for this machine", file=sys.stderr)
+        return QhmError.exit_code
+    except Exception as exc:  # a defect: one line and exit 10, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return QhmError.exit_code
 
 

@@ -1,17 +1,18 @@
-"""Away-step Frank-Wolfe maximization of a quadratic over the probability simplex.
+"""Maximization of a quadratic over the probability simplex: an exact active
+set, with away-step Frank-Wolfe as its fallback.
 
-The vertices of the simplex are the coordinate directions, so the iterate's
-convex decomposition is just the iterate itself: toward-steps add weight to
-the best coordinate, away-steps strip weight from the worst supported one
-(which is what lets the method drop coordinates and converge linearly on
-faces). Line search is exact, since the objective restricted to a segment is
-a one-dimensional quadratic.
-
-The iteration's linear rate degrades when the simplex geometry under the
-quadratic is nearly degenerate (almost-coincident points), so an exact
-active-set finish runs periodically and at the end: solve the stationarity
-system on the current face, drop negative vertices, grow by the best outside
-vertex, until the gap criterion is met or the face stops changing.
+The active set starts from the diametral pair, the lowest-index pair where q
+is largest (on a distance matrix its uniform measure has energy D/2, the
+lower bound for M+). It solves each face's stationarity system exactly, by
+Cholesky of the face's Schoenberg form, drops the most negative vertex while
+there is one, and grows the face by the best outside vertex until the gap
+criterion is met. When it stalls, away-step Frank-Wolfe runs from the
+uniform measure: toward-steps add weight to the best coordinate, away-steps
+strip weight from the worst supported one (which lets the method drop
+coordinates and converge linearly on faces), and the line search is exact,
+since the objective on a segment is a one-dimensional quadratic. On nearly
+degenerate faces (almost-coincident points) that rate degrades, so the
+active-set finish also runs periodically and at the end.
 
 Ties in vertex selection break toward the lowest index, so runs are fully
 deterministic.
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh_pinv_solve
+from .linalg import definite_solve, eigh_pinv_solve
+from .metric import schoenberg_form
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,22 @@ class SimplexMaxResult:
 def _face_stationary(q: np.ndarray, support: np.ndarray) -> np.ndarray | None:
     """Weights solving 2 q x = nu 1, sumable to 1, on one face of the simplex.
 
-    The Gram block is normalized so the constraint row is not drowned at
-    large distance scales. Returns the raw face weights (possibly negative),
-    or None when the bordered system is inconsistent.
+    With c the face's last diagonal entry, x = [y; 1 - sum y] has
+    x'qx = c + 2 g'y - y'Ky for (K, g) Schoenberg's form of q - c, and
+    K = -B'qB. Cholesky solves K y = g when K is positive definite; otherwise
+    the bordered system, its Gram block normalized so the constraint row is
+    not drowned at large distance scales, goes through the eigendecomposition
+    pseudoinverse. Returns the raw face weights (possibly negative), or None
+    when the bordered system is inconsistent.
     """
+    face = q[np.ix_(support, support)]
+    k, g, _ = schoenberg_form(face - face[-1, -1])
+    if (solved := definite_solve(k, g)) is not None:
+        return np.append(solved[1], 1.0 - solved[1].sum())
     m = support.size
     scale = float(np.max(np.abs(q))) if q.size else 0.0
     system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = 2.0 * q[np.ix_(support, support)] / max(scale, 1e-300)
+    system[:m, :m] = 2.0 * face / max(scale, 1e-300)
     system[:m, m] = 1.0
     system[m, :m] = 1.0
     rhs = np.zeros(m + 1)
@@ -103,12 +113,18 @@ def maximize_quadratic_on_simplex(
     ``q`` must be symmetric and concave along simplex directions (negative
     semidefinite on mass-zero vectors); then the toward-step gap
     ``max_i g_i - g.x`` upper-bounds the suboptimality and is used as the
-    stopping criterion.
+    stopping criterion. Frank-Wolfe, from the uniform measure or ``x0``, runs
+    only when the active set does not certify; ``iterations`` counts its steps.
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
+    pair = np.bincount(np.unravel_index(int(np.argmax(q)), q.shape), minlength=n) / 2.0
+    x = _active_set_finish(q, pair if x0 is None else np.array(x0, dtype=float), gap_tol)
+    g = 2.0 * (q @ x)
+    gap = float(g.max()) - float(g @ x)
+    if gap <= gap_tol:
+        return SimplexMaxResult(x, float(x @ q @ x), gap, 0, True)
     x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
-    gap = np.inf
     it = 0
     done = False
     for it in range(1, max_iter + 1):

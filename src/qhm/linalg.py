@@ -154,11 +154,12 @@ def cholesky_solve(low, b) -> np.ndarray:
     return x
 
 
-def definite_solve(a, b, shift):
+def definite_solve(a, b, shift=None):
     """``(low, x)`` with ``low`` the Cholesky factor of ``a`` and ``x`` the
     solution of ``a x = b`` after one step of iterative refinement, when
-    ``a - shift`` is positive definite; None otherwise."""
-    if cholesky(a - shift) is None or (low := cholesky(a)) is None:
+    ``a - shift`` (``a`` when no shift is given) is positive definite; None
+    otherwise."""
+    if (shift is not None and cholesky(a - shift) is None) or (low := cholesky(a)) is None:
         return None
     x = cholesky_solve(low, b)
     x += cholesky_solve(low, b - a @ x)

@@ -8,8 +8,9 @@ normalized to mass 1 being a maximal measure. Zero total mass means the
 supremum is infinite, as does failure of the quasihypermetric property. Away
 from its threshold, Cholesky factorizations of Schoenberg's form decide both.
 
-M+(X), the same supremum over probability measures, is generally smaller and
-is computed by away-step Frank-Wolfe over the simplex.
+M+(X), the same supremum over probability measures, is generally smaller: it
+is M(F) for the support F of a maximal probability measure, found by an active
+set of such Cholesky solves (Frank-Wolfe runs only when the active set stalls).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class MReport:
     ``invariant_value`` records the constant level of its potential (equal to
     ``m_value``). ``solution_mass`` is the raw total mass of the solved
     system, so borderline infinite verdicts can be re-judged by the caller.
-    ``method_tags`` name the code path behind each number.
+    ``method_tags`` name the code path behind each number. M+ comes with its
+    certificate: the support, the largest potential outside it and the gap.
     """
 
     m_value: float
@@ -51,13 +53,14 @@ class MReport:
     method_tags: tuple[str, ...]
     solution_mass: float | None = None
     system_residual: float | None = None
+    m_plus_certificate: dict | None = None
 
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.m_value)
 
-    def with_m_plus(self, value: float) -> "MReport":
-        return replace(self, m_plus=value)
+    def with_m_plus(self, value: float, certificate: dict | None = None) -> "MReport":
+        return replace(self, m_plus=value, m_plus_certificate=certificate)
 
     @classmethod
     def _infinite(cls, tags: tuple[str, ...], mass=None, residual=None) -> "MReport":
@@ -218,7 +221,7 @@ def uniqueness_of_maximal(space: MetricSpace, tol: Tolerances | None = None) -> 
 def maximize_energy_over_probability(
     space: MetricSpace, tol: Tolerances | None = None
 ) -> SimplexMaxResult:
-    """Frank-Wolfe maximization of the energy over probability measures."""
+    """Maximization of the energy over probability measures (active set, Frank-Wolfe fallback)."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     return maximize_quadratic_on_simplex(
         space.dist, gap_tol=t.fw_tol(space.diameter), max_iter=t.fw_max_iter
@@ -233,13 +236,12 @@ def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
     returns the best value found if the iteration cap is hit.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
-    return _m_plus_from_report(space, compute_m(space, tol=t), t)
+    return _m_plus_from_report(space, compute_m(space, tol=t), t).m_plus
 
 
-def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> float:
-    """``compute_m_plus`` for a space whose ``compute_m`` report is in hand."""
-    if space.n == 1:
-        return 0.0
+def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> MReport:
+    """``report`` with M+ and its certificate attached (``compute_m_plus`` for
+    a space whose ``compute_m`` report is in hand)."""
     if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
         raise PreconditionError("M+ is only computed for quasihypermetric spaces")
     if not report.is_finite:
@@ -258,4 +260,11 @@ def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> f
         raise ContradictionError(
             f"M+ = {result.value!r} exceeds M = {report.m_value!r} beyond tolerance"
         )
-    return min(result.value, report.m_value)
+    outside = result.weights <= 0.0
+    level = space.dist[outside] @ result.weights
+    certificate = {
+        "support": np.flatnonzero(~outside).tolist(),
+        "max_outside_potential": float(level.max()) if level.size else None,
+        "gap": result.gap,
+    }
+    return report.with_m_plus(min(result.value, report.m_value), certificate)

@@ -8,9 +8,12 @@ minimizer is again a proper convex combination. Terminates after finitely
 many corrals in exact arithmetic; a generous iteration cap guards the
 floating-point version.
 
-The affine subproblem min |P λ| s.t. sum λ = 1 is solved through the
-symmetric bordered system [[P P', 1], [1', 0]], with the same deterministic
-eigendecomposition pseudoinverse used everywhere else in the package.
+The affine subproblem min |P λ| s.t. sum λ = 1 is solved on the corral's
+differences q_i = p_i - p_last: affine independence makes their Gram matrix
+Q Q' positive definite, so a Cholesky factorization solves (Q Q') μ = -Q p_last
+and λ = (μ, 1 - sum μ). Only when Cholesky refuses (affinely dependent rows)
+is the symmetric bordered system [[P P', 1], [1', 0]] solved, by the
+deterministic eigendecomposition pseudoinverse.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh_pinv_solve
+from .linalg import definite_solve, eigh_pinv_solve
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,9 @@ class MinNormResult:
 
 
 def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
+    diff = pts[:-1] - pts[-1]
+    if (solved := definite_solve(diff @ diff.T, -(diff @ pts[-1]))) is not None:
+        return np.append(solved[1], 1.0 - solved[1].sum())
     m = pts.shape[0]
     gram = pts @ pts.T
     system = np.zeros((m + 1, m + 1))
@@ -83,7 +89,7 @@ def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = No
     for it in range(1, max_iter + 1):
         scores = pts @ x
         j = int(np.argmin(scores))
-        if scores[j] > float(x @ x) - stop_slack:
+        if scores[j] >= float(x @ x) - stop_slack:
             converged = True
             break
         if j in idx:

@@ -65,6 +65,7 @@ def m_report_to_json(rep: MReport) -> dict:
         if rep.maximal_measure is None
         else [float(x) for x in rep.maximal_measure.weights],
         "m_plus": _num(rep.m_plus),
+        "m_plus_certificate": rep.m_plus_certificate,
         "unique_maximal": rep.unique_maximal,
         "invariant_value": _num(rep.invariant_value),
         "solution_mass": _num(rep.solution_mass),
@@ -93,14 +94,13 @@ def build_report(
                 "two_r_squared": two_r2,
                 "discrepancy": abs(m_rep.m_value - two_r2),
             }
-            m_plus = _m_plus_from_report(space, m_rep, t)
-            m_rep = m_rep.with_m_plus(m_plus)
+            m_rep = _m_plus_from_report(space, m_rep, t)
             geo = emb.m_plus_geometric
             if geo is not None:
                 cross["m_plus_vs_hull"] = {
-                    "m_plus": m_plus,
+                    "m_plus": m_rep.m_plus,
                     "two_r2_minus_s2": geo,
-                    "discrepancy": abs(m_plus - geo),
+                    "discrepancy": abs(m_rep.m_plus - geo),
                 }
 
     return {

@@ -278,3 +278,69 @@ def test_approx_ragged_points_is_exit_18(capsys, points):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "inhomogeneous" not in err
+
+
+def test_one_parser_serves_every_call_as_a_fresh_run(capsys, tmp_path):
+    path = str(tmp_path / "star.csv")
+    qhm.dump(qhm.make_fixture("star_1_2"), path)
+    qhm.cli.build_parser.cache_clear()
+
+    def calls():
+        with pytest.raises(SystemExit) as exc:
+            main(["report", path, "--hyper-bound", "x"])
+        usage = (exc.value.code, capsys.readouterr())
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        version = (exc.value.code, capsys.readouterr())
+        return usage, version, run(capsys, "report", path)
+
+    first = calls()
+    again = calls()
+    assert qhm.cli.build_parser.cache_info().misses == 1
+    assert first == again
+    (usage_code, usage), (version_code, version), (code, out, err) = again
+    assert usage_code == 1 and "invalid int value" in usage.err and usage.out == ""
+    assert version_code == 0 and version.out == f"qhm {qhm.__version__}\n"
+    assert code == 0 and err == "" and json.loads(out)["m_report"]["m_plus"] > 0
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("division by zero"), RuntimeError("boom")])
+def test_unexpected_exception_is_exit_10_without_traceback(capsys, monkeypatch, tmp_path, error):
+    path = str(tmp_path / "star.csv")
+    qhm.dump(qhm.make_fixture("star_1_2"), path)
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(qhm.cli, "compute_m", broken)
+    monkeypatch.setattr(qhm.report, "compute_m", broken)
+    for command in ("m", "report"):
+        code, out, err = run(capsys, command, path)
+        assert code == 10
+        assert out == ""
+        assert err == f"error: internal error: {type(error).__name__}: {error}\n"
+
+
+def test_report_carries_the_m_plus_certificate(capsys, tmp_path, assouad_csv):
+    path = str(tmp_path / "star.csv")
+    qhm.dump(qhm.make_fixture("star_1_2"), path)
+    doc = json.loads(run(capsys, "report", path)[1])
+    cert = doc["m_report"]["m_plus_certificate"]
+    assert cert["support"] == [1, 2, 3]  # the hub carries no mass
+    assert cert["max_outside_potential"] == pytest.approx(1.0, abs=1e-12)
+    assert abs(cert["gap"]) <= qhm.Tolerances().fw_tol(2.0)
+    infinite = json.loads(run(capsys, "report", assouad_csv)[1])["m_report"]
+    assert infinite["m_plus_certificate"] is None
+    assert json.loads(run(capsys, "m", path)[1])["m_plus_certificate"] is None
+    # on seeded spaces the potential is M+ on the support and at most M+ off it
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        space = qhm.from_euclidean(rng.normal(size=(n, 2)))
+        rep = qhm.build_report(space)["m_report"]
+        cert, m_plus = rep["m_plus_certificate"], rep["m_plus"]
+        level = space.dist @ qhm.mconstant.maximize_energy_over_probability(space).weights
+        assert np.allclose(level[cert["support"]], m_plus, rtol=1e-12)
+        outside = np.delete(level, cert["support"])
+        assert (cert["max_outside_potential"] is None) == (outside.size == 0)
+        if outside.size:
+            assert cert["max_outside_potential"] == outside.max() <= m_plus

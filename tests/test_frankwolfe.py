@@ -1,8 +1,12 @@
-"""The away-step Frank-Wolfe maximizer on small closed-form problems."""
+"""The simplex maximizer (active set, Frank-Wolfe fallback) on closed-form and seeded problems."""
 
 import numpy as np
+import pytest
 
+import qhm
+from qhm import frankwolfe
 from qhm.frankwolfe import maximize_quadratic_on_simplex
+from qhm.mconstant import maximize_energy_over_probability
 
 
 def test_uniform_is_optimal_for_equilateral():
@@ -62,3 +66,116 @@ def test_matches_coarse_grid_on_random_instances():
         brute = float(((grid @ q) * grid).sum(axis=1).max())
         assert res.value >= brute - 1e-12
         assert res.value - brute < 5e-3  # grid resolution error only
+
+
+def _finite_m_corpus():
+    """Seeded finite-M spaces: Euclidean point sets, random metrics with finite
+    M, and circle and interval samples."""
+    rng = np.random.default_rng(31)
+    spaces = [
+        qhm.from_euclidean(rng.normal(size=(n, dim))) for n in range(3, 16) for dim in (1, 2, 3, n)
+    ]
+    for n in range(3, 10):
+        metrics = (qhm.random_metric(n, seed=seed) for seed in range(60))
+        spaces += [s for s in metrics if qhm.compute_m(s).is_finite][:5]
+    for kind, key in (("circle", "circumference"), ("interval", "length")):
+        desc = qhm.CompactSpaceDescriptor(kind, **{key: 2.0})
+        spaces += [desc.sample_space(n) for n in range(2, 17)]
+    return spaces
+
+
+def test_active_set_matches_the_forced_frank_wolfe_loop(monkeypatch):
+    spaces = _finite_m_corpus()
+    assert len(spaces) >= 100
+    bordered = []
+    solve = frankwolfe.eigh_pinv_solve
+
+    def counted(*args, **kwargs):
+        bordered.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(frankwolfe, "eigh_pinv_solve", counted)
+    active = [maximize_energy_over_probability(s) for s in spaces]
+    assert not bordered  # every face solve was a Cholesky solve
+    reached_loop = sum(r.iterations > 0 for r in active)
+    assert reached_loop == 0
+
+    # the loop as it ran before the active set opened: from the uniform
+    # measure, its finishes solving every face by the bordered system
+    finish = frankwolfe._active_set_finish
+    stepped = 0
+    for space, res in zip(spaces, active):
+        calls = []
+
+        def forced(q, x, gap_tol, calls=calls):
+            calls.append(x)
+            return np.full(len(x), 1.0 / len(x)) if len(calls) == 1 else finish(q, x, gap_tol)
+
+        monkeypatch.setattr(frankwolfe, "_active_set_finish", forced)
+        monkeypatch.setattr(frankwolfe, "definite_solve", lambda *args: None)
+        loop = maximize_energy_over_probability(space)
+        monkeypatch.undo()
+        stepped += loop.iterations > 0
+        assert res.converged and loop.converged
+        assert abs(res.value - loop.value) <= 1e-12 * loop.value
+    assert stepped >= len(spaces) // 2
+
+
+def test_forced_loop_fallback_still_certifies_its_gap(monkeypatch):
+    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, support: None)
+    rng = np.random.default_rng(32)
+    for n in (4, 6, 9):
+        space = qhm.from_euclidean(rng.normal(size=(n, 3)))
+        gap_tol = qhm.Tolerances().fw_tol(space.diameter)
+        res = maximize_quadratic_on_simplex(space.dist, gap_tol=gap_tol)
+        assert res.converged and res.iterations > 0
+        assert res.gap <= gap_tol
+        g = 2.0 * (space.dist @ res.weights)
+        assert float(g.max()) - float(g @ res.weights) <= gap_tol
+        assert res.value == pytest.approx(qhm.compute_m_plus(space), rel=1e-9)
+
+
+def test_collinear_points_stop_at_the_diametral_pair(monkeypatch):
+    # on a line the endpoints carry M+ = D/2, so the opening face certifies
+    faces = []
+    solve = frankwolfe._face_stationary
+    monkeypatch.setattr(
+        frankwolfe, "_face_stationary", lambda q, s: faces.append(s.size) or solve(q, s)
+    )
+    rng = np.random.default_rng(33)
+    for n in (3, 8, 20):
+        x = rng.normal(size=(n, 1))
+        space = qhm.from_euclidean(x)
+        faces.clear()
+        res = maximize_quadratic_on_simplex(space.dist, gap_tol=1e-12)
+        assert faces == [2] and res.iterations == 0
+        ends = sorted((int(np.argmin(x)), int(np.argmax(x))))
+        assert np.flatnonzero(res.weights).tolist() == ends
+        assert res.value == pytest.approx(space.diameter / 2.0, rel=1e-15)
+
+
+def test_each_drop_removes_the_most_negative_vertex(monkeypatch):
+    # from the full support (x0 uniform) the active set has vertices to drop
+    faces = []
+    solve = frankwolfe._face_stationary
+
+    def recorded(q, support):
+        w = solve(q, support)
+        faces.append((support.copy(), w))
+        return w
+
+    monkeypatch.setattr(frankwolfe, "_face_stationary", recorded)
+    drops = 0
+    rng = np.random.default_rng(34)
+    for n in range(4, 16):
+        space = qhm.from_euclidean(rng.normal(size=(n, 2)))
+        gap_tol = qhm.Tolerances().fw_tol(space.diameter)
+        paired = maximize_quadratic_on_simplex(space.dist, gap_tol)
+        faces.clear()
+        res = maximize_quadratic_on_simplex(space.dist, gap_tol, x0=np.full(n, 1.0 / n))
+        assert res.iterations == 0 and res.value == pytest.approx(paired.value, rel=1e-12)
+        for (support, w), (after, _) in zip(faces, faces[1:]):
+            if w.min() < -1e-12:
+                drops += 1
+                assert after.tolist() == np.delete(support, np.argmin(w)).tolist()
+    assert drops >= 20

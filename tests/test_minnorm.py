@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from qhm import minnorm
 from qhm.minnorm import min_norm_point_in_hull
 
 
@@ -83,3 +84,69 @@ def test_against_face_enumeration_oracle():
         ref = brute_force_min_norm(pts)
         assert res.converged
         assert abs(res.distance - ref) < 1e-8 * max(1.0, ref)
+
+
+def bordered_affine_minimizer(pts):
+    """The affine minimizer's weights from the bordered system
+    [[P P', 1], [1', 0]], by LAPACK least squares as the reference."""
+    m = pts.shape[0]
+    sys = np.zeros((m + 1, m + 1))
+    sys[:m, :m] = pts @ pts.T
+    sys[:m, m] = 1.0
+    sys[m, :m] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    return np.linalg.lstsq(sys, rhs, rcond=None)[0][:m]
+
+
+def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an affinely independent corral took the bordered fallback")
+
+    monkeypatch.setattr(minnorm, "eigh_pinv_solve", refused)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        m = int(rng.integers(1, k + 2))  # at most k + 1 points: affinely independent
+        pts = rng.normal(size=(m, k)) + rng.normal(size=k)
+        lam = minnorm._affine_minimizer(pts)
+        ref = bordered_affine_minimizer(pts)
+        assert abs(lam.sum() - 1.0) < 1e-12
+        assert np.allclose(lam, ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(lam @ pts, ref @ pts, atol=1e-9)
+
+
+def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
+    calls = []
+    solve = minnorm.eigh_pinv_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(minnorm, "eigh_pinv_solve", counted)
+    # a duplicate of the last row, and three collinear lattice points: the
+    # Cholesky factor meets an exactly zero pivot
+    duplicate = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0]])
+    collinear = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    for pts in (duplicate, collinear):
+        before = len(calls)
+        lam = minnorm._affine_minimizer(pts)
+        assert len(calls) == before + 1
+        assert abs(lam.sum() - 1.0) < 1e-9
+        assert np.allclose(lam @ pts, bordered_affine_minimizer(pts) @ pts, atol=1e-9)
+    # whole hulls of lattice points, duplicates included, at zero slack: the
+    # rounding of the stopping test lets a dependent corral form
+    rng = np.random.default_rng(24)
+    fallbacks = 0
+    for trial in range(300):
+        k = int(rng.integers(1, 4))
+        m = int(rng.integers(2, 7))
+        pts = rng.integers(-3, 4, size=(m, k)).astype(float)
+        pts = np.vstack([pts, pts[: int(rng.integers(1, m + 1))]])
+        before = len(calls)
+        res = min_norm_point_in_hull(pts, tol=0.0, max_iter=64)
+        if len(calls) > before:
+            fallbacks += 1
+            assert abs(res.distance - brute_force_min_norm(pts)) < 1e-8
+    assert fallbacks >= 5
