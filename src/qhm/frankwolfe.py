@@ -1,18 +1,12 @@
-"""Maximization of a quadratic over the probability simplex: an exact active
-set, with away-step Frank-Wolfe as its fallback.
+"""Maximization of a quadratic over the probability simplex by an exact active set.
 
 The active set starts from the diametral pair, the lowest-index pair where q
 is largest (on a distance matrix its uniform measure has energy D/2, the
 lower bound for M+). It solves each face's stationarity system exactly, by
 Cholesky of the face's Schoenberg form, drops the most negative vertex while
 there is one, and grows the face by the best outside vertex until the gap
-criterion is met. When it stalls, away-step Frank-Wolfe runs from the
-uniform measure: toward-steps add weight to the best coordinate, away-steps
-strip weight from the worst supported one (which lets the method drop
-coordinates and converge linearly on faces), and the line search is exact,
-since the objective on a segment is a one-dimensional quadratic. On nearly
-degenerate faces (almost-coincident points) that rate degrades, so the
-active-set finish also runs periodically and at the end.
+criterion is met. If it stalls first, the result says so and carries the
+best point found.
 
 Ties in vertex selection break toward the lowest index, so runs are fully
 deterministic.
@@ -66,20 +60,33 @@ def _face_stationary(q: np.ndarray, support: np.ndarray) -> np.ndarray | None:
     return sol[:m]
 
 
-def _active_set_finish(q: np.ndarray, x: np.ndarray, gap_tol: float) -> np.ndarray:
-    """Polish an iterate by exact solves on faces of the simplex.
+def maximize_quadratic_on_simplex(
+    q: np.ndarray,
+    gap_tol: float,
+    max_iter: int = 100000,
+    x0: np.ndarray | None = None,
+) -> SimplexMaxResult:
+    """Maximize ``x' q x`` over the probability simplex.
 
-    Starting from the support of ``x``: solve the face's stationarity system,
-    drop the most negative vertex while there is one, accept the solution if
-    it does not lose objective value, and grow the face by the best outside
-    vertex while the gap criterion asks for it. Any failure leaves the best
-    point found so far, never a worse one.
+    ``q`` must be symmetric and concave along simplex directions (negative
+    semidefinite on mass-zero vectors); then the gap ``max_i g_i - g.x`` of
+    the gradient ``g = 2 q x`` upper-bounds the suboptimality and is the
+    stopping criterion. The active set starts from the support of ``x0`` when
+    given, and solves at most ``min(2n, max_iter)`` faces. A face is accepted
+    only if it does not lose objective value, so when the active set stalls
+    (a face solve fails, the best vertex is already in the face, or the cap
+    is reached) the result is the best point found, with ``converged``
+    False. ``iterations`` is always 0, as the solver takes no iterative
+    steps; the field stays for callers that read it.
     """
-    n = x.shape[0]
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    if x0 is None:
+        x = np.bincount(np.unravel_index(int(np.argmax(q)), q.shape), minlength=n) / 2.0
+    else:
+        x = np.array(x0, dtype=float)
     support = np.flatnonzero(x > 0.0)
-    for _ in range(2 * n):
-        if support.size == 0:
-            break
+    for _ in range(min(2 * n, max_iter)):
         w = _face_stationary(q, support)
         if w is None:
             break
@@ -92,90 +99,12 @@ def _active_set_finish(q: np.ndarray, x: np.ndarray, gap_tol: float) -> np.ndarr
         if float(candidate @ q @ candidate) >= float(x @ q @ x):
             x = candidate
         g = 2.0 * (q @ x)
-        gap = float(g.max()) - float(g @ x)
-        if gap <= gap_tol:
+        if float(g.max()) - float(g @ x) <= gap_tol:
             break
         j = int(np.argmax(g))
         if j in support:
             break
         support = np.sort(np.append(support, j))
-    return x
-
-
-def maximize_quadratic_on_simplex(
-    q: np.ndarray,
-    gap_tol: float,
-    max_iter: int = 100000,
-    x0: np.ndarray | None = None,
-) -> SimplexMaxResult:
-    """Maximize ``x' q x`` over the probability simplex.
-
-    ``q`` must be symmetric and concave along simplex directions (negative
-    semidefinite on mass-zero vectors); then the toward-step gap
-    ``max_i g_i - g.x`` upper-bounds the suboptimality and is used as the
-    stopping criterion. Frank-Wolfe, from the uniform measure or ``x0``, runs
-    only when the active set does not certify; ``iterations`` counts its steps.
-    """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    pair = np.bincount(np.unravel_index(int(np.argmax(q)), q.shape), minlength=n) / 2.0
-    x = _active_set_finish(q, pair if x0 is None else np.array(x0, dtype=float), gap_tol)
     g = 2.0 * (q @ x)
     gap = float(g.max()) - float(g @ x)
-    if gap <= gap_tol:
-        return SimplexMaxResult(x, float(x @ q @ x), gap, 0, True)
-    x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
-    it = 0
-    done = False
-    for it in range(1, max_iter + 1):
-        g = 2.0 * (q @ x)
-        gx = float(g @ x)
-        s = int(np.argmax(g))
-        gap = float(g[s]) - gx
-        if gap <= gap_tol:
-            it -= 1
-            done = True
-            break
-        if it % 256 == 0:
-            # periodic exact finish so nearly-degenerate faces cannot make
-            # the zig-zag burn the whole iteration budget
-            x = _active_set_finish(q, x, gap_tol)
-            g = 2.0 * (q @ x)
-            gap = float(g.max()) - float(g @ x)
-            if gap <= gap_tol:
-                done = True
-                break
-            s = int(np.argmax(g))
-            gx = float(g @ x)
-
-        support = np.flatnonzero(x > 0.0)
-        a = support[int(np.argmin(g[support]))]
-        away_gap = gx - float(g[a])
-
-        if gap >= away_gap or x[a] >= 1.0:
-            d = -x.copy()
-            d[s] += 1.0
-            gamma_max = 1.0
-        else:
-            d = x.copy()
-            d[a] -= 1.0
-            gamma_max = x[a] / (1.0 - x[a])
-
-        slope = float(g @ d)
-        curv = float(d @ q @ d)  # <= 0 on mass-zero directions
-        if curv < 0.0:
-            gamma = min(gamma_max, -slope / (2.0 * curv))
-        else:
-            gamma = gamma_max
-        if gamma <= 0.0:
-            done = True
-            break
-        x = x + gamma * d
-        np.maximum(x, 0.0, out=x)
-        x[x < 1e-15] = 0.0
-        x /= x.sum()
-
-    x = _active_set_finish(q, x, gap_tol)
-    g = 2.0 * (q @ x)
-    gap = float(g.max()) - float(g @ x)
-    return SimplexMaxResult(x, float(x @ q @ x), gap, it, done or gap <= gap_tol)
+    return SimplexMaxResult(x, float(x @ q @ x), gap, 0, gap <= gap_tol)

@@ -110,7 +110,11 @@ def jacobi_eigh(a, sweep_tol: float = 1e-14, max_sweeps: int = 64):
     return w, v
 
 
-def eigh_pinv_solve(a, b, rank_rel: float = 1e-10):
+# default relative level at which an eigenvalue counts as zero
+RANK_REL = 1e-10
+
+
+def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL):
     """Minimum-norm least-squares solution of a symmetric system ``a x = b``.
 
     Solved through the eigendecomposition pseudoinverse: eigenvalues of
@@ -166,7 +170,7 @@ def definite_solve(a, b, shift=None):
     return low, x
 
 
-def symmetric_rank_and_nullspace(a, rank_rel: float = 1e-10):
+def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL):
     """Rank of a symmetric matrix and an orthonormal basis of its nullspace."""
     w, v = jacobi_eigh(np.asarray(a, dtype=float))
     largest = float(np.max(np.abs(w))) if w.size else 0.0
@@ -174,7 +178,7 @@ def symmetric_rank_and_nullspace(a, rank_rel: float = 1e-10):
     return int(np.count_nonzero(keep)), v[:, ~keep]
 
 
-def gram_rank(a, rank_rel: float = 1e-10) -> int:
+def gram_rank(a, rank_rel: float = RANK_REL) -> int:
     """Rank of a rectangular matrix, decided on the eigenvalues of its Gram matrix.
 
     The effective singular-value cutoff is ``sqrt(rank_rel)`` relative, which
@@ -186,7 +190,7 @@ def gram_rank(a, rank_rel: float = 1e-10) -> int:
     return int(np.count_nonzero(w > rank_rel * largest))
 
 
-def lstsq_minnorm(a, b, rank_rel: float = 1e-10):
+def lstsq_minnorm(a, b, rank_rel: float = RANK_REL):
     """Minimum-norm least squares for a rectangular system via normal equations.
 
     Returns ``(x, residual)`` with ``residual = ||a x - b||_2``.

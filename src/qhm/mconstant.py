@@ -10,7 +10,7 @@ from its threshold, Cholesky factorizations of Schoenberg's form decide both.
 
 M+(X), the same supremum over probability measures, is generally smaller: it
 is M(F) for the support F of a maximal probability measure, found by an active
-set of such Cholesky solves (Frank-Wolfe runs only when the active set stalls).
+set of such Cholesky solves.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def uniqueness_of_maximal(space: MetricSpace, tol: Tolerances | None = None) -> 
 def maximize_energy_over_probability(
     space: MetricSpace, tol: Tolerances | None = None
 ) -> SimplexMaxResult:
-    """Maximization of the energy over probability measures (active set, Frank-Wolfe fallback)."""
+    """Maximization of the energy over probability measures by the exact active set."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     return maximize_quadratic_on_simplex(
         space.dist, gap_tol=t.fw_tol(space.diameter), max_iter=t.fw_max_iter
@@ -233,7 +233,8 @@ def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
 
     Requires a quasihypermetric space with finite M (which makes the simplex
     problem a concave maximization whose gap criterion is sound). Warns and
-    returns the best value found if the iteration cap is hit.
+    returns the best value found if the active set stalls before its gap
+    criterion is met.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     return _m_plus_from_report(space, compute_m(space, tol=t), t).m_plus
@@ -250,8 +251,8 @@ def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> M
     if not result.converged:
         warnings.warn(
             ConvergenceWarning(
-                f"Frank-Wolfe hit the cap of {t.fw_max_iter} iterations "
-                f"(gap {result.gap:.3e}); returning the best value found"
+                f"the M+ active set stalled with gap {result.gap:.3e} "
+                f"(fw_max_iter={t.fw_max_iter}); returning the best value found"
             ),
             stacklevel=3,
         )

@@ -11,9 +11,11 @@ floating-point version.
 The affine subproblem min |P λ| s.t. sum λ = 1 is solved on the corral's
 differences q_i = p_i - p_last: affine independence makes their Gram matrix
 Q Q' positive definite, so a Cholesky factorization solves (Q Q') μ = -Q p_last
-and λ = (μ, 1 - sum μ). Only when Cholesky refuses (affinely dependent rows)
-is the symmetric bordered system [[P P', 1], [1', 0]] solved, by the
-deterministic eigendecomposition pseudoinverse.
+and λ = (μ, 1 - sum μ). Only when Q Q' is singular or within ``RANK_REL`` of
+its trace of being so (nearly affinely dependent rows, where an unguarded
+factorization would accept a tiny pivot) is the symmetric bordered system
+[[P P', 1], [1', 0]] solved, by the deterministic eigendecomposition
+pseudoinverse.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import definite_solve, eigh_pinv_solve
+from .linalg import RANK_REL, definite_solve, eigh_pinv_solve
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,9 @@ class MinNormResult:
 
 def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     diff = pts[:-1] - pts[-1]
-    if (solved := definite_solve(diff @ diff.T, -(diff @ pts[-1]))) is not None:
+    qq = diff @ diff.T
+    floor = RANK_REL * np.trace(qq) * np.eye(len(qq))
+    if (solved := definite_solve(qq, -(diff @ pts[-1]), floor)) is not None:
         return np.append(solved[1], 1.0 - solved[1].sum())
     m = pts.shape[0]
     gram = pts @ pts.T

@@ -46,7 +46,8 @@ class Tolerances:
     sphere: float = 1e-7
     # min-norm-point stopping slack and weight cleanup
     minnorm: float = 1e-12
-    # Frank-Wolfe duality-gap threshold, x diameter
+    # M+ duality-gap threshold, x diameter, and cap on the active set's face
+    # solves (which also stops at 2n)
     fw_gap: float = 1e-10
     fw_max_iter: int = 100000
     # refuse integer enumerations needing more than this much work, n*(2B+1)^n

@@ -1,10 +1,11 @@
-"""The simplex maximizer (active set, Frank-Wolfe fallback) on closed-form and seeded problems."""
+"""The simplex maximizer (exact active set) on closed-form and seeded problems."""
 
 import numpy as np
 import pytest
 
 import qhm
 from qhm import frankwolfe
+from qhm.errors import ConvergenceWarning
 from qhm.frankwolfe import maximize_quadratic_on_simplex
 from qhm.mconstant import maximize_energy_over_probability
 
@@ -84,7 +85,7 @@ def _finite_m_corpus():
     return spaces
 
 
-def test_active_set_matches_the_forced_frank_wolfe_loop(monkeypatch):
+def test_active_set_matches_bordered_faces_and_the_hull(monkeypatch):
     spaces = _finite_m_corpus()
     assert len(spaces) >= 100
     bordered = []
@@ -97,42 +98,38 @@ def test_active_set_matches_the_forced_frank_wolfe_loop(monkeypatch):
     monkeypatch.setattr(frankwolfe, "eigh_pinv_solve", counted)
     active = [maximize_energy_over_probability(s) for s in spaces]
     assert not bordered  # every face solve was a Cholesky solve
-    reached_loop = sum(r.iterations > 0 for r in active)
-    assert reached_loop == 0
+    stalled = sum(not r.converged for r in active)
+    assert stalled == 0
 
-    # the loop as it ran before the active set opened: from the uniform
-    # measure, its finishes solving every face by the bordered system
-    finish = frankwolfe._active_set_finish
-    stepped = 0
+    # the same faces solved by the bordered pseudoinverse, and M+ by the
+    # independent route 2(r^2 - s^2) through the embedding's hull distance
+    monkeypatch.setattr(frankwolfe, "definite_solve", lambda *args: None)
     for space, res in zip(spaces, active):
-        calls = []
-
-        def forced(q, x, gap_tol, calls=calls):
-            calls.append(x)
-            return np.full(len(x), 1.0 / len(x)) if len(calls) == 1 else finish(q, x, gap_tol)
-
-        monkeypatch.setattr(frankwolfe, "_active_set_finish", forced)
-        monkeypatch.setattr(frankwolfe, "definite_solve", lambda *args: None)
-        loop = maximize_energy_over_probability(space)
-        monkeypatch.undo()
-        stepped += loop.iterations > 0
-        assert res.converged and loop.converged
-        assert abs(res.value - loop.value) <= 1e-12 * loop.value
-    assert stepped >= len(spaces) // 2
+        ref = maximize_energy_over_probability(space)
+        assert ref.converged
+        assert abs(res.value - ref.value) <= 1e-12 * ref.value
+        assert res.value == pytest.approx(qhm.full_embedding(space).m_plus_geometric, rel=1e-9)
+    assert len(bordered) >= len(spaces)
 
 
-def test_forced_loop_fallback_still_certifies_its_gap(monkeypatch):
-    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, support: None)
+def test_stalled_active_set_warns_with_the_best_point_found(monkeypatch):
     rng = np.random.default_rng(32)
-    for n in (4, 6, 9):
-        space = qhm.from_euclidean(rng.normal(size=(n, 3)))
+    spaces = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (4, 6, 9)]
+    for space in spaces:
+        # one face solve is the opening pair: M+ needs more than that here
+        capped = qhm.Tolerances(fw_max_iter=1)
+        with pytest.warns(ConvergenceWarning, match="stalled"):
+            value = qhm.compute_m_plus(space, tol=capped)
+        assert value == pytest.approx(space.diameter / 2.0, rel=1e-15)
+        assert value < qhm.compute_m_plus(space)
+    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, support: None)
+    for space in spaces:
         gap_tol = qhm.Tolerances().fw_tol(space.diameter)
         res = maximize_quadratic_on_simplex(space.dist, gap_tol=gap_tol)
-        assert res.converged and res.iterations > 0
-        assert res.gap <= gap_tol
-        g = 2.0 * (space.dist @ res.weights)
-        assert float(g.max()) - float(g @ res.weights) <= gap_tol
-        assert res.value == pytest.approx(qhm.compute_m_plus(space), rel=1e-9)
+        assert not res.converged and res.gap > gap_tol
+        assert res.value == space.diameter / 2.0  # the diametral pair, kept
+        with pytest.warns(ConvergenceWarning):
+            assert qhm.compute_m_plus(space) == res.value
 
 
 def test_collinear_points_stop_at_the_diametral_pair(monkeypatch):

@@ -135,6 +135,13 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         assert len(calls) == before + 1
         assert abs(lam.sum() - 1.0) < 1e-9
         assert np.allclose(lam @ pts, bordered_affine_minimizer(pts) @ pts, atol=1e-9)
+    # nearly collinear: a positive pivot far below the Gram matrix's scale is
+    # refused too, and the pseudoinverse treats the corral as a segment
+    nearly = collinear + [[0.0, 0.0], [0.0, 1e-7], [0.0, 0.0]]
+    before = len(calls)
+    lam = minnorm._affine_minimizer(nearly)
+    assert len(calls) == before + 1
+    assert np.allclose(lam @ nearly, [0.0, 1.0], atol=1e-6)
     # whole hulls of lattice points, duplicates included, at zero slack: the
     # rounding of the stopping test lets a dependent corral form
     rng = np.random.default_rng(24)
