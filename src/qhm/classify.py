@@ -1,10 +1,13 @@
 """Metric-property verdicts for finite spaces, each with a checkable witness.
 
 Quasihypermetricity (the distance matrix is negative semidefinite on the
-mass-zero hyperplane) is decided through the spectrum of the doubly centred
-matrix P d P, where P = I - J/n annihilates constants. Strictness asks the
+mass-zero hyperplane) is read off the spectrum of the doubly centred matrix
+P d P, where P = I - J/n annihilates constants. Strictness asks the
 restricted form to be negative definite, which shows up as "exactly one
-near-zero eigenvalue of P d P" (the constants direction). The hypermetric
+near-zero eigenvalue of P d P" (the constants direction). ``classify_space``
+reads that spectrum only in the band around the threshold and on spaces that
+are not quasihypermetric: when K - ptol S is positive definite (``Analysis``)
+the space is strictly quasihypermetric and rank(d) = n. The hypermetric
 property is only ever certified up to a coefficient bound B: it asks
 b'db <= 0 of every integer b with sum(b) = 1 and |b_i| <= B. On a strictly
 quasihypermetric space with maximal measure w*, every mass-one b has
@@ -20,7 +23,7 @@ violation, so every "fails" is machine-checkable downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +44,50 @@ class Verdict:
         return self.holds
 
 
+class Analysis:
+    """What a run learns of one space, each piece made when first read:
+    ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
+    ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
+    positive definite; and the Jacobi pairs of d and of the centred kernel
+    -1/2 P d P, eigenvalues descending. ``build_report`` passes one per report
+    to the entry points that take ``analysis=``; called alone, each makes its
+    own, so none outlives one call.
+    """
+
+    def __init__(self, space: MetricSpace, tol: Tolerances | None = None):
+        self.space = space
+        self.tol = tol if tol is not None else DEFAULT_TOLERANCES
+
+    @cached_property
+    def form(self):
+        k, g, s = schoenberg_form(self.space.dist)
+        return k, g, self.tol.pos_tol(self.space.n, self.space.diameter) * s
+
+    @cached_property
+    def strict(self):
+        return definite_solve(*self.form)
+
+    @cached_property
+    def certified_strict(self) -> bool:
+        """``strict`` with n > 1 and pos >= max(neg, rank). Then d is below
+        -ptol <= -ntol on the mass-zero hyperplane, so both QH verdicts hold,
+        and by Cauchy interlacing and trace d = 0 each eigenvalue of d exceeds
+        ptol > rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
+        t = self.tol
+        return self.space.n > 1 and t.pos >= max(t.neg, t.rank) and self.strict is not None
+
+    @cached_property
+    def eig_d(self):
+        return jacobi_eigh(self.space.dist)
+
+    @cached_property
+    def kernel_eig(self):
+        # s_embed's order; ties keep Jacobi's order, so -2 w is P d P's ascending spectrum
+        w, v = jacobi_eigh(-0.5 * double_center(self.space.dist))
+        order = np.argsort(-w, kind="stable")
+        return w[order], v[:, order]
+
+
 @dataclass(frozen=True)
 class Classification:
     quasihypermetric: Verdict
@@ -57,7 +104,7 @@ def check_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) ->
     On failure the witness is the eigenvector of the largest positive
     eigenvalue of P d P, projected back onto the mass-zero hyperplane.
     """
-    return _centred_verdicts(space, tol)[0]
+    return _centred_verdicts(Analysis(space, tol))[0]
 
 
 def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) -> Verdict:
@@ -67,13 +114,13 @@ def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None =
     always contributes one; any further one belongs to a nonzero mass-zero
     vector of zero energy, which is returned as the witness.
     """
-    return _centred_verdicts(space, tol)[1]
+    return _centred_verdicts(Analysis(space, tol))[1]
 
 
-def _centred_verdicts(space: MetricSpace, tol: Tolerances | None) -> tuple[Verdict, Verdict]:
-    """The quasihypermetric and the strict verdict, from one decomposition of P d P."""
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    w, v = jacobi_eigh(double_center(space.dist))
+def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
+    """The quasihypermetric and the strict verdict, from the spectrum of P d P."""
+    space, t = a.space, a.tol
+    w, v = -2.0 * a.kernel_eig[0], a.kernel_eig[1]
     if w[-1] > t.pos_tol(space.n, space.diameter):
         alpha = v[:, -1] - v[:, -1].mean()
         alpha /= np.linalg.norm(alpha)
@@ -182,7 +229,7 @@ def _ellipsoid_witness(
 
 
 def check_hypermetric_bounded(
-    space: MetricSpace, bound: int = 3, tol: Tolerances | None = None
+    space: MetricSpace, bound: int = 3, tol: Tolerances | None = None, *, analysis=None
 ) -> Verdict:
     """Hypermetric inequality check over all integer vectors with |b_i| <= bound.
 
@@ -203,7 +250,8 @@ def check_hypermetric_bounded(
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    t = tol if tol is not None else DEFAULT_TOLERANCES
+    a = analysis or Analysis(space, tol)
+    space, t = a.space, a.tol
     work = space.n * float(2 * bound + 1) ** space.n
     if work > t.hyper_budget:
         raise BudgetExceededError(
@@ -211,12 +259,10 @@ def check_hypermetric_bounded(
             f"{t.hyper_budget:.3g} (n={space.n}, bound={bound})"
         )
     ptol = t.pos_tol(space.n, space.diameter)
-    k, g, s = schoenberg_form(space.dist)
-    strict = definite_solve(k, g, ptol * s)
-    if strict is None:
+    if a.strict is None:
         witness = _box_witness(space, bound, ptol)
     else:
-        witness = _ellipsoid_witness(space, bound, ptol, g, *strict)
+        witness = _ellipsoid_witness(space, bound, ptol, a.form[1], *a.strict)
     return Verdict(True) if witness is None else Verdict(False, witness=witness)
 
 
@@ -231,17 +277,24 @@ def distance_matrix_nullspace(space: MetricSpace, tol: Tolerances | None = None)
 
 
 def classify_space(
-    space: MetricSpace, hyper_bound: int = 3, tol: Tolerances | None = None
+    space: MetricSpace, hyper_bound: int = 3, tol: Tolerances | None = None, *, analysis=None
 ) -> Classification:
-    """Run all property checks and bundle the verdicts."""
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    rank, basis = distance_matrix_nullspace(space, tol=t)
-    qh, strict = _centred_verdicts(space, t)
+    """Run all property checks and bundle the verdicts: from the Cholesky
+    factorization on a strictly quasihypermetric space (``certified_strict``),
+    else from the decompositions of d and P d P, with eigenvector witnesses."""
+    a = analysis or Analysis(space, tol)
+    space = a.space
+    if a.certified_strict:
+        qh = strict = Verdict(True)
+        rank, basis = space.n, np.empty((space.n, 0))
+    else:
+        rank, basis = symmetric_rank_and_nullspace(space.dist, a.tol.rank, eig=a.eig_d)
+        qh, strict = _centred_verdicts(a)
     return Classification(
         quasihypermetric=qh,
         strictly_quasihypermetric=strict,
         hypermetric_bound=hyper_bound,
-        hypermetric_up_to_bound=check_hypermetric_bounded(space, bound=hyper_bound, tol=t),
+        hypermetric_up_to_bound=check_hypermetric_bounded(space, hyper_bound, a.tol, analysis=a),
         matrix_rank=rank,
         nullspace_basis=basis,
     )

@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 from . import __version__
@@ -89,17 +88,11 @@ def cmd_embed(args) -> int:
 def cmd_report(args) -> int:
     t = _tolerances(args)
 
-    def one(path):
+    docs = []
+    for path in args.paths:
         space = load(path, fmt=args.format, tol=t)
-        doc = build_report(space, hyper_bound=args.hyper_bound, tol=t)
-        doc["input_path"] = str(path)
-        return doc
-
-    if args.jobs > 1 and len(args.paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            docs = list(pool.map(one, args.paths))
-    else:
-        docs = [one(p) for p in args.paths]
+        docs.append(build_report(space, hyper_bound=args.hyper_bound, tol=t))
+        docs[-1]["input_path"] = str(path)
     _emit(docs[0] if len(docs) == 1 else docs, args.out)
     return 0
 
@@ -175,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full report for one or more inputs")
     p.add_argument("paths", nargs="+")
     p.add_argument("--hyper-bound", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_report)
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classify import Analysis
 from .errors import ContradictionError, ConvergenceWarning, NotQuasihypermetricError, PreconditionError
-from .linalg import double_center, jacobi_eigh, lstsq_minnorm
+from .linalg import lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure
 from .minnorm import min_norm_point_in_hull
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -63,28 +64,25 @@ class SEmbedding:
         return sum(((x[:, None] - x[None, :]) ** 2 for x in self.points.T), np.zeros((n, n)))
 
 
-def s_embed(space: MetricSpace, tol: Tolerances | None = None) -> SEmbedding:
+def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:
     """Embed (X, sqrt(d)) in Euclidean space of minimal dimension.
 
     Raises ``NotQuasihypermetricError`` (with the offending mass-zero vector)
     if the centred kernel has a significantly negative eigenvalue.
     """
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    n = space.n
+    a = analysis or Analysis(space, tol)
+    space, t, n = a.space, a.tol, a.space.n
     if n == 1:
         return SEmbedding(space, np.zeros((1, 0)), 0, np.zeros(1))
-    g = -0.5 * double_center(space.dist)
-    w, v = jacobi_eigh(g)
-    if w[0] < -t.pos_tol(n, space.diameter):
-        alpha = v[:, 0] - v[:, 0].mean()
+    w, v = a.kernel_eig
+    if w[-1] < -t.pos_tol(n, space.diameter):
+        low = int(np.argmin(w))  # the first of tied lowest, as in ascending order
+        alpha = v[:, low] - v[:, low].mean()
         alpha /= np.linalg.norm(alpha)
         raise NotQuasihypermetricError(
-            f"centred kernel has negative eigenvalue {w[0]:.3e}; no Schoenberg embedding",
+            f"centred kernel has negative eigenvalue {w[-1]:.3e}; no Schoenberg embedding",
             witness=SignedMeasure(space, alpha),
         )
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
     keep = w >= t.rank * max(w[0], 0.0)
     keep &= w > 0.0
     dim = int(np.count_nonzero(keep))
@@ -156,9 +154,9 @@ def with_hull_distance(emb: SEmbedding, tol: Tolerances | None = None) -> SEmbed
     return replace(emb, hull_distance=hull_distance(emb, tol=tol))
 
 
-def full_embedding(space: MetricSpace, tol: Tolerances | None = None) -> SEmbedding:
+def full_embedding(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:
     """Embedding with circumsphere and, when it exists, hull distance attached."""
-    emb = with_circumsphere(s_embed(space, tol=tol), tol=tol)
+    emb = with_circumsphere(s_embed(space, tol=tol, analysis=analysis), tol=tol)
     if emb.sphere is not None:
         emb = with_hull_distance(emb, tol=tol)
     return emb
@@ -171,11 +169,12 @@ def recentred_embedding(space: MetricSpace, tol: Tolerances | None = None) -> SE
     verified. A missing circumsphere alongside finite M is a contradiction
     (tolerance failure) and raises.
     """
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    report = mconstant.compute_m(space, tol=t)
+    a = Analysis(space, tol)
+    t = a.tol
+    report = mconstant.compute_m(space, tol=t, analysis=a)
     if not report.is_finite:
         raise PreconditionError("recentred embedding needs finite M(X)")
-    emb = s_embed(space, tol=t)
+    emb = s_embed(space, tol=t, analysis=a)
     sphere = circumsphere(emb, tol=t)
     if sphere is None:
         raise ContradictionError(

@@ -114,18 +114,19 @@ def jacobi_eigh(a, sweep_tol: float = 1e-14, max_sweeps: int = 64):
 RANK_REL = 1e-10
 
 
-def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL):
+def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL, eig=None):
     """Minimum-norm least-squares solution of a symmetric system ``a x = b``.
 
     Solved through the eigendecomposition pseudoinverse: eigenvalues of
     magnitude at most ``rank_rel`` times the largest are treated as zero.
+    ``eig``, the ``jacobi_eigh`` pair of ``a`` if already made, saves making it.
 
     Returns ``(x, residual, rank, null_basis)`` where ``null_basis`` has the
     orthonormal near-null eigenvectors as columns.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    w, v = jacobi_eigh(a)
+    w, v = jacobi_eigh(a) if eig is None else eig
     largest = float(np.max(np.abs(w))) if w.size else 0.0
     keep = np.abs(w) > rank_rel * largest
     inv = np.zeros_like(w)
@@ -170,9 +171,10 @@ def definite_solve(a, b, shift=None):
     return low, x
 
 
-def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL):
-    """Rank of a symmetric matrix and an orthonormal basis of its nullspace."""
-    w, v = jacobi_eigh(np.asarray(a, dtype=float))
+def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL, eig=None):
+    """Rank of a symmetric matrix and an orthonormal basis of its nullspace
+    (from ``eig``, as in ``eigh_pinv_solve``, when given)."""
+    w, v = jacobi_eigh(np.asarray(a, dtype=float)) if eig is None else eig
     largest = float(np.max(np.abs(w))) if w.size else 0.0
     keep = np.abs(w) > rank_rel * largest
     return int(np.count_nonzero(keep)), v[:, ~keep]

@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import check_quasihypermetric
+from .classify import Analysis, _centred_verdicts
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import cholesky, definite_solve, eigh_pinv_solve, gram_rank, lstsq_minnorm
-from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
+from .linalg import cholesky, eigh_pinv_solve, gram_rank, lstsq_minnorm
+from .metric import MetricSpace, SignedMeasure, potential
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TAG_NOT_QUASIHYPERMETRIC = "m:infinite:not-quasihypermetric"
@@ -101,7 +101,7 @@ def _canonical_solution(w0: np.ndarray, null_basis: np.ndarray) -> tuple[np.ndar
     return w, "basic-solution"
 
 
-def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
+def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> MReport:
     """Compute M(X), a maximal measure when one exists, and the bookkeeping.
 
     Schoenberg's form at the last point, K_ij = d_in + d_jn - d_ij, is -d on
@@ -113,24 +113,24 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None) -> MReport:
     decomposed; d alone if the Cholesky solution fails a check. A one-point
     space has M = 0, attained by its only probability measure (our convention).
     """
-    t = tol if tol is not None else DEFAULT_TOLERANCES
+    a = analysis or Analysis(space, tol)
+    space, t = a.space, a.tol
     if space.n == 1:
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
-    k, g, s = schoenberg_form(space.dist)
-    s *= t.pos_tol(space.n, space.diameter)
+    k, g, shift = a.form
     # with pos >= rank every eigenvalue of d clears the rank cutoff of the
     # eigendecomposition route, so the maximal measure is unique
-    if t.pos >= t.rank and (strict := definite_solve(k, g, s)) is not None:
-        y = strict[1]
+    if t.pos >= t.rank and a.strict is not None:
+        y = a.strict[1]
         w = np.append(y, 1.0 - y.sum()) / float(g @ y)
         try:
             return _certified(space, w, True, "unique-solution", t)
         except InconsistentSystemError:
             pass  # the eigendecomposition route decides, and raises if it fails too
-    elif cholesky(k + s) is None or not check_quasihypermetric(space, tol=t):
+    elif cholesky(k + shift) is None or not _centred_verdicts(a)[0]:
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
-    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), rank_rel=t.rank)
+    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), t.rank, a.eig_d)
     if residual > t.res_tol(space.n):
         raise InconsistentSystemError(
             f"the system d w = 1 is inconsistent (residual {residual:.3e}) although the "

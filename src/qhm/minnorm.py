@@ -97,8 +97,8 @@ def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = No
             converged = True
             break
         if j in idx:
-            # numerically stuck: the best vertex is already in the corral
-            converged = True
+            # numerically stuck: the best vertex is already in the corral,
+            # and it has just failed the optimality test
             break
         idx.append(j)
         lam = np.append(lam, 0.0)

@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from . import __version__
-from .classify import Classification, Verdict, classify_space
+from .classify import Analysis, Classification, Verdict, classify_space
 from .embedding import embedding_to_json, full_embedding
+from .errors import ContradictionError
 from .io import matrix_digest
 from .mconstant import MReport, _m_plus_from_report, compute_m
 from .metric import MetricSpace, SignedMeasure
@@ -77,15 +78,23 @@ def m_report_to_json(rep: MReport) -> dict:
 def build_report(
     space: MetricSpace, hyper_bound: int = 3, tol: Tolerances | None = None
 ) -> dict:
-    """Classify, compute the M numbers, embed, and cross-check, in one document."""
+    """Classify, compute the M numbers, embed, and cross-check, in one document.
+    Every step reads one ``Analysis``; the embedding's kernel re-checks its
+    Cholesky verdict (n - 1 positive eigenvalues, or ``ContradictionError``)."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
-    classification = classify_space(space, hyper_bound=hyper_bound, tol=t)
-    m_rep = compute_m(space, tol=t)
+    a = Analysis(space, t)
+    classification = classify_space(space, hyper_bound=hyper_bound, tol=t, analysis=a)
+    m_rep = compute_m(space, tol=t, analysis=a)
 
     embedding = None
     cross: dict = {"m_vs_sphere": None, "m_plus_vs_hull": None}
     if classification.quasihypermetric.holds:
-        emb = full_embedding(space, tol=t)
+        emb = full_embedding(space, tol=t, analysis=a)
+        if a.certified_strict and emb.dim < space.n - 1:
+            raise ContradictionError(
+                "strictly quasihypermetric by Cholesky, but the embedding has "
+                f"dimension {emb.dim} < n - 1"
+            )
         embedding = embedding_to_json(emb)
         if m_rep.is_finite and emb.sphere is not None:
             two_r2 = 2.0 * emb.sphere.radius**2

@@ -88,22 +88,21 @@ def test_criterion_2_sphere_law():
 
 def _simplex_grid_max_4(dist, steps):
     """Exhaustive maximum of w' d w over the probability simplex of a 4-point
-    space, on the grid with spacing 1/steps."""
+    space, on the grid with spacing 1/steps. With integer counts c >= 0
+    summing to steps and w = c / steps, w' d w = 2 sum_{a<b} d_ab c_a c_b /
+    steps^2 (d has a zero diagonal), evaluated from pairwise products of the
+    count vectors, one first count i at a time."""
     best = -np.inf
     for i in range(steps + 1):
         r = steps - i
         counts = np.arange(r, -1, -1) + 1
-        j = np.repeat(np.arange(r + 1), counts)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        k = np.arange(counts.sum()) - offsets
-        w = np.empty((j.size, 4))
-        w[:, 0] = i
-        w[:, 1] = j
-        w[:, 2] = k
-        w[:, 3] = r - j - k
-        w /= steps
-        best = max(best, float(((w @ dist) * w).sum(axis=1).max()))
-    return best
+        j = np.repeat(np.arange(r + 1.0), counts)
+        k = np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        l = r - j - k
+        pairs = i * (dist[0, 1] * j + dist[0, 2] * k + dist[0, 3] * l)
+        pairs += dist[1, 2] * j * k + dist[1, 3] * j * l + dist[2, 3] * k * l
+        best = max(best, float(pairs.max()))
+    return 2.0 * best / steps**2
 
 
 def test_criterion_3_m_plus_law():

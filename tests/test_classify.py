@@ -163,15 +163,52 @@ def test_verdict_truthiness():
     assert bool(qhm.Verdict(False, witness=np.array([1, -1]))) is False
 
 
+def _near_threshold_cases():
+    """Strictly quasihypermetric spaces with pos and neg set 1e-6 inside or
+    outside |top|, the largest eigenvalue of d on the mass-zero hyperplane:
+    K - ptol S is barely positive definite or barely not. The Cholesky route
+    (True) needs pos inside and pos >= max(neg, rank)."""
+    rng = np.random.default_rng(19)
+    spaces = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (4, 6, 8)]
+    spaces += [s for s in (qhm.random_metric(6, seed=k) for k in range(40))
+               if restricted_top(s) < -1e-3 * s.diameter][:4]
+    cases = []
+    for space in spaces:
+        inside, outside = (
+            abs(restricted_top(space)) * f / (space.n * space.diameter) for f in (1 - 1e-6, 1 + 1e-6)
+        )
+        cases += [
+            (space, qhm.Tolerances(pos=inside, neg=inside), True),
+            (space, qhm.Tolerances(pos=outside, neg=outside), False),
+            (space, qhm.Tolerances(pos=inside, neg=outside), False),  # strict fails by neg
+            (space, qhm.Tolerances(pos=inside, neg=inside, rank=0.5), False),  # rank(d) < n
+        ]
+    return cases
+
+
 def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_quasihypermetric):
+    """classify_space against the spectral checks run alone, on the fixtures,
+    a seeded corpus and spaces at the strictness threshold: the same verdicts
+    and witnesses, and the rank and nullspace of ``distance_matrix_nullspace``,
+    whichever route (Cholesky or spectral) classify_space takes."""
     rng = np.random.default_rng(17)
     spaces = [assouad, cycle4, star, non_quasihypermetric]
+    spaces += [qhm.make_fixture(f"discrete({n},2.0)") for n in (1, 2, 5)]
     spaces += [qhm.random_metric(6, seed=int(rng.integers(0, 2**31))) for _ in range(10)]
-    for space in spaces:
-        c = qhm.classify_space(space, hyper_bound=1)
+    spaces += [qhm.random_metric(n, seed=int(rng.integers(0, 2**31))) for n in range(2, 9)]
+    spaces += euclidean_corpus(30, seed=18)
+    circle = qhm.CompactSpaceDescriptor("circle", circumference=5.0)
+    spaces += [circle.sample_space(n) for n in range(3, 10)]
+    cases = [(space, DEFAULT_TOLERANCES, None) for space in spaces] + _near_threshold_cases()
+    routes = Counter()
+    for space, tol, route in cases:
+        c = qhm.classify_space(space, hyper_bound=1, tol=tol)
+        cholesky = classify.Analysis(space, tol).certified_strict
+        assert route is None or cholesky == route
+        routes[cholesky, c.strictly_quasihypermetric.holds] += 1
         pairs = (
-            (c.quasihypermetric, qhm.check_quasihypermetric(space)),
-            (c.strictly_quasihypermetric, qhm.check_strictly_quasihypermetric(space)),
+            (c.quasihypermetric, qhm.check_quasihypermetric(space, tol=tol)),
+            (c.strictly_quasihypermetric, qhm.check_strictly_quasihypermetric(space, tol=tol)),
         )
         for got, alone in pairs:
             assert got.holds == alone.holds
@@ -179,6 +216,52 @@ def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_qua
                 assert got.witness is None
             else:  # the same decomposition, so the same witness bit for bit
                 assert np.array_equal(got.witness.weights, alone.witness.weights)
+        rank, basis = qhm.distance_matrix_nullspace(space, tol=tol)
+        assert c.matrix_rank == rank
+        assert np.array_equal(c.nullspace_basis, basis)
+        if cholesky:
+            assert rank == space.n and basis.shape == (space.n, 0)
+    # both routes ran on many inputs, and the Cholesky route only on strict ones
+    assert routes[True, True] >= 40 and routes[False, False] >= 10, routes
+    assert routes[True, False] == 0, routes
+
+
+def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
+    """A strictly quasihypermetric report makes one n x n Jacobi decomposition
+    (the embedding's kernel), one strict-margin Cholesky test and no other."""
+    sizes, shifts = [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        sizes.append(len(a))
+        return jacobi_eigh(a, *args, **kwargs)
+
+    def counted_solve(a, b, shift=None):
+        shifts.append(shift)
+        return qhm.linalg.definite_solve(a, b, shift)
+
+    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
+    monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
+    monkeypatch.setattr(classify, "definite_solve", counted_solve)
+    monkeypatch.setattr(qhm.mconstant, "cholesky", None)  # the not-QH test never runs
+    rng = np.random.default_rng(23)
+    spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
+    spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (5, 8)]
+    for space in spaces:
+        sizes.clear()
+        shifts.clear()
+        doc = qhm.build_report(space)
+        assert doc["classification"]["strictly_quasihypermetric"]["holds"]
+        assert doc["classification"]["matrix_rank"] == space.n
+        assert sizes.count(space.n) == 1 and len(sizes) == 2  # and the circumsphere fit
+        assert len(shifts) == 1 and shifts[0] is not None
+
+
+def test_report_rechecks_the_cholesky_verdict_on_the_embedding(monkeypatch, cycle4):
+    """A strict verdict whose embedding has dimension below n - 1 is a
+    contradiction; cycle4 embeds in the plane."""
+    monkeypatch.setattr(classify.Analysis, "certified_strict", True)
+    with pytest.raises(qhm.errors.ContradictionError, match="dimension 2 < n - 1"):
+        qhm.build_report(cycle4)
 
 
 @cache

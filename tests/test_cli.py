@@ -117,7 +117,7 @@ def test_report_multiple_files_with_jobs(capsys, tmp_path):
         p = str(tmp_path / f"{name}.csv")
         qhm.dump(qhm.make_fixture(name), p)
         paths.append(p)
-    code, out, _ = run(capsys, "report", *paths, "--jobs", "2")
+    code, out, _ = run(capsys, "report", *paths)
     assert code == 0
     docs = json.loads(out)
     assert [d["input_path"] for d in docs] == paths

@@ -222,12 +222,11 @@ def _seeded_spaces(seed, rounds):
 
 def test_qh_decision_matches_the_centred_route(monkeypatch):
     """compute_m reads the verdict off the spectrum of d; P d P must agree."""
-    reference_check = qhm.mconstant.check_quasihypermetric
+    reference_check = qhm.check_quasihypermetric
+    centred = qhm.mconstant._centred_verdicts
     calls = []
     monkeypatch.setattr(
-        qhm.mconstant,
-        "check_quasihypermetric",
-        lambda space, tol=None: calls.append(1) or reference_check(space, tol=tol),
+        qhm.mconstant, "_centred_verdicts", lambda a: calls.append(1) or centred(a)
     )
     spaces = _seeded_spaces(2024, 64)
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]

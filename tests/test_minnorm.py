@@ -157,3 +157,22 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
             fallbacks += 1
             assert abs(res.distance - brute_force_min_norm(pts)) < 1e-8
     assert fallbacks >= 5
+
+
+def test_stuck_corral_is_not_converged():
+    """Points 1-4 are nearly coplanar (smallest singular value 1.1e-5); the
+    run stops when the best vertex is already in the corral, with the
+    optimality test x.p_j >= |x|^2 failing there by 3.3e-6, so it must not
+    report convergence."""
+    pts = np.array([
+        [-0.9388812169473832, -1.567952727642466, -0.8668168340606442],
+        [-0.5673776623125436, -0.49799700746131026, -0.6027669286548639],
+        [-1.2150212536744383, 0.3669921891115578, -0.5255653856441137],
+        [2.0511460242715236, 0.7553371259116265, -0.06992569060546981],
+        [-1.6948536105783951, 0.7061515177403735, -0.52204830397302],
+    ])
+    res = min_norm_point_in_hull(pts)
+    x = res.point
+    assert float(np.min(pts @ x)) - float(x @ x) < -1e-6
+    assert not res.converged
+    assert abs(res.distance - brute_force_min_norm(pts)) < 1e-5
