@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import Analysis, _centred_verdicts
+from .classify import Analysis, _qh_by_inertia
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
 from .linalg import cholesky, eigh_pinv_solve, gram_rank, lstsq_minnorm
@@ -109,9 +109,11 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
     ptol = ``pos_tol``, K - ptol S positive definite means strictly QH, and
     K y = g (the last column of d) gives M = g'y and the maximal measure
     [y; 1 - sum y]; K + ptol S not positive definite means not QH, as in
-    ``check_quasihypermetric``. In the band between, P d P and d are
-    decomposed; d alone if the Cholesky solution fails a check. A one-point
-    space has M = 0, attained by its only probability measure (our convention).
+    ``check_quasihypermetric``. In the band between, d alone is decomposed:
+    its spectrum re-checks the quasihypermetric verdict by inertia
+    (``_qh_by_inertia``) and solves d w = 1, as it does for a Cholesky
+    solution that fails a check. A one-point space has M = 0, attained by
+    its only probability measure (our convention).
     """
     a = analysis or Analysis(space, tol)
     space, t = a.space, a.tol
@@ -128,7 +130,7 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
             return _certified(space, w, True, "unique-solution", t)
         except InconsistentSystemError:
             pass  # the eigendecomposition route decides, and raises if it fails too
-    elif cholesky(k + shift) is None or not _centred_verdicts(a)[0]:
+    elif cholesky(k + shift) is None or not _qh_by_inertia(a):
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
     w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), t.rank, a.eig_d)
     if residual > t.res_tol(space.n):

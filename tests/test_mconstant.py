@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qhm
+from qhm.classify import Analysis, _qh_by_inertia
 from qhm.errors import PreconditionError
 from qhm.linalg import eigh_pinv_solve, jacobi_eigh
 from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS
@@ -223,10 +224,10 @@ def _seeded_spaces(seed, rounds):
 def test_qh_decision_matches_the_centred_route(monkeypatch):
     """compute_m reads the verdict off the spectrum of d; P d P must agree."""
     reference_check = qhm.check_quasihypermetric
-    centred = qhm.mconstant._centred_verdicts
+    recheck = qhm.mconstant._qh_by_inertia
     calls = []
     monkeypatch.setattr(
-        qhm.mconstant, "_centred_verdicts", lambda a: calls.append(1) or centred(a)
+        qhm.mconstant, "_qh_by_inertia", lambda a: calls.append(1) or recheck(a)
     )
     spaces = _seeded_spaces(2024, 64)
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
@@ -315,11 +316,12 @@ def test_monotone_under_subsets_and_mplus_bounds():
 
 def test_jacobi_runs_only_in_the_band(monkeypatch):
     """Away from the threshold compute_m decides by Cholesky and never
-    calls the eigensolver; within +-pos_tol of it, the spectral route runs."""
+    calls the eigensolver; within +-pos_tol of it, the spectral route
+    decomposes d itself once, and never the centred kernel."""
     calls = []
 
     def counted(a, *args, **kwargs):
-        calls.append(1)
+        calls.append(np.array(a, dtype=float))
         return jacobi_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted)
@@ -341,24 +343,62 @@ def test_jacobi_runs_only_in_the_band(monkeypatch):
             assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
         else:
             branch = "band"
-            assert calls
+            # smaller calls come from _canonical_solution's nullspace solve
+            full = [m for m in calls if m.shape == space.dist.shape]
+            assert len(full) == 1 and np.array_equal(full[0], space.dist), space.n
         assert branch == "band" or not calls, (branch, space.n)
         branches[branch] += 1
     assert min(branches.values()) >= 10, branches
 
 
+def _tolerances_at(space, ptol):
+    """Tolerances whose pos_tol on ``space`` is ``ptol``, to the ulp when a
+    few ulps of ``pos`` reach it."""
+    pos = ptol / (space.n * space.diameter)
+    for _ in range(8):
+        t = qhm.Tolerances(pos=pos)
+        got = t.pos_tol(space.n, space.diameter)
+        if got == ptol:
+            break
+        pos = float(np.nextafter(pos, np.inf if got < ptol else -np.inf))
+    return t
+
+
 def test_qh_verdict_at_the_threshold_follows_pos_tol():
-    """With ptol = 2 kappa both spaces sit in the band, with kappa / 2 neither
-    does; compute_m's verdict equals check_quasihypermetric's every time."""
+    """With ptol = 2 kappa both fixed spaces sit in the band, with kappa / 2
+    neither does; ptol = (1 +- 1e-6) kappa on seeded spaces asks the
+    secular sign of compute_m's re-check for six digits, and ptol = lambda_2
+    of d puts a pole of its secular sum at ptol. compute_m's
+    verdict, and the re-check's, equal check_quasihypermetric's every time,
+    as they do on circle samples at the default tolerances."""
     rng = np.random.default_rng(71)
     strict = qhm.from_euclidean(rng.normal(size=(7, 3)))
     non_qh = qhm.random_metric(5, seed=NON_QH_SEED)
     assert _restricted_top(strict) < 0.0 < _restricted_top(non_qh)
-    for space in (strict, non_qh):
-        kappa = abs(_restricted_top(space))
-        for ptol in (2.0 * kappa, 0.5 * kappa):
-            t = qhm.Tolerances(pos=ptol / (space.n * space.diameter))
+    spaces = [strict, non_qh]
+    for n in range(4, 9):
+        for _ in range(4):
+            spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
+            spaces.append(qhm.from_euclidean(rng.normal(size=(n, 3))))
+    not_qh = poles = 0
+    for space in spaces:
+        top = _restricted_top(space)
+        kappa = abs(top)
+        not_qh += top > 0.0
+        ptols = [scale * kappa for scale in (2.0, 0.5, 1.0 + 1e-6, 1.0 - 1e-6)]
+        lam2 = float(jacobi_eigh(space.dist)[0][-2])
+        if lam2 > 0.0:  # ptol = lambda_2 puts a pole of the secular sum at ptol
+            ptols.append(lam2)
+        for ptol in ptols:
+            t = _tolerances_at(space, ptol)
+            poles += t.pos_tol(space.n, space.diameter) == lam2
             verdict = qhm.check_quasihypermetric(space, tol=t).holds
-            assert verdict == (space is strict or ptol > kappa)
+            assert verdict == (top < 0.0 or ptol > kappa)
+            assert _qh_by_inertia(Analysis(space, t)) == verdict
             rep = qhm.compute_m(space, tol=t)
             assert (TAG_NOT_QUASIHYPERMETRIC not in rep.method_tags) == verdict
+    assert not_qh >= 5 and poles >= 2, (not_qh, poles)
+    for n in range(2, 40):
+        circle = _circle(n)
+        verdict = qhm.check_quasihypermetric(circle).holds
+        assert (TAG_NOT_QUASIHYPERMETRIC not in qhm.compute_m(circle).method_tags) == verdict
