@@ -28,7 +28,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError
-from .linalg import definite_solve, double_center, jacobi_eigh, symmetric_rank_and_nullspace
+from .linalg import cholesky, definite_solve, double_center, jacobi_eigh, one_sided_jacobi
+from .linalg import symmetric_rank_and_nullspace
 from .metric import MetricSpace, SignedMeasure, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -51,8 +52,11 @@ class Analysis:
     positive definite; ``eig_d``, the Jacobi pair of d, eigenvalues
     ascending, read by ``classify_space`` (rank and nullspace) and by
     ``compute_m`` in the band (its quasihypermetric re-check and d w = 1);
-    and ``kernel_eig``, that of the centred kernel -1/2 P d P, eigenvalues
-    descending, read by the centred verdicts and ``s_embed``.
+    ``kernel_eig``, that of the centred kernel -1/2 P d P, eigenvalues
+    descending, read by the centred verdicts and ``s_embed``; and
+    ``kernel_coords``, the same spectrum with the principal coordinates by
+    one-sided Jacobi, read by ``s_embed`` alone, on large strictly
+    quasihypermetric spaces.
     ``build_report`` passes one per report to the entry points that take
     ``analysis=``; called alone, each makes its own, so none outlives one call.
     """
@@ -89,6 +93,36 @@ class Analysis:
         w, v = jacobi_eigh(-0.5 * double_center(self.space.dist))
         order = np.argsort(-w, kind="stable")
         return w[order], v[:, order]
+
+    @cached_property
+    def kernel_coords(self):
+        """``kernel_eig`` as (w, y), y = v sqrt(w) the principal coordinates,
+        by one-sided Jacobi on a Cholesky factor of the kernel with the
+        constants direction removed exactly; None if that is not positive
+        definite. A Householder H with H 1 = -sqrt(n) e_n gives H P H =
+        I - e_n e_n', so H G H is -1/2 H d H with its last row and column
+        zeroed; the rotated columns of the factor of its leading block, mapped
+        back through H, are y, and their squared norms are w. The last entry
+        of w and column of y, the constants direction, are zero."""
+        d, n = self.space.dist, self.space.n
+        h = np.full(n, 1.0 / np.sqrt(n))
+        h[-1] += 1.0  # H = I - h h' / h_n, since h'h = 2 h_n
+        x = (d * h).sum(axis=1) / h[-1]
+        x -= (0.5 * (h * x).sum() / h[-1]) * h  # H d H = d - h x' - x h'
+        low = cholesky(-0.5 * (d - np.outer(h, x) - np.outer(x, h))[:-1, :-1])
+        if low is None:
+            return None
+        z = one_sided_jacobi(low.T)
+        w = np.einsum("ij,ij->i", z, z)
+        order = np.argsort(-w, kind="stable")
+        z = z[order]
+        y = np.zeros((n, n))
+        y[:-1, :-1] = z.T
+        y[:, :-1] -= np.outer(h, (z * h[:-1]).sum(axis=1) / h[-1])
+        # jacobi_eigh's sign rule: each column's largest-magnitude entry is positive
+        flip = y[np.argmax(np.abs(y), axis=0), np.arange(n)] < 0.0
+        y[:, flip] = -y[:, flip]
+        return np.append(w[order], 0.0), y
 
 
 @dataclass(frozen=True)
@@ -304,9 +338,12 @@ def classify_space(
 ) -> Classification:
     """Run all property checks and bundle the verdicts: from the Cholesky
     factorization on a strictly quasihypermetric space (``certified_strict``),
-    else from the decompositions of d and P d P, with eigenvector witnesses."""
+    else from the decompositions of d and P d P, with eigenvector witnesses.
+    The hypermetric check runs first, so a space over its budget fails before
+    anything is decomposed."""
     a = analysis or Analysis(space, tol)
     space = a.space
+    hyper = check_hypermetric_bounded(space, hyper_bound, a.tol, analysis=a)
     if a.certified_strict:
         qh = strict = Verdict(True)
         rank, basis = space.n, np.empty((space.n, 0))
@@ -317,7 +354,7 @@ def classify_space(
         quasihypermetric=qh,
         strictly_quasihypermetric=strict,
         hypermetric_bound=hyper_bound,
-        hypermetric_up_to_bound=check_hypermetric_bounded(space, hyper_bound, a.tol, analysis=a),
+        hypermetric_up_to_bound=hyper,
         matrix_rank=rank,
         nullspace_basis=basis,
     )

@@ -58,7 +58,7 @@ def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = No
     """Nearest point of conv{rows of ``points``} to the origin.
 
     ``tol`` controls both the optimality slack (relative to the squared point
-    scale) and the weight cleanup inside corral updates. The initial vertex is
+    scale, and at least 8 eps) and the weight cleanup inside corral updates. The initial vertex is
     the input point nearest the origin; all ties break toward the lowest
     index, making the run deterministic.
     """
@@ -83,7 +83,9 @@ def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = No
     pts = pts / unit
 
     norms = np.einsum("ij,ij->i", pts, pts)
-    stop_slack = tol * max(float(np.max(norms)), 1.0)
+    # floored at a few ulps of the point scale: at tol = 0 a corral whose
+    # point is at rounding level would fail the test forever
+    stop_slack = max(tol, 8.0 * np.finfo(float).eps) * max(float(np.max(norms)), 1.0)
 
     idx = [int(np.argmin(norms))]
     lam = np.array([1.0])

@@ -8,6 +8,7 @@ import pytest
 
 import qhm
 from qhm import classify
+from qhm.embedding import ONE_SIDED_MIN_N
 from qhm.errors import BudgetExceededError
 from qhm.linalg import double_center, jacobi_eigh
 from qhm.tolerances import DEFAULT_TOLERANCES
@@ -227,9 +228,11 @@ def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_qua
 
 
 def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
-    """A strictly quasihypermetric report makes one n x n Jacobi decomposition
-    (the embedding's kernel), one strict-margin Cholesky test and no other."""
-    sizes, shifts = [], []
+    """A strictly quasihypermetric report makes one strict-margin Cholesky
+    test and one decomposition of the centred kernel: below N0 points an
+    n x n Jacobi decomposition, from N0 up one-sided Jacobi on its deflated
+    factor and no n x n Jacobi decomposition."""
+    sizes, shifts, one_sided = [], [], []
 
     def counted_eigh(a, *args, **kwargs):
         sizes.append(len(a))
@@ -239,21 +242,57 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
         shifts.append(shift)
         return qhm.linalg.definite_solve(a, b, shift)
 
+    def counted_one_sided(a, *args, **kwargs):
+        one_sided.append(len(a))
+        return qhm.linalg.one_sided_jacobi(a, *args, **kwargs)
+
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "definite_solve", counted_solve)
+    monkeypatch.setattr(classify, "one_sided_jacobi", counted_one_sided)
     monkeypatch.setattr(qhm.mconstant, "cholesky", None)  # the not-QH test never runs
     rng = np.random.default_rng(23)
     spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
     spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (5, 8)]
+    spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (ONE_SIDED_MIN_N, 24)]
+    # the ellipsoid route's budget is n (2B+1)^n even though it enumerates far less
+    wide = qhm.Tolerances(hyper_budget=1e14)
     for space in spaces:
         sizes.clear()
         shifts.clear()
-        doc = qhm.build_report(space)
+        one_sided.clear()
+        if space.n < ONE_SIDED_MIN_N:
+            doc = qhm.build_report(space)
+        else:
+            doc = qhm.build_report(space, hyper_bound=1, tol=wide)
         assert doc["classification"]["strictly_quasihypermetric"]["holds"]
         assert doc["classification"]["matrix_rank"] == space.n
-        assert sizes.count(space.n) == 1 and len(sizes) == 2  # and the circumsphere fit
         assert len(shifts) == 1 and shifts[0] is not None
+        if space.n < ONE_SIDED_MIN_N:
+            assert sizes.count(space.n) == 1 and len(sizes) == 2  # and the circumsphere fit
+            assert one_sided == []
+        else:
+            assert sizes == [space.n - 1]  # the circumsphere fit alone
+            assert one_sided == [space.n - 1]
+
+
+def test_hypermetric_budget_fails_before_any_decomposition(monkeypatch):
+    """The budget n (2B+1)^n depends on n and B alone, so a 9-point space
+    that is not strictly quasihypermetric fails before d or P d P is
+    decomposed."""
+    sizes = []
+
+    def counted_eigh(a, *args, **kwargs):
+        sizes.append(len(a))
+        return jacobi_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
+    monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
+    space = qhm.random_metric(9, seed=12345)
+    assert not classify.Analysis(space).certified_strict
+    with pytest.raises(BudgetExceededError, match="exceeds the budget"):
+        qhm.build_report(space)
+    assert sizes == []
 
 
 def test_report_rechecks_the_cholesky_verdict_on_the_embedding(monkeypatch, cycle4):

@@ -222,6 +222,30 @@ def test_module_entry_point(assouad_csv):
     assert "5 points" in proc.stdout
 
 
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A strictly quasihypermetric 40-point report, embedded by one-sided
+    Jacobi, whose angles come from dot-product reductions, has the same bytes
+    in fresh processes with BLAS's default thread count and with one thread."""
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "euclid40.csv"
+    qhm.dump(qhm.from_euclidean(np.random.default_rng(40).normal(size=(40, 3))), path, fmt="csv")
+    argv = [sys.executable, "-m", "qhm", "report", str(path), "--hyper-bound", "1"]
+    argv += ["--tol", "hyper_budget=1e21"]  # n (2B+1)^n = 4.9e20; the ellipsoid route enumerates far less
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    default = {k: v for k, v in os.environ.items() if k not in blas}
+    default["PYTHONPATH"] = os.path.dirname(os.path.dirname(qhm.__file__))  # this qhm
+    outs = []
+    for env in (default, {**default, "OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["embedding"]["dim"] == 39
+    assert outs[0] == outs[1]
+
+
 def test_out_of_memory_is_exit_10_without_traceback(capsys, monkeypatch, assouad_csv):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 128. GiB for an array")

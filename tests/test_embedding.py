@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import qhm
-from qhm.errors import NotQuasihypermetricError, PreconditionError
-from qhm.linalg import gram_rank
+from qhm import classify
+from qhm.embedding import ONE_SIDED_MIN_N
+from qhm.errors import ContradictionError, NotQuasihypermetricError, PreconditionError
+from qhm.linalg import cholesky, gram_rank, one_sided_jacobi
 
 from conftest import euclidean_corpus
 
@@ -192,3 +194,102 @@ def test_affinely_independent_matches_homogeneous_rank(equilateral, cycle4, star
         emb = qhm.s_embed(space)
         homog = np.hstack([emb.points, np.ones((space.n, 1))])
         assert qhm.affinely_independent(emb) == (gram_rank(homog) == space.n)
+
+
+def _strict_spaces():
+    """Strictly quasihypermetric spaces of N0..64 points: Gaussian point sets
+    in R^3 and evenly sampled intervals."""
+    rng = np.random.default_rng(37)
+    spaces = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (ONE_SIDED_MIN_N, 17, 24, 33, 64)]
+    spaces += [
+        qhm.CompactSpaceDescriptor("interval", length=length).sample_space(n)
+        for n, length in ((ONE_SIDED_MIN_N, 1.0), (21, 2.5), (40, 0.7))
+    ]
+    return spaces
+
+
+def test_one_sided_route_agrees_with_the_two_sided_kernel():
+    tol = qhm.DEFAULT_TOLERANCES
+    for space in _strict_spaces():
+        n = space.n
+        a = classify.Analysis(space)
+        assert a.certified_strict
+        w, v = a.kernel_eig
+        emb = qhm.s_embed(space, analysis=a)
+        assert emb.dim == n - 1
+        assert np.max(np.abs(emb.gram_eigenvalues - w)) <= 1e-13 * w[0]
+        assert emb.gram_eigenvalues[-1] == 0.0  # the constants direction, deflated exactly
+        y = emb.points
+        # principal coordinates: orthogonal columns whose squared norms are the eigenvalues
+        gram = y.T @ y
+        assert np.allclose(gram, np.diag(emb.gram_eigenvalues[:-1]), rtol=0.0, atol=1e-12 * w[0])
+        assert np.all(y[np.argmax(np.abs(y), axis=0), np.arange(n - 1)] > 0.0)  # the sign rule
+        dev = np.max(np.abs(emb.squared_point_distances() - space.dist))
+        assert dev <= tol.emb_tol(space.diameter)
+        # the same coordinates as the two-sided route, the eigenvalues being simple
+        assert np.min(-np.diff(w[:-1])) > 1e-6 * w[0]
+        ref = v[:, : n - 1] * np.sqrt(w[: n - 1])
+        assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
+    """Band spaces, spaces that are not quasihypermetric and spaces of fewer
+    than N0 points never try the route; strict spaces of N0 points take it."""
+    factored, rotated = [], []
+
+    def counted_cholesky(a):
+        factored.append(len(a))
+        return cholesky(a)
+
+    def counted_jacobi(a, *args, **kwargs):
+        rotated.append(len(a))
+        return one_sided_jacobi(a, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "cholesky", counted_cholesky)
+    monkeypatch.setattr(classify, "one_sided_jacobi", counted_jacobi)
+    circle = qhm.CompactSpaceDescriptor("circle", circumference=5.0)
+    for n in (ONE_SIDED_MIN_N, 20, 33):
+        band = circle.sample_space(n)
+        assert not classify.Analysis(band).certified_strict
+        assert qhm.s_embed(band).dim < n - 1
+        with pytest.raises(NotQuasihypermetricError):
+            qhm.s_embed(qhm.random_metric(n, seed=1))
+    rng = np.random.default_rng(5)
+    small = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in range(2, ONE_SIDED_MIN_N)]
+    for space in small + [qhm.make_fixture("equilateral3_6"), qhm.make_fixture("star_1_2")]:
+        assert classify.Analysis(space).certified_strict
+        qhm.full_embedding(space)
+    assert factored == [] and rotated == []
+    qhm.full_embedding(qhm.from_euclidean(rng.normal(size=(ONE_SIDED_MIN_N, 3))))
+    assert factored == rotated == [ONE_SIDED_MIN_N - 1]
+
+
+def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
+    space = _strict_spaces()[0]
+    monkeypatch.setattr(qhm.embedding, "ONE_SIDED_MIN_N", space.n + 1)
+    two_sided = qhm.s_embed(space)
+    monkeypatch.setattr(qhm.embedding, "ONE_SIDED_MIN_N", space.n)
+    monkeypatch.setattr(classify, "cholesky", lambda a: None)
+    fallback = qhm.s_embed(space)
+    assert np.array_equal(fallback.points, two_sided.points)
+    assert np.array_equal(fallback.gram_eigenvalues, two_sided.gram_eigenvalues)
+
+
+def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypatch):
+    """With the Cholesky verdict forced on a circle sample of N0 points, the
+    embedding takes the one-sided route and the report's dimension re-check
+    still refuses it."""
+    space = qhm.CompactSpaceDescriptor("circle", circumference=5.0).sample_space(ONE_SIDED_MIN_N)
+    factored = []
+
+    def counted_cholesky(a):
+        factored.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(classify, "cholesky", counted_cholesky)
+    monkeypatch.setattr(classify.Analysis, "certified_strict", True)
+    # the box route of the hypermetric check would exceed its budget at this size
+    monkeypatch.setattr(classify, "check_hypermetric_bounded", lambda *args, **kwargs: classify.Verdict(True))
+    with pytest.raises(ContradictionError, match="< n - 1"):
+        qhm.build_report(space)
+    assert factored == [ONE_SIDED_MIN_N - 1]

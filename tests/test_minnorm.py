@@ -143,9 +143,9 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
     assert len(calls) == before + 1
     assert np.allclose(lam @ nearly, [0.0, 1.0], atol=1e-6)
     # whole hulls of lattice points, duplicates included, at zero slack: the
-    # rounding of the stopping test lets a dependent corral form
+    # stopping test's slack is floored at a few ulps, so rounding no longer
+    # lets a dependent corral form, and every run converges without the fallback
     rng = np.random.default_rng(24)
-    fallbacks = 0
     for trial in range(300):
         k = int(rng.integers(1, 4))
         m = int(rng.integers(2, 7))
@@ -153,10 +153,12 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         pts = np.vstack([pts, pts[: int(rng.integers(1, m + 1))]])
         before = len(calls)
         res = min_norm_point_in_hull(pts, tol=0.0, max_iter=64)
-        if len(calls) > before:
-            fallbacks += 1
-            assert abs(res.distance - brute_force_min_norm(pts)) < 1e-8
-    assert fallbacks >= 5
+        assert len(calls) == before and res.converged
+        # x in the hull with x.p >= |x|^2 for every p is the nearest point
+        x = res.point
+        assert np.all(res.weights >= 0.0) and abs(res.weights.sum() - 1.0) < 1e-12
+        assert np.allclose(res.weights @ pts, x, atol=1e-12)
+        assert float(np.min(pts @ x)) >= float(x @ x) - 1e-12
 
 
 def test_stuck_corral_is_not_converged():
@@ -176,3 +178,13 @@ def test_stuck_corral_is_not_converged():
     assert float(np.min(pts @ x)) - float(x @ x) < -1e-6
     assert not res.converged
     assert abs(res.distance - brute_force_min_norm(pts)) < 1e-5
+
+
+def test_zero_tolerance_converges_with_the_origin_inside():
+    """At tol = 0 a corral whose point is at rounding level, the origin
+    being inside the hull, converges instead of stopping with its best vertex
+    already in the corral."""
+    pts = np.array([[0, -1], [0, 1], [1, -2], [2, 2], [3, 2], [-2, -1]], dtype=float)
+    for hull in (pts, np.vstack([pts, pts[:4]])):
+        res = min_norm_point_in_hull(hull, tol=0.0)
+        assert res.converged and res.distance < 1e-12
