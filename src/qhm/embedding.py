@@ -65,9 +65,9 @@ class SEmbedding:
 
 
 # the fewest points at which a strictly quasihypermetric space is embedded by
-# the one-sided route. Measured on s_embed alone, the route gains nothing at
-# even n = 6..12 (0.96-1.06x) and 1.07-1.18x from n = 14 up; below this size
-# the embeddings stay those of the two-sided kernel
+# the one-sided route. Not a speed crossover (the route is also faster at odd
+# n < 16): below it the embeddings stay those of the two-sided kernel bit for
+# bit, including the bases picked within repeated eigenvalues
 ONE_SIDED_MIN_N = 16
 
 

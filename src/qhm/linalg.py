@@ -71,7 +71,13 @@ def _rotation(d, apq):
     return cc, t * cc
 
 
-def jacobi_eigh(a, sweep_tol: float = 1e-14, max_sweeps: int = 64):
+# the Jacobi kernels' relative off-diagonal size below which a rotation is
+# skipped, and the sweeps they make before ConvergenceWarning
+SWEEP_TOL = 1e-14
+MAX_SWEEPS = 64
+
+
+def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi rotations.
 
     A sweep is n - 1 rounds (n for odd n) of floor(n/2) disjoint rotations,
@@ -130,7 +136,7 @@ def jacobi_eigh(a, sweep_tol: float = 1e-14, max_sweeps: int = 64):
     return w, v
 
 
-def one_sided_jacobi(a, sweep_tol: float = 1e-14, max_sweeps: int = 64) -> np.ndarray:
+def one_sided_jacobi(a) -> np.ndarray:
     """The rows of ``a`` rotated to mutual orthogonality by round-robin
     one-sided Jacobi (Hestenes): z = Q a with Q orthogonal, so z'z = a'a and z z'
     is diagonal. The squared row norms of z are the eigenvalues of a'a, and its
@@ -140,20 +146,20 @@ def one_sided_jacobi(a, sweep_tol: float = 1e-14, max_sweeps: int = 64) -> np.nd
     by the angle that zeroes z_p . z_q, the one ``jacobi_eigh`` takes on the
     pair's Gram matrix, in Rutishauser's form, which keeps the row norms, and so
     the eigenvalues, from drifting with the rounding of the cosine. A pair is
-    skipped when the cosine of its rows is at most ``sweep_tol``, or z_p . z_q
-    at most ``sweep_tol`` |a|_F^2 / m^2 for m rows (``jacobi_eigh``'s skip on
+    skipped when the cosine of its rows is at most ``SWEEP_TOL``, or z_p . z_q
+    at most ``SWEEP_TOL`` |a|_F^2 / m^2 for m rows (``jacobi_eigh``'s skip on
     z z', so that rows at rounding level of a rank-deficient a settle). Sweeps
     repeat until one rotates no pair, or emit ``ConvergenceWarning`` when
-    ``max_sweeps`` runs out first.
+    ``MAX_SWEEPS`` run out first.
     """
     z = np.array(a, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected a matrix")
-    skip = sweep_tol * float(np.sum(z * z)) / max(len(z), 1) ** 2
-    sweeps = max_sweeps + 1 if len(z) > 1 else 0  # a single row is done
+    skip = SWEEP_TOL * float(np.sum(z * z)) / max(len(z), 1) ** 2
+    sweeps = MAX_SWEEPS + 1 if len(z) > 1 else 0  # a single row is done
     for sweep in range(sweeps):
-        if sweep == max_sweeps:
-            msg = f"one-sided Jacobi hit the cap of {max_sweeps} sweeps"
+        if sweep == MAX_SWEEPS:
+            msg = f"one-sided Jacobi hit the cap of {MAX_SWEEPS} sweeps"
             warnings.warn(ConvergenceWarning(msg), stacklevel=2)
             break
         rotated = False
@@ -161,7 +167,7 @@ def one_sided_jacobi(a, sweep_tol: float = 1e-14, max_sweeps: int = 64) -> np.nd
             x, y = z[p], z[q]
             xx, yy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
             xy = np.einsum("ij,ij->i", x, y)
-            active = np.abs(xy) > np.maximum(sweep_tol * np.sqrt(xx * yy), skip)
+            active = np.abs(xy) > np.maximum(SWEEP_TOL * np.sqrt(xx * yy), skip)
             if not active.all():
                 if not active.any():
                     continue

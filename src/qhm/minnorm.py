@@ -15,7 +15,13 @@ and λ = (μ, 1 - sum μ). Only when Q Q' is singular or within ``RANK_REL`` of
 its trace of being so (nearly affinely dependent rows, where an unguarded
 factorization would accept a tiny pivot) is the symmetric bordered system
 [[P P', 1], [1', 0]] solved, by the deterministic eigendecomposition
-pseudoinverse.
+pseudoinverse. Its near-null vector is then an affine dependency of the
+corral, along which every weight vector gives the same point; the weights are
+moved along it (Caratheodory) until a point other than the newest has weight
+zero, so that the minor cycle drops that point and the corral is independent
+again. The pseudoinverse's own weights would keep the dependent corral, whose
+point misses the newest direction, and the next major cycle would pick a
+vertex already in it.
 """
 
 from __future__ import annotations
@@ -50,17 +56,33 @@ def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     system[m, :m] = 1.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    sol, _, _, _ = eigh_pinv_solve(system, rhs)
-    return sol[:m]
+    sol, _, _, null = eigh_pinv_solve(system, rhs)
+    lam = sol[:m]
+    if null.shape[1] == 0:
+        return lam
+    # an affine dependency through the newest point, scaled to weight 1 there:
+    # from the weights with the newest point at zero, the outgoing point is the
+    # first whose weight reaches zero as the newest one's grows
+    alpha = null[:m, int(np.argmax(np.abs(null[m - 1])))]
+    out = np.flatnonzero(alpha[:-1] * alpha[-1] < 0.0)
+    if abs(alpha[-1]) <= RANK_REL * float(np.max(np.abs(alpha))) or out.size == 0:
+        return lam
+    alpha = alpha / alpha[-1]
+    lam = lam - lam[-1] * alpha
+    ratios = np.maximum(lam[out], 0.0) / -alpha[out]
+    k = int(np.argmin(ratios))
+    lam += ratios[k] * alpha
+    lam[out[k]] = 0.0
+    return lam
 
 
 def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = None) -> MinNormResult:
     """Nearest point of conv{rows of ``points``} to the origin.
 
     ``tol`` controls both the optimality slack (relative to the squared point
-    scale, and at least 8 eps) and the weight cleanup inside corral updates. The initial vertex is
-    the input point nearest the origin; all ties break toward the lowest
-    index, making the run deterministic.
+    scale, and at least 8 eps) and the weight cleanup inside corral updates.
+    The initial vertex is the input point nearest the origin; all ties break
+    toward the lowest index, making the run deterministic.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]

@@ -239,10 +239,12 @@ def test_one_sided_jacobi_orthogonalizes_rows():
     assert np.array_equal(one_sided_jacobi(np.zeros((4, 3))), np.zeros((4, 3)))
 
 
-def test_one_sided_jacobi_sweep_cap_warns():
+def test_one_sided_jacobi_sweep_cap_warns(monkeypatch):
     a = random_symmetric(8, np.random.default_rng(7))
-    with pytest.warns(ConvergenceWarning, match="cap of 1 sweeps"):
-        z = one_sided_jacobi(a, max_sweeps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(qhm.linalg, "MAX_SWEEPS", 1)
+        with pytest.warns(ConvergenceWarning, match="cap of 1 sweeps"):
+            z = one_sided_jacobi(a)
     assert z.shape == (8, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

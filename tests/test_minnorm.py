@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from qhm import minnorm
+from qhm.linalg import eigh_pinv_solve
 from qhm.minnorm import min_norm_point_in_hull
 
 
@@ -135,6 +136,8 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         assert len(calls) == before + 1
         assert abs(lam.sum() - 1.0) < 1e-9
         assert np.allclose(lam @ pts, bordered_affine_minimizer(pts) @ pts, atol=1e-9)
+        # the weights are moved along the dependency until an older point's is zero
+        assert np.any(lam[:-1] == 0.0)
     # nearly collinear: a positive pivot far below the Gram matrix's scale is
     # refused too, and the pseudoinverse treats the corral as a segment
     nearly = collinear + [[0.0, 0.0], [0.0, 1e-7], [0.0, 0.0]]
@@ -143,29 +146,47 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
     assert len(calls) == before + 1
     assert np.allclose(lam @ nearly, [0.0, 1.0], atol=1e-6)
     # whole hulls of lattice points, duplicates included, at zero slack: the
-    # stopping test's slack is floored at a few ulps, so rounding no longer
-    # lets a dependent corral form, and every run converges without the fallback
+    # stopping test's slack is floored at a few ulps, and every run converges
+    # with the optimality certificate: x in the hull with x.p >= |x|^2 for
+    # every p is the nearest point
     rng = np.random.default_rng(24)
     for trial in range(300):
         k = int(rng.integers(1, 4))
         m = int(rng.integers(2, 7))
         pts = rng.integers(-3, 4, size=(m, k)).astype(float)
         pts = np.vstack([pts, pts[: int(rng.integers(1, m + 1))]])
-        before = len(calls)
         res = min_norm_point_in_hull(pts, tol=0.0, max_iter=64)
-        assert len(calls) == before and res.converged
-        # x in the hull with x.p >= |x|^2 for every p is the nearest point
         x = res.point
+        assert res.converged
         assert np.all(res.weights >= 0.0) and abs(res.weights.sum() - 1.0) < 1e-12
         assert np.allclose(res.weights @ pts, x, atol=1e-12)
         assert float(np.min(pts @ x)) >= float(x @ x) - 1e-12
+    # the same with the repeated rows moved by 1e-7: a corral picks up a point
+    # nearly dependent on it, the Cholesky factor refuses it, and the run
+    # still converges to the face-enumeration answer
+    fallbacks = 0
+    for trial in range(300):
+        k = int(rng.integers(1, 4))
+        m = int(rng.integers(2, 7))
+        pts = rng.integers(-3, 4, size=(m, k)).astype(float)
+        near = pts[: int(rng.integers(1, m + 1))]
+        pts = np.vstack([pts, near + 1e-7 * rng.standard_normal(near.shape)])
+        before = len(calls)
+        res = min_norm_point_in_hull(pts, tol=0.0, max_iter=64)
+        if len(calls) > before:
+            fallbacks += 1
+            assert res.converged
+            assert abs(res.distance - brute_force_min_norm(pts)) < 1e-12
+    assert fallbacks >= 5
 
 
-def test_stuck_corral_is_not_converged():
-    """Points 1-4 are nearly coplanar (smallest singular value 1.1e-5); the
-    run stops when the best vertex is already in the corral, with the
-    optimality test x.p_j >= |x|^2 failing there by 3.3e-6, so it must not
-    report convergence."""
+def test_stuck_corral_is_not_converged(monkeypatch):
+    """Points 1-4 are nearly coplanar (smallest singular value 1.1e-5). With
+    the corral's affine minimizer taken as the plain pseudoinverse solution,
+    which keeps a dependent corral, the run stops when the best vertex is
+    already in the corral, with the optimality test x.p_j >= |x|^2 failing
+    there by 3.3e-6, so it must not report convergence. The solver's own
+    minimizer drops a point from the dependent corral and converges."""
     pts = np.array([
         [-0.9388812169473832, -1.567952727642466, -0.8668168340606442],
         [-0.5673776623125436, -0.49799700746131026, -0.6027669286548639],
@@ -173,6 +194,15 @@ def test_stuck_corral_is_not_converged():
         [2.0511460242715236, 0.7553371259116265, -0.06992569060546981],
         [-1.6948536105783951, 0.7061515177403735, -0.52204830397302],
     ])
+    res = min_norm_point_in_hull(pts)
+    assert res.converged and abs(res.distance - brute_force_min_norm(pts)) < 1e-12
+
+    def pseudoinverse_minimizer(sub):
+        m = sub.shape[0]
+        system = np.block([[sub @ sub.T, np.ones((m, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
+        return eigh_pinv_solve(system, np.eye(m + 1)[m])[0][:m]
+
+    monkeypatch.setattr(minnorm, "_affine_minimizer", pseudoinverse_minimizer)
     res = min_norm_point_in_hull(pts)
     x = res.point
     assert float(np.min(pts @ x)) - float(x @ x) < -1e-6
