@@ -200,7 +200,8 @@ def _qh_by_inertia(a: Analysis) -> bool:
     return float(np.sum(u2[~pole] / gap[~pole])) >= 0.0
 
 
-# rows of the mass-one grid scanned per step of the box route
+# rows of the mass-one grid scanned per step of the box route, and partial
+# points extended at once by the ellipsoid route
 _CHUNK_ROWS = 4096
 
 
@@ -241,29 +242,37 @@ def _box_witness(space: MetricSpace, bound: int, ptol: float) -> np.ndarray | No
     return None
 
 
-def _ellipsoid_points(low: np.ndarray, centre: np.ndarray, radius2: float, bound: int) -> np.ndarray:
+def _ellipsoid_points(low: np.ndarray, centre: np.ndarray, radius2: float, bound: int):
     """Every integer y in [-bound, bound]^m with (y - c)' low low' (y - c) <=
-    radius2, as float rows in no particular order (Fincke & Pohst 1985).
+    radius2, in blocks of float rows in no particular order (Fincke & Pohst 1985).
 
     With U = low' upper triangular, the form is sum_i (U_i (y - c))^2 and its
-    i-th term involves y_i .. y_m only. So coordinates are fixed breadth
-    first, the last one first: given the fixed ones, y_i ranges over the
-    integers of an interval around its conditional centre, whose half-width
-    is what the fixed terms leave of radius2.
+    i-th term involves y_i .. y_m only. So coordinates are fixed the last one
+    first: given the fixed ones, y_i ranges over the integers of an interval
+    around its conditional centre, whose half-width is what the fixed terms
+    leave of radius2. Partial points are extended breadth first up to
+    ``_CHUNK_ROWS`` of them, then in slices of that many, depth first, so
+    memory is bounded by m levels of (2 bound + 1) ``_CHUNK_ROWS`` rows.
     """
-    ys = np.zeros((1, 0))
-    rest = np.array([radius2])
-    for i in reversed(range(len(centre))):
-        piv = low[i, i]
-        c = centre[i] - (ys - centre[i + 1 :]) @ low[i + 1 :, i] / piv
-        r = np.sqrt(np.maximum(rest, 0.0)) / piv
-        lo = np.maximum(np.ceil(c - r), -bound)
-        count = np.maximum(np.minimum(np.floor(c + r), bound) - lo + 1.0, 0.0).astype(np.intp)
-        rows = np.repeat(np.arange(len(ys)), count)
-        yi = lo[rows] + (np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count))
-        rest = rest[rows] - (piv * (yi - c[rows])) ** 2
-        ys = np.column_stack((yi, ys[rows]))
-    return ys
+    todo = [(np.zeros((1, 0)), np.array([radius2]))]
+    while todo:
+        ys, rest = todo.pop()
+        while ys.shape[1] < len(centre) and len(ys) <= _CHUNK_ROWS:
+            i = len(centre) - 1 - ys.shape[1]
+            piv = low[i, i]
+            c = centre[i] - (ys - centre[i + 1 :]) @ low[i + 1 :, i] / piv
+            r = np.sqrt(np.maximum(rest, 0.0)) / piv
+            lo = np.maximum(np.ceil(c - r), -bound)
+            count = np.maximum(np.minimum(np.floor(c + r), bound) - lo + 1.0, 0.0).astype(np.intp)
+            rows = np.repeat(np.arange(len(ys)), count)
+            yi = lo[rows] + (np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count))
+            rest = rest[rows] - (piv * (yi - c[rows])) ** 2
+            ys = np.column_stack((yi, ys[rows]))
+        if ys.shape[1] == len(centre):
+            yield ys
+        else:
+            starts = range(0, len(ys), _CHUNK_ROWS)
+            todo += [(ys[k : k + _CHUNK_ROWS], rest[k : k + _CHUNK_ROWS]) for k in reversed(starts)]
 
 
 def _ellipsoid_witness(
@@ -276,13 +285,14 @@ def _ellipsoid_witness(
     # sums: n^2 products of size trace(K) (B + |y*|)^2, at a few ulps each
     rounding = 8.0 * space.n**2 * np.finfo(float).eps * float((low**2).sum())
     rounding *= (bound + float(np.abs(centre).max(initial=0.0))) ** 2
-    ys = _ellipsoid_points(low, centre, float(g @ centre) + ptol + rounding, bound)
-    b = np.column_stack((ys, 1.0 - ys.sum(axis=1)))
-    b = b[np.abs(b[:, -1]) <= bound]
-    viol = b[((b @ space.dist) * b).sum(axis=1) > ptol]
-    if not len(viol):
-        return None
-    return viol[np.lexsort(viol.T[::-1])[0]].astype(int)
+    firsts = []  # the lexicographically first violator of each block
+    for ys in _ellipsoid_points(low, centre, float(g @ centre) + ptol + rounding, bound):
+        b = np.column_stack((ys, 1.0 - ys.sum(axis=1)))
+        b = b[np.abs(b[:, -1]) <= bound]
+        viol = b[((b @ space.dist) * b).sum(axis=1) > ptol]
+        if len(viol):
+            firsts.append(viol[np.lexsort(viol.T[::-1])[0]])
+    return min(firsts, key=tuple).astype(int) if firsts else None
 
 
 def check_hypermetric_bounded(

@@ -9,7 +9,9 @@ positive definiteness and solves positive definite systems. One-sided Jacobi
 eigenvalues, each to a relative error of about eps times the condition number
 of A scaled to unit diagonal, not of A itself (Demmel & Veselic); it embeds
 the strictly quasihypermetric spaces of at least ``embedding.ONE_SIDED_MIN_N``
-points, and the two-sided kernel does every other decomposition.
+points, and the two-sided kernel does every other decomposition, on one array
+[A | V'] of A and its eigenvector rows that holds A or A' in turn, so that it
+never copies a transpose.
 """
 
 from __future__ import annotations
@@ -41,31 +43,12 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(rounds)
 
 
-def _rotate_rows(m, pq, qp, cc, ss) -> None:
-    # rows [p; q] of m become [c m_p - s m_q; s m_p + c m_q], in one update
-    x, y = m[pq], m[qp]
-    x *= cc
-    y *= ss
-    x += y
-    m[pq] = x
-
-
-def _rotate_rows_nearly_orthogonal(m, pq, qp, cc, ss) -> None:
-    # _rotate_rows as rows [p; q] + [-s (m_q + tau m_p); s (m_p - tau m_q)],
-    # tau = s / (1 + c) (Rutishauser): at small angles c rounds to 1 and
-    # c^2 + s^2 to above 1, and the form c m_p - s m_q lets row norms drift
-    x, y = m[pq], m[qp]
-    y -= (ss / (1.0 + cc)) * x
-    y *= ss
-    x += y
-    m[pq] = x
-
-
 def _rotation(d, apq):
     """``([c; c], [-s; s])`` of the rotations that zero a_pq in the pairs'
     [[a_pp, a_pq], [a_pq, a_qq]], with d = a_qq - a_pp."""
-    # t = tan of the angle; the form with theta = d / (2 a_pq) overflows as a_pq -> 0
-    t = np.copysign(2.0, d) * apq / (np.abs(d) + np.hypot(d, 2.0 * apq))
+    # t = tan of the angle, sign(d) 2a_pq / (|d| + hypot(d, 2a_pq)) rounded the
+    # same; the form with theta = d / (2 a_pq) overflows as a_pq -> 0
+    t = (apq := 2.0 * apq) / (d + np.copysign(np.hypot(d, apq), d))
     t = np.concatenate((-t, t))[:, None]
     cc = 1.0 / np.sqrt(t * t + 1.0)
     return cc, t * cc
@@ -80,8 +63,12 @@ MAX_SWEEPS = 64
 def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi rotations.
 
-    A sweep is n - 1 rounds (n for odd n) of floor(n/2) disjoint rotations,
+    A sweep is n - 1 rounds (n for odd n) of floor(n/2) disjoint rotations J,
     each round applied as whole-row numpy updates: O(n) Python steps a sweep.
+    One update of [A | V'] turns A's rows and the eigenvector rows V'; the
+    same update of the view A' turns A's columns. Rows go first on every
+    other rotating round, so J'AJ is held as itself or as its transpose in
+    turn, bit for bit as two row updates around a transpose copy make it.
     Sweeps repeat until the off-diagonal Frobenius norm drops below
     ``sweep_tol`` times the norm of the input, or emit ``ConvergenceWarning``
     when ``max_sweeps`` runs out first.
@@ -98,12 +85,13 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     n = a.shape[0]
-    vt = np.eye(n)  # eigenvectors as rows, so their update is row-wise too
+    av_vt = np.hstack((a, np.eye(n)))  # [A | V'], eigenvectors as rows
+    av = av_vt[:, :n]
+    flipped = False  # av holds A' rather than A
     scale = float(np.linalg.norm(a))
     if n > 1 and scale > 0.0:
         # rotations with |a_pq| below this move the off-norm negligibly
         skip = sweep_tol * scale / (n * n)
-        buf = np.empty_like(a)
         for sweep in range(max_sweeps + 1):
             off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
             if off <= sweep_tol * scale:
@@ -113,24 +101,29 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
                 warnings.warn(ConvergenceWarning(msg), stacklevel=2)
                 break
             for p, q, pq, qp in _round_robin(n):
-                apq = a[p, q]
+                apq = av[q, p] if flipped else av[p, q]
                 active = np.abs(apq) > skip
                 if not active.all():
                     if not active.any():
                         continue
                     p, q, apq = p[active], q[active], apq[active]
                     pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-                cc, ss = _rotation(a[q, q] - a[p, p], apq)
-                # a <- J' a J as two row rotations around a transpose
-                _rotate_rows(a, pq, qp, cc, ss)
-                np.copyto(buf, a.T)
-                a, buf = buf, a
-                _rotate_rows(a, pq, qp, cc, ss)
-                a[pq, qp] = 0.0
-                _rotate_rows(vt, pq, qp, cc, ss)
-    order = np.argsort(np.diag(a), kind="stable")
-    w = np.diag(a)[order]
-    v = vt[order].T
+                cc, ss = _rotation(av[q, q] - av[p, p], apq)
+                # A <- J'AJ: rows [p; q] to [c m_p - s m_q; s m_p + c m_q], first of the
+                # view that holds A, then of its transpose, av's on [A | V'] to turn V' too
+                for m in (av.T, av_vt) if flipped else (av_vt, av.T):
+                    x, y = m[pq], m[qp]
+                    x *= cc
+                    y *= ss
+                    x += y
+                    m[pq] = x
+                av[pq, qp] = 0.0
+                flipped = not flipped
+            # A, in the input's memory order, fixes the order of the off-norm's sum
+            np.copyto(a, av.T if flipped else av)
+    order = np.argsort(np.diag(av), kind="stable")
+    w = np.diag(av)[order]
+    v = av_vt[order, n:].T
     flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
     v[:, flip] = -v[:, flip]
     return w, v
@@ -144,8 +137,9 @@ def one_sided_jacobi(a) -> np.ndarray:
 
     The rounds are ``jacobi_eigh``'s, each a whole-row update. Each pair turns
     by the angle that zeroes z_p . z_q, the one ``jacobi_eigh`` takes on the
-    pair's Gram matrix, in Rutishauser's form, which keeps the row norms, and so
-    the eigenvalues, from drifting with the rounding of the cosine. A pair is
+    pair's Gram matrix, in Rutishauser's form [z_p; z_q] + s [-z_q - tau z_p;
+    z_p - tau z_q], tau = s / (1 + c), which keeps the row norms, and so the
+    eigenvalues, from drifting with the rounding of the cosine. A pair is
     skipped when the cosine of its rows is at most ``SWEEP_TOL``, or z_p . z_q
     at most ``SWEEP_TOL`` |a|_F^2 / m^2 for m rows (``jacobi_eigh``'s skip on
     z z', so that rows at rounding level of a rank-deficient a settle). Sweeps
@@ -163,18 +157,24 @@ def one_sided_jacobi(a) -> np.ndarray:
             warnings.warn(ConvergenceWarning(msg), stacklevel=2)
             break
         rotated = False
-        for p, q, pq, qp in _round_robin(len(z)):
-            x, y = z[p], z[q]
-            xx, yy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
-            xy = np.einsum("ij,ij->i", x, y)
+        for p, q, pq, _ in _round_robin(len(z)):
+            x, k = z[pq], len(p)  # rows [p; q]
+            sq = np.einsum("ij,ij->i", x, x)
+            xx, yy, xy = sq[:k], sq[k:], np.einsum("ij,ij->i", x[:k], x[k:])
             active = np.abs(xy) > np.maximum(SWEEP_TOL * np.sqrt(xx * yy), skip)
             if not active.all():
                 if not active.any():
                     continue
                 p, q, xx, yy, xy = p[active], q[active], xx[active], yy[active], xy[active]
-                pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+                x, k = z[pq := np.concatenate((p, q))], len(p)
             rotated = True
-            _rotate_rows_nearly_orthogonal(z, pq, qp, *_rotation(yy - xx, xy))
+            cc, ss = _rotation(yy - xx, xy)
+            tmp = (ss / (1.0 + cc)) * x
+            np.subtract(x[k:], tmp[:k], out=tmp[:k])
+            np.subtract(x[:k], tmp[k:], out=tmp[k:])
+            tmp *= ss
+            x += tmp
+            z[pq] = x
         if not rotated:
             break
     return z

@@ -308,9 +308,10 @@ def approx_m(
     sizes: list[int] = []
     values: list[float] = []
     monotone = True
+    # the samples are nested, so each is a leading block of the largest
+    full = desc.sample_space(max_n, seed=seed).dist
     for n in range(2, max_n + 1):
-        space = desc.sample_space(n, seed=seed)
-        report = compute_m(space, tol=t)
+        report = compute_m(MetricSpace(full[:n, :n]), tol=t)
         if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
             raise DescriptorError(
                 f"sample space of size {n} is not quasihypermetric; descriptor is broken"

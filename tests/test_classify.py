@@ -1,5 +1,6 @@
 """Property verdicts: fixtures, witnesses, and the supporting laws."""
 
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -465,3 +466,48 @@ def test_euclidean_spaces_are_hypermetric():
             for _ in range(3):
                 space = qhm.from_euclidean(rng.normal(size=(n, dim)))
                 assert qhm.check_hypermetric_bounded(space, bound=3).holds, (n, dim)
+
+
+def test_ellipsoid_route_in_slices_keeps_the_witness(monkeypatch):
+    """Split into slices of a few rows, the enumeration yields many blocks of
+    at most (2B+1) rows per slice row, and the witness stays the
+    lexicographically first violator of the whole box."""
+    blocks = []
+    points = classify._ellipsoid_points
+
+    def spy(*args):
+        for ys in points(*args):
+            blocks.append(len(ys))
+            yield ys
+
+    monkeypatch.setattr(classify, "_ellipsoid_points", spy)
+    for n, seed in ((6, 363), (7, 39)):
+        space = qhm.random_metric(n, seed=seed)
+        for bound in (1, 2):
+            reference = _full_box_witness(space, bound)
+            assert reference is not None
+            for chunk in (1, 3, 16, 4096):
+                monkeypatch.setattr(classify, "_CHUNK_ROWS", chunk)
+                blocks.clear()
+                route, verdict, box = _routes(space, bound)
+                assert route == "ellipsoid"
+                _assert_matches(verdict, box, reference)
+                assert max(blocks) <= (2 * bound + 1) * chunk
+                assert len(blocks) > 1 or chunk > 1
+
+
+def test_ellipsoid_route_memory_is_bounded():
+    """The 18-point interval sample at B = 1 enumerates millions of partial
+    points; in slices its peak allocation stays small (57 MB when the whole
+    breadth-first frontier was held)."""
+    space = qhm.CompactSpaceDescriptor(kind="interval", length=1.0).sample_space(18)
+    a = classify.Analysis(space, qhm.Tolerances(hyper_budget=1e21))
+    assert a.strict is not None  # the ellipsoid route
+    tracemalloc.start()
+    try:
+        verdict = qhm.check_hypermetric_bounded(space, bound=1, tol=a.tol, analysis=a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.witness is None
+    assert peak < 16e6, peak

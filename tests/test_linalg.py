@@ -1,5 +1,6 @@
 """The Jacobi engine against numpy's LAPACK-backed reference."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import qhm
 from qhm.errors import ConvergenceWarning
 from qhm.linalg import (
+    _round_robin,
     cholesky,
     cholesky_solve,
     double_center,
@@ -267,3 +269,173 @@ def test_one_sided_route_is_as_accurate_as_two_sided_jacobi():
             worst_one = max(worst_one, float(np.max(np.abs(one - ref))) / ref[0])
             worst_two = max(worst_two, float(np.max(np.abs(two - ref))) / ref[0])
         assert worst_one <= worst_two, (n, worst_one, worst_two)
+
+
+# Frozen references: the round loops of jacobi_eigh and one_sided_jacobi as
+# they were before [A | V'] and the alternating orientation, with a transpose
+# copy between two row rotations and each row pair gathered twice. The
+# kernels must match them bit for bit.
+
+
+def _ref_rotate_rows(m, pq, qp, cc, ss):
+    x, y = m[pq], m[qp]
+    x *= cc
+    y *= ss
+    x += y
+    m[pq] = x
+
+
+def _ref_rotate_rows_nearly_orthogonal(m, pq, qp, cc, ss):
+    x, y = m[pq], m[qp]
+    y -= (ss / (1.0 + cc)) * x
+    y *= ss
+    x += y
+    m[pq] = x
+
+
+def _ref_rotation(d, apq):
+    t = np.copysign(2.0, d) * apq / (np.abs(d) + np.hypot(d, 2.0 * apq))
+    t = np.concatenate((-t, t))[:, None]
+    cc = 1.0 / np.sqrt(t * t + 1.0)
+    return cc, t * cc
+
+
+def _ref_jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=64):
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    vt = np.eye(n)
+    scale = float(np.linalg.norm(a))
+    if n > 1 and scale > 0.0:
+        skip = sweep_tol * scale / (n * n)
+        buf = np.empty_like(a)
+        for sweep in range(max_sweeps + 1):
+            off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+            if off <= sweep_tol * scale:
+                break
+            if sweep == max_sweeps:
+                msg = f"Jacobi hit the cap of {max_sweeps} sweeps (off-norm {off:.3e})"
+                warnings.warn(ConvergenceWarning(msg), stacklevel=2)
+                break
+            for p, q, pq, qp in _round_robin(n):
+                apq = a[p, q]
+                active = np.abs(apq) > skip
+                if not active.all():
+                    if not active.any():
+                        continue
+                    p, q, apq = p[active], q[active], apq[active]
+                    pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+                cc, ss = _ref_rotation(a[q, q] - a[p, p], apq)
+                _ref_rotate_rows(a, pq, qp, cc, ss)
+                np.copyto(buf, a.T)
+                a, buf = buf, a
+                _ref_rotate_rows(a, pq, qp, cc, ss)
+                a[pq, qp] = 0.0
+                _ref_rotate_rows(vt, pq, qp, cc, ss)
+    order = np.argsort(np.diag(a), kind="stable")
+    w = np.diag(a)[order]
+    v = vt[order].T
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
+    v[:, flip] = -v[:, flip]
+    return w, v
+
+
+def _ref_one_sided_jacobi(a, max_sweeps=64, sweep_tol=1e-14):
+    z = np.array(a, dtype=float)
+    skip = sweep_tol * float(np.sum(z * z)) / max(len(z), 1) ** 2
+    for sweep in range(max_sweeps + 1 if len(z) > 1 else 0):
+        if sweep == max_sweeps:
+            msg = f"one-sided Jacobi hit the cap of {max_sweeps} sweeps"
+            warnings.warn(ConvergenceWarning(msg), stacklevel=2)
+            break
+        rotated = False
+        for p, q, pq, qp in _round_robin(len(z)):
+            x, y = z[p], z[q]
+            xx, yy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+            xy = np.einsum("ij,ij->i", x, y)
+            active = np.abs(xy) > np.maximum(sweep_tol * np.sqrt(xx * yy), skip)
+            if not active.all():
+                if not active.any():
+                    continue
+                p, q, xx, yy, xy = p[active], q[active], xx[active], yy[active], xy[active]
+                pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+            rotated = True
+            _ref_rotate_rows_nearly_orthogonal(z, pq, qp, *_ref_rotation(yy - xx, xy))
+        if not rotated:
+            break
+    return z
+
+
+def _symmetric_corpus():
+    """(label, matrix) pairs for n = 1..33: random symmetric matrices, d of
+    random metrics and of Euclidean points, circle-sample d (repeated
+    eigenvalues and an exact zero one), centred kernels, and matrices with
+    exactly zero off-diagonal entries, so that whole rounds, or some pairs of
+    a round, are skipped."""
+    rng = np.random.default_rng(20260)
+    circle = qhm.CompactSpaceDescriptor(kind="circle", circumference=3.0)
+    for n in range(1, 34):
+        yield "symmetric", random_symmetric(n, rng)
+        yield "random_metric", qhm.random_metric(n, seed=500 + n).dist
+        euclid = qhm.from_euclidean(rng.normal(size=(n, 2)))
+        yield "euclidean", euclid.dist
+        yield "circle", circle.sample_space(n).dist
+        yield "kernel", -0.5 * double_center(qhm.random_metric(n, seed=900 + n).dist)
+        yield "kernel", -0.5 * double_center(euclid.dist)
+        yield "diagonal", np.diag(rng.normal(size=n))
+        sparse = random_symmetric(n, rng)
+        sparse[np.add.outer(np.arange(n), np.arange(n)) % 3 == 1] = 0.0
+        yield "sparse", sparse
+        block = np.zeros((n, n))
+        block[: n // 2, : n // 2] = random_symmetric(n // 2, rng)
+        yield "block", block
+
+
+def _assert_same_eigh(a, **kw):
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        w, v = jacobi_eigh(a, **kw)
+    with warnings.catch_warnings(record=True) as ref:
+        warnings.simplefilter("always")
+        w0, v0 = _ref_jacobi_eigh(a, **kw)
+    assert np.array_equal(w, w0) and np.array_equal(v, v0)
+    assert [str(x.message) for x in got] == [str(x.message) for x in ref]
+    return len(got)
+
+
+def test_jacobi_eigh_matches_the_frozen_reference_bit_for_bit():
+    kinds, capped = set(), 0
+    for kind, a in _symmetric_corpus():
+        kinds.add(kind)
+        _assert_same_eigh(a)
+        _assert_same_eigh(np.asfortranarray(a))
+        if len(a) in (2, 7, 16, 33):
+            _assert_same_eigh(a, sweep_tol=0.0)
+            capped += _assert_same_eigh(a, max_sweeps=1)
+    assert capped >= 20  # the cap and its message, compared above
+    # the corpus holds quasihypermetric d and d that is not
+    verdicts = {qhm.check_quasihypermetric(qhm.random_metric(n, seed=500 + n)).holds for n in (3, 12)}
+    assert verdicts == {True, False}
+
+
+def test_one_sided_jacobi_matches_the_frozen_reference_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(20261)
+    inputs = []
+    for n in range(1, 34):
+        inputs.append(rng.normal(size=(n, n)))
+        inputs.append(rng.normal(size=(n, n + 3)))  # rectangular, both ways
+        inputs.append(rng.normal(size=(n, max(n - 4, 1))))  # more rows than rank
+        inputs.append(rng.normal(size=(n, 1)) @ rng.normal(size=(1, n)))  # rank one
+        inputs.append(np.zeros((n, n)))
+        inputs.append(cholesky(random_pd(n, rng)))
+    for a in inputs:
+        assert np.array_equal(one_sided_jacobi(a), _ref_one_sided_jacobi(a))
+    monkeypatch.setattr(qhm.linalg, "MAX_SWEEPS", 1)
+    for a in inputs[::7]:
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            z = one_sided_jacobi(a)
+        with warnings.catch_warnings(record=True) as ref:
+            warnings.simplefilter("always")
+            z0 = _ref_one_sided_jacobi(a, max_sweeps=1)
+        assert np.array_equal(z, z0)
+        assert [str(x.message) for x in got] == [str(x.message) for x in ref]

@@ -171,3 +171,27 @@ def test_trace_json():
     assert doc["sizes"] == [2, 3]
     assert doc["monotone_ok"] is True
     assert doc["descriptor"] == {"kind": "interval", "length": 1.0}
+
+
+def test_samples_are_bit_identical_leading_blocks_of_the_largest(monkeypatch):
+    """approx_m draws one sample of max_n points and reads each size n from
+    its leading n x n block, which is the n-point sample bit for bit."""
+    cloud = np.random.default_rng(17).normal(size=(30, 3)).tolist()
+    descs = [
+        qhm.CompactSpaceDescriptor(kind="interval", length=1.7),
+        qhm.CompactSpaceDescriptor(kind="circle", circumference=3.1),
+        qhm.CompactSpaceDescriptor(kind="euclidean_pointcloud", points=cloud),
+    ]
+    for desc in descs:
+        for seed in (0, 5):
+            full = desc.sample_space(30, seed=seed).dist
+            for n in range(1, 31):
+                block = np.ascontiguousarray(full[:n, :n])
+                assert block.tobytes() == desc.sample_space(n, seed=seed).dist.tobytes()
+    calls = []
+    sample = qhm.CompactSpaceDescriptor.sample_space
+    monkeypatch.setattr(
+        qhm.CompactSpaceDescriptor, "sample_space", lambda *a, **k: calls.append(a) or sample(*a, **k)
+    )
+    assert qhm.approx_m(descs[1], max_n=9).sizes == list(range(2, 10))
+    assert len(calls) == 1
