@@ -51,7 +51,7 @@ class Analysis:
     ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
     positive definite; ``eig_d``, the Jacobi pair of d, eigenvalues
     ascending, read by ``classify_space`` (rank and nullspace) and by
-    ``compute_m`` in the band (its quasihypermetric re-check and d w = 1);
+    ``compute_m`` where its band route declines (its QH re-check, d w = 1);
     ``kernel_eig``, that of the centred kernel -1/2 P d P, eigenvalues
     descending, read by the centred verdicts and ``s_embed``; and
     ``kernel_coords``, the same spectrum with the principal coordinates by
@@ -187,7 +187,8 @@ def _qh_by_inertia(a: Analysis) -> bool:
     eigenvalues of d, where it is the root of the increasing secular function
     f(x) = sum u_i^2 / (lambda_i - x), u = V'1. So mu <= ptol iff no
     eigenvalue exceeds ptol, or exactly one does and f(ptol) =
-    1'(d - ptol I)^-1 1 >= 0 (Haynsworth inertia additivity)."""
+    1'(d - ptol I)^-1 1 >= 0 (Haynsworth inertia additivity). ``compute_m``
+    asks it in the band only where ``_band_solution`` declines."""
     w, v = a.eig_d
     gap = w - a.tol.pos_tol(a.space.n, a.space.diameter)
     above = int(np.count_nonzero(gap > 0.0))

@@ -219,6 +219,24 @@ def cholesky(a):
     return up.T
 
 
+def semidefinite_cholesky(a, cut):
+    """``cholesky`` skipping each column whose pivot is at most ``cut``:
+    ``(kept, low, schur)``, the mask of the columns kept, the lower factor of
+    a[kept, kept] and its Schur complement on the skipped columns, each step
+    eliminating a column from every row. On a positive semidefinite matrix
+    the kept columns are its lowest-index column basis."""
+    a = np.asarray(a, dtype=float)
+    up = np.zeros_like(a)
+    kept = np.zeros(len(a), dtype=bool)
+    for k in range(len(a)):
+        row = a[k] - up[:k, k] @ up[:k]
+        if row[k] > cut:
+            up[k] = row / math.sqrt(row[k])
+            kept[k] = True
+    u, skip = up[kept], ~kept
+    return kept, np.triu(u[:, kept]).T, a[np.ix_(skip, skip)] - u[:, skip].T @ u[:, skip]
+
+
 def cholesky_solve(low, b) -> np.ndarray:
     """Solve ``(low low') x = b`` for a lower factor from ``cholesky``."""
     x = np.array(b, dtype=float)

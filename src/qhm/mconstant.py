@@ -24,8 +24,9 @@ import numpy as np
 from .classify import Analysis, _qh_by_inertia
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import cholesky, eigh_pinv_solve, gram_rank, lstsq_minnorm
-from .metric import MetricSpace, SignedMeasure, potential
+from .linalg import cholesky, cholesky_solve, eigh_pinv_solve, gram_rank, lstsq_minnorm
+from .linalg import semidefinite_cholesky
+from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TAG_NOT_QUASIHYPERMETRIC = "m:infinite:not-quasihypermetric"
@@ -92,8 +93,6 @@ def _canonical_solution(w0: np.ndarray, null_basis: np.ndarray) -> tuple[np.ndar
             ortho.append(r / norm)
             if len(picked) == m:
                 break
-    if len(picked) < m:
-        return w0, "minimum-norm-fallback"
     rows = np.array(picked)
     t, _ = lstsq_minnorm(null_basis[rows, :], -w0[rows])
     w = w0 + null_basis @ t
@@ -109,11 +108,11 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
     ptol = ``pos_tol``, K - ptol S positive definite means strictly QH, and
     K y = g (the last column of d) gives M = g'y and the maximal measure
     [y; 1 - sum y]; K + ptol S not positive definite means not QH, as in
-    ``check_quasihypermetric``. In the band between, d alone is decomposed:
-    its spectrum re-checks the quasihypermetric verdict by inertia
-    (``_qh_by_inertia``) and solves d w = 1, as it does for a Cholesky
-    solution that fails a check. A one-point space has M = 0, attained by
-    its only probability measure (our convention).
+    ``check_quasihypermetric``. In the band between, ``_band_solution``
+    decides; where it declines, d alone is decomposed: its spectrum re-checks
+    the verdict by inertia (``_qh_by_inertia``) and solves d w = 1, as for a
+    Cholesky solution that fails a check. A one-point space has M = 0,
+    attained by its only probability measure (our convention).
     """
     a = analysis or Analysis(space, tol)
     space, t = a.space, a.tol
@@ -127,10 +126,14 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
         y = a.strict[1]
         w = np.append(y, 1.0 - y.sum()) / float(g @ y)
         try:
-            return _certified(space, w, True, "unique-solution", t)
+            return _certified(space, w, True, t)
         except InconsistentSystemError:
             pass  # the eigendecomposition route decides, and raises if it fails too
-    elif cholesky(k + shift) is None or not _qh_by_inertia(a):
+    elif cholesky(k + shift) is None:
+        return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
+    elif (band := _band_solution(space, t)) is not None:
+        return band
+    elif not _qh_by_inertia(a):
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
     w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), t.rank, a.eig_d)
     if residual > t.res_tol(space.n):
@@ -144,10 +147,33 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
         return MReport._infinite((TAG_ZERO_MASS, f"m:{how}"), mass, residual)
     # d w = 1 is consistent, so null vectors of d have mass zero and the
     # bordered matrix of uniqueness_of_maximal has full rank iff d does
-    return _certified(space, w, rank == space.n, how, t)
+    return _certified(space, w, rank == space.n, t)
 
 
-def _certified(space: MetricSpace, w: np.ndarray, unique: bool, how: str, t: Tolerances) -> MReport:
+def _band_solution(space: MetricSpace, t: Tolerances) -> MReport | None:
+    """``compute_m`` in the band without an eigensolver, or None where it
+    declines. K0, the form at point 0 (moved last), is eliminated skipping
+    pivots at most ``rank`` times its largest diagonal entry; point 0 and the
+    kept columns T are d's lowest-index column basis, which ``_canonical_solution``
+    keeps. For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I
+    and S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0:
+    QH. K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at
+    point 0, y on T, 0 elsewhere) unless ``_certified`` fails (as at zero mass)."""
+    k, g, _ = schoenberg_form(np.roll(space.dist, -1, axis=(0, 1)))
+    kept, low, c = semidefinite_cholesky(k, t.rank * 2.0 * float(g.max()))
+    gershgorin = c.diagonal() + np.abs(c.diagonal()) - np.abs(c).sum(axis=1)
+    if gershgorin.min(initial=0.0) < -t.pos_tol(space.n, space.diameter):
+        return None
+    y = cholesky_solve(low, g[kept])
+    w = np.zeros(space.n)
+    w[0], w[1:][kept] = 1.0 - y.sum(), y
+    try:
+        return _certified(space, w / float(g[kept] @ y), bool(kept.all()), t)
+    except InconsistentSystemError:
+        return None
+
+
+def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -> MReport:
     """The report for a solution w of d w = 1, once its residual, its mass and
     the potential of the maximal measure w / mass have passed their checks."""
     mass = float(w.sum())
@@ -164,7 +190,7 @@ def _certified(space: MetricSpace, w: np.ndarray, unique: bool, how: str, t: Tol
             f"{residual:.3e} and mass {mass:.3e}, and the potential of the solved measure "
             f"deviates from M by up to {deviation:.3e}"
         )
-    tags = ("m:linear-system-pseudoinverse", f"m:{how}")
+    tags = ("m:linear-system-pseudoinverse", f"m:{'unique' if unique else 'basic'}-solution")
     return MReport(1.0 / mass, measure, None, unique, 1.0 / mass, tags, mass, residual)
 
 

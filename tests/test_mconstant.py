@@ -1,5 +1,6 @@
 """M(X), maximal measures, M+, and their certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 import qhm
 from qhm.classify import Analysis, _qh_by_inertia
 from qhm.errors import PreconditionError
-from qhm.linalg import eigh_pinv_solve, jacobi_eigh
-from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS
+from qhm.linalg import eigh_pinv_solve, jacobi_eigh, semidefinite_cholesky
+from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS, _canonical_solution
+from qhm.report import m_report_to_json
 from qhm.spaces import FIXTURE_NAMES
 
 from conftest import NON_QH_SEED, euclidean_corpus
@@ -221,29 +223,39 @@ def _seeded_spaces(seed, rounds):
     return spaces
 
 
-def test_qh_decision_matches_the_centred_route(monkeypatch):
-    """compute_m reads the verdict off the spectrum of d; P d P must agree."""
-    reference_check = qhm.check_quasihypermetric
-    recheck = qhm.mconstant._qh_by_inertia
-    calls = []
+def _spied_band_route(monkeypatch):
+    """Patch compute_m's band route to log what it returns, None when it
+    declines and the eigenvector route decides."""
+    band = qhm.mconstant._band_solution
+    returned = []
     monkeypatch.setattr(
-        qhm.mconstant, "_qh_by_inertia", lambda a: calls.append(1) or recheck(a)
+        qhm.mconstant, "_band_solution", lambda *args: returned.append(band(*args)) or returned[-1]
     )
+    return returned
+
+
+def test_qh_decision_matches_the_centred_route(monkeypatch):
+    """compute_m reads the verdict off a semidefinite elimination in the band,
+    or off the spectrum of d where that declines; P d P must agree."""
+    reference_check = qhm.check_quasihypermetric
+    returned = _spied_band_route(monkeypatch)
     spaces = _seeded_spaces(2024, 64)
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
     assert len(spaces) >= 1000
-    branches = {"not-qh": 0, "one-positive": 0, "fallback": 0}
+    branches = {"not-qh": 0, "one-positive": 0, "band": 0}
+    fallbacks = []
     t = qhm.DEFAULT_TOLERANCES
     for space in spaces:
-        before = len(calls)
+        before = len(returned)
         rep = qhm.compute_m(space)
-        fell_back = len(calls) > before
         qh = reference_check(space).holds
         assert (TAG_NOT_QUASIHYPERMETRIC in rep.method_tags) == (not qh)
-        if fell_back:
-            branches["fallback"] += 1
-        else:
+        if len(returned) == before:
             branches["one-positive" if qh else "not-qh"] += 1
+        elif returned[-1] is None:
+            fallbacks.append(space)
+        else:
+            branches["band"] += 1
         if not qh:
             assert rep.system_residual is None
             continue
@@ -255,6 +267,8 @@ def test_qh_decision_matches_the_centred_route(monkeypatch):
         else:
             assert abs(rep.m_value - 1.0 / mass) <= 1e-9 * max(1.0, 1.0 / mass)
     assert min(branches.values()) >= 10, branches
+    assouad = qhm.make_fixture("assouad5").dist
+    assert any(np.array_equal(space.dist, assouad) for space in fallbacks)
 
 
 def _permuted(space, perm):
@@ -316,8 +330,10 @@ def test_monotone_under_subsets_and_mplus_bounds():
 
 def test_jacobi_runs_only_in_the_band(monkeypatch):
     """Away from the threshold compute_m decides by Cholesky and never
-    calls the eigensolver; within +-pos_tol of it, the spectral route
+    calls the eigensolver; within +-pos_tol of it, the semidefinite
+    elimination calls none either, and where it declines the spectral route
     decomposes d itself once, and never the centred kernel."""
+    returned = _spied_band_route(monkeypatch)
     calls = []
 
     def counted(a, *args, **kwargs):
@@ -330,10 +346,11 @@ def test_jacobi_runs_only_in_the_band(monkeypatch):
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
     assert len(spaces) >= 1000
     t = qhm.DEFAULT_TOLERANCES
-    branches = {"strict": 0, "not-qh": 0, "band": 0}
+    branches = {"strict": 0, "not-qh": 0, "band": 0, "fallback": 0}
     for space in spaces:
         top, ptol = _restricted_top(space), t.pos_tol(space.n, space.diameter)
         calls.clear()
+        returned.clear()
         rep = qhm.compute_m(space)
         if top < -ptol:
             branch = "strict"
@@ -341,14 +358,17 @@ def test_jacobi_runs_only_in_the_band(monkeypatch):
         elif top > ptol:
             branch = "not-qh"
             assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
-        else:
+        elif returned[0] is not None:
             branch = "band"
+        else:
+            branch = "fallback"
             # smaller calls come from _canonical_solution's nullspace solve
             full = [m for m in calls if m.shape == space.dist.shape]
             assert len(full) == 1 and np.array_equal(full[0], space.dist), space.n
-        assert branch == "band" or not calls, (branch, space.n)
+        assert branch == "fallback" or not calls, (branch, space.n)
         branches[branch] += 1
-    assert min(branches.values()) >= 10, branches
+    assert branches["fallback"] >= 1, branches
+    assert min(branches[b] for b in ("strict", "not-qh", "band")) >= 10, branches
 
 
 def _tolerances_at(space, ptol):
@@ -402,3 +422,145 @@ def test_qh_verdict_at_the_threshold_follows_pos_tol():
         circle = _circle(n)
         verdict = qhm.check_quasihypermetric(circle).holds
         assert (TAG_NOT_QUASIHYPERMETRIC not in qhm.compute_m(circle).method_tags) == verdict
+
+
+def _eigenvector_route(monkeypatch, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with compute_m's band route declining, so that
+    in the band d's eigenvectors decide: ``eigh_pinv_solve``, then
+    ``_canonical_solution``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qhm.mconstant, "_band_solution", lambda *a: None)
+        return fn(*args, **kwargs)
+
+
+def _graph_space(adjacent, count):
+    """The shortest-path metric of a graph on ``count`` vertices."""
+    edges = [[adjacent(i, j) for j in range(count)] for i in range(count)]
+    d = np.where(edges, 1.0, np.inf)
+    np.fill_diagonal(d, 0.0)
+    for k in range(count):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return qhm.MetricSpace(d)
+
+
+def test_band_route_agrees_with_the_eigenvector_route(monkeypatch):
+    """The semidefinite elimination at point 0 keeps d's lowest-index column
+    basis, so on circle samples, cycle graphs, hypercubes (whose Schur
+    complement is larger than 1x1, so Gershgorin decides) and the fixtures it
+    zeroes the coordinates _canonical_solution zeroes, and its M and measure
+    are those of the eigenvector route to rounding."""
+    t = qhm.DEFAULT_TOLERANCES
+    # (space, whether the band route certifies it): circles of 4 points or
+    # more, even cycles and hypercubes of 4 points or more are in the band
+    cases = [(_circle(n, c), n >= 4) for c in np.linspace(0.9, 12.7, 10) for n in range(2, 49)]
+    for n in range(3, 16):
+        cycle = _graph_space(lambda i, j: (i - j) % n in (1, n - 1), n)
+        cases.append((cycle, n % 2 == 0))
+    for k in range(1, 6):
+        cases.append((_graph_space(lambda i, j: bin(i ^ j).count("1") == 1, 2**k), k >= 2))
+    cases += [(qhm.make_fixture(name), name == "cycle4_arclength") for name in FIXTURE_NAMES]
+    canonical = qhm.mconstant._canonical_solution
+    zeros = []  # what _canonical_solution zeroes: from a generic start the rest is nonzero
+
+    def spied(w0, null_basis):
+        start = np.random.default_rng(len(w0)).normal(size=len(w0))
+        zeros.append(np.flatnonzero(canonical(start, null_basis)[0] == 0.0))
+        return canonical(w0, null_basis)
+
+    returned = _spied_band_route(monkeypatch)
+    for space, in_band in cases:
+        returned.clear()
+        rep = qhm.compute_m(space)
+        zeros.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(qhm.mconstant, "_canonical_solution", spied)
+            ref = _eigenvector_route(monkeypatch, qhm.compute_m, space)
+        assert rep.method_tags == ref.method_tags and rep.unique_maximal == ref.unique_maximal
+        assert rep.is_finite == ref.is_finite
+        assert (bool(returned) and returned[0] is not None) == in_band, space.n
+        if in_band:
+            g = space.dist[1:, 0]
+            k0 = g[:, None] + g[None, :] - space.dist[1:, 1:]
+            kept = semidefinite_cholesky(k0, t.rank * k0.diagonal().max())[0]
+            zeroed = np.flatnonzero(~np.append(True, kept))
+            assert len(zeros) == 1 and np.array_equal(zeroed, zeros[0])
+            assert np.all(rep.maximal_measure.weights[zeroed] == 0.0)
+        if rep.is_finite:
+            assert abs(rep.m_value - ref.m_value) <= 1e-12 * ref.m_value
+            assert np.abs(rep.maximal_measure.weights - ref.maximal_measure.weights).max() <= 1e-10
+            if space.n <= 24:  # the bordered Gram rank decomposes an n x n matrix too
+                assert rep.unique_maximal == qhm.uniqueness_of_maximal(space)
+
+
+def _threshold_non_qh():
+    """The spaces of test_qh_verdict_at_the_threshold_follows_pos_tol that are
+    not quasihypermetric, each with its largest restricted eigenvalue."""
+    rng = np.random.default_rng(71)
+    rng.normal(size=(7, 3))  # the strictly quasihypermetric space's points
+    spaces = [qhm.random_metric(5, seed=NON_QH_SEED)]
+    for n in range(4, 9):
+        for _ in range(4):
+            spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
+            rng.normal(size=(n, 3))  # the from_euclidean space's points
+    return [(space, top) for space in spaces if (top := _restricted_top(space)) > 0.0]
+
+
+def _at_the_shifted_level():
+    """A space that is not quasihypermetric but whose d w = 1 has a basic
+    solution on a positive definite block of Schoenberg's form at point 0:
+    the last point of random_metric(6, seed=211) is moved to where the
+    maximal measure of the other five has potential M."""
+    d = qhm.random_metric(6, seed=211).dist.copy()
+    rest = qhm.compute_m(qhm.MetricSpace(d[:-1, :-1]))
+    shift = rest.m_value - rest.maximal_measure.weights @ d[-1, :-1]
+    d[-1, :-1] += shift
+    d[:-1, -1] += shift
+    return qhm.MetricSpace(d)
+
+
+def test_band_route_falls_back_byte_for_byte(monkeypatch):
+    """Where the band route declines (zero mass, or not quasihypermetric
+    within ptol) compute_m's report is the eigenvector route's, byte for
+    byte: on assouad5, on the not-QH threshold spaces at ptol = (1 + 1e-6)
+    kappa, and, with the last-point Cholesky made to pass, on not-QH
+    spaces, one of them with a certifiable basic solution."""
+    cases = [(qhm.make_fixture("assouad5"), qhm.DEFAULT_TOLERANCES, False)]
+    non_qh = _threshold_non_qh()
+    assert len(non_qh) >= 5
+    cases += [(space, _tolerances_at(space, (1.0 + 1e-6) * top), False) for space, top in non_qh]
+    for space in (qhm.random_metric(5, seed=NON_QH_SEED), _at_the_shifted_level()):
+        assert _restricted_top(space) > 1e-2
+        cases.append((space, qhm.DEFAULT_TOLERANCES, True))
+    returned = _spied_band_route(monkeypatch)
+    for space, t, forced in cases:
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr(qhm.mconstant, "cholesky", lambda a: np.eye(len(a)))
+            returned.clear()
+            rep = qhm.compute_m(space, tol=t)
+            ref = _eigenvector_route(monkeypatch, qhm.compute_m, space, tol=t)
+        assert returned == [None]
+        doc, ref_doc = (json.dumps(m_report_to_json(r)) for r in (rep, ref))
+        assert doc == ref_doc
+        if forced:
+            assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
+
+
+def test_approx_m_of_a_circle_makes_no_decomposition(monkeypatch):
+    """Every circle sample of 4 points or more is in the band; the nested
+    trace to 48 points solves each without the eigensolver and matches the
+    eigenvector route's trace."""
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return jacobi_eigh(a, *args, **kwargs)
+
+    desc = qhm.CompactSpaceDescriptor(kind="circle", circumference=8.0)
+    ref = _eigenvector_route(monkeypatch, qhm.approx_m, desc, 48)
+    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted)
+    monkeypatch.setattr(qhm.classify, "jacobi_eigh", counted)
+    trace = qhm.approx_m(desc, 48)
+    assert calls == []
+    assert trace.sizes == ref.sizes and trace.monotone_ok == ref.monotone_ok
+    assert np.allclose(trace.m_values, ref.m_values, rtol=1e-13, atol=0.0)
