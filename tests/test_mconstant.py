@@ -459,13 +459,12 @@ def test_band_route_agrees_with_the_eigenvector_route(monkeypatch):
     for k in range(1, 6):
         cases.append((_graph_space(lambda i, j: bin(i ^ j).count("1") == 1, 2**k), k >= 2))
     cases += [(qhm.make_fixture(name), name == "cycle4_arclength") for name in FIXTURE_NAMES]
-    canonical = qhm.mconstant._canonical_solution
     zeros = []  # what _canonical_solution zeroes: from a generic start the rest is nonzero
 
     def spied(w0, null_basis):
         start = np.random.default_rng(len(w0)).normal(size=len(w0))
-        zeros.append(np.flatnonzero(canonical(start, null_basis)[0] == 0.0))
-        return canonical(w0, null_basis)
+        zeros.append(np.flatnonzero(_canonical_solution(start, null_basis)[0] == 0.0))
+        return _canonical_solution(w0, null_basis)
 
     returned = _spied_band_route(monkeypatch)
     for space, in_band in cases:
