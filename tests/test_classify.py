@@ -328,11 +328,12 @@ def _full_box_witness(space, bound, tol=DEFAULT_TOLERANCES):
 def _routes(space, bound, tol=DEFAULT_TOLERANCES):
     """The route check_hypermetric_bounded takes, its verdict, and the box
     route's witness for the same input."""
-    classify._mass_one_grid.cache_clear()
-    verdict = qhm.check_hypermetric_bounded(space, bound=bound, tol=tol)
-    route = "box" if classify._mass_one_grid.cache_info().currsize else "ellipsoid"
-    box = classify._box_witness(space, bound, tol.pos_tol(space.n, space.diameter))
-    return route, verdict, box
+    box_witness, scans = classify._box_witness, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_box_witness", lambda *args: scans.append(args) or box_witness(*args))
+        verdict = qhm.check_hypermetric_bounded(space, bound=bound, tol=tol)
+    box = box_witness(space, bound, tol.pos_tol(space.n, space.diameter))
+    return ("box" if scans else "ellipsoid"), verdict, box
 
 
 def _assert_matches(verdict, box, reference):
@@ -343,12 +344,21 @@ def _assert_matches(verdict, box, reference):
         assert verdict.witness.dtype.kind == "i"
 
 
-def test_mass_one_grid_matches_the_full_box():
+def _streamed_rows(n, bound):
+    blocks = []
+    for x, t in classify._mass_one_blocks(n, bound):
+        assert not t.flags.writeable and len(t) <= classify._CHUNK_ROWS
+        blocks.append(np.column_stack((np.tile(np.array(x, dtype=float), (len(t), 1)), t)))
+    return np.concatenate(blocks)
+
+
+def test_streamed_blocks_concatenate_to_the_full_box():
     for n in range(1, 8):
         for bound in (1, 2, 3):
-            grid = classify._mass_one_grid(n, bound)
-            assert not grid.flags.writeable
-            assert np.array_equal(grid, _full_box_grid(n, bound)), (n, bound)
+            assert np.array_equal(_streamed_rows(n, bound), _full_box_grid(n, bound)), (n, bound)
+    for n in (1, 2, 3):
+        for bound in (128, 130):
+            assert np.array_equal(_streamed_rows(n, bound), _full_box_grid(n, bound)), (n, bound)
 
 
 def test_both_routes_match_the_full_box():
@@ -437,11 +447,10 @@ def test_bounds_beyond_int8_on_few_points():
             _assert_matches(verdict, box, _full_box_witness(space, bound, tol=tol))
 
 
-def test_strictly_quasihypermetric_8_point_space_builds_no_grid():
+def test_strictly_quasihypermetric_8_point_space_makes_no_box_scan():
     space = qhm.from_euclidean(np.random.default_rng(8).normal(size=(8, 3)))
-    classify._mass_one_grid.cache_clear()
-    assert qhm.check_hypermetric_bounded(space, bound=3).holds
-    assert classify._mass_one_grid.cache_info().currsize == 0
+    route, verdict, _ = _routes(space, 3)
+    assert route == "ellipsoid" and verdict.holds
 
 
 def test_chunked_witness_is_the_first_violating_row_of_the_full_grid():
@@ -511,3 +520,21 @@ def test_ellipsoid_route_memory_is_bounded():
         tracemalloc.stop()
     assert verdict.holds and verdict.witness is None
     assert peak < 16e6, peak
+
+
+def test_box_route_memory_is_bounded():
+    """The 14-point circle sample at B = 1 is hypermetric but not strictly
+    quasihypermetric, so the box route scans all 585,690 mass-one rows;
+    streamed, its peak allocation stays small (55.6 MB when the whole box
+    was built)."""
+    space = qhm.CompactSpaceDescriptor(kind="circle", circumference=7.0).sample_space(14)
+    assert classify.Analysis(space).strict is None  # the box route
+    classify._mass_one_tails.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict = qhm.check_hypermetric_bounded(space, bound=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.witness is None
+    assert peak < 4e6, peak

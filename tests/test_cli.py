@@ -210,13 +210,16 @@ def test_deterministic_report_output(capsys, assouad_csv):
 
 
 def test_module_entry_point(assouad_csv):
+    import os
     import subprocess
     import sys
 
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qhm.__file__))}  # this qhm
     proc = subprocess.run(
         [sys.executable, "-m", "qhm", "validate", assouad_csv],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "5 points" in proc.stdout
