@@ -1,10 +1,12 @@
 """Finite metric spaces, signed measures on them, and the distance-energy forms.
 
 A space is its symmetric distance matrix, validated against the metric axioms
-at construction. A signed measure is a real weight vector over the points.
-The mutual energy of two measures is the bilinear form w1' * dist * w2; the
-potential of a measure is the vector dist * w; mass-zero measures carry the
-seminorm sqrt(-energy), which is real precisely on quasihypermetric spaces.
+at construction; a subspace inherits that validation, triangle slack relative
+to the parent's diameter included. A signed measure is a real weight vector
+over the points. The mutual energy of two measures is the bilinear form
+w1' * dist * w2; the potential of a measure is the vector dist * w; mass-zero
+measures carry the seminorm sqrt(-energy), which is real precisely on
+quasihypermetric spaces.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use on shared objects is safe.
@@ -13,6 +15,7 @@ function of its inputs, so concurrent use on shared objects is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -41,36 +44,35 @@ def validate_distance_matrix(dist: np.ndarray, tol: Tolerances, n_labels: int | 
         raise ShapeError("a metric space needs at least one point")
     if n_labels is not None and n_labels != n:
         raise ShapeError(f"{n_labels} labels for {n} points")
-    if not np.all(np.isfinite(dist)):
+    # each axiom is one reduction on the clean path; argwhere runs only on failure
+    if not np.isfinite(dist).all():
         i, j = np.argwhere(~np.isfinite(dist))[0]
         raise NonFiniteEntryError(f"at ({i},{j})")
-    bad = np.argwhere(dist < 0)
-    if bad.size:
-        i, j = bad[0]
+    if (dist < 0).any():
+        i, j = np.argwhere(dist < 0)[0]
         raise NegativeDistanceError(int(i), int(j), float(dist[i, j]))
     diag = np.diagonal(dist)
     if np.any(diag != 0.0):
         i = int(np.argmax(diag != 0.0))
         raise DiagonalError(i, float(dist[i, i]))
-    asym = np.argwhere(dist != dist.T)
-    if asym.size:
-        i, j = asym[0]
+    if (dist != dist.T).any():
+        i, j = np.argwhere(dist != dist.T)[0]
         raise AsymmetryError(int(i), int(j), float(dist[i, j]), float(dist[j, i]))
-    off = dist + np.diag(np.full(n, np.inf))
-    zero = np.argwhere(off == 0.0)
-    if zero.size:
-        i, j = zero[0]
+    if np.count_nonzero(dist == 0.0) > n:
+        i, j = np.argwhere(dist + np.diag(np.full(n, np.inf)) == 0.0)[0]
         raise DuplicatePointError(int(i), int(j))
     if n >= 3:
-        # detour[i,j] = min_k d(i,k) + d(k,j), in n^2 memory; direct paths may exceed
-        # it only within the configured slack (matrices read from decimal text)
+        # detour[i,j] = min_k d(k,i) + d(k,j) (d is symmetric by now) over blocks of c
+        # points k: one block up to n = 24, one point a block past n = 181; min is exact.
+        # Direct paths may exceed it only within the slack (matrices read from decimal text)
+        c = max(1, 2**15 // n**2)
         detour = np.full((n, n), np.inf)
-        for k in range(n):
-            np.minimum(detour, dist[:, k, None] + dist[None, k, :], out=detour)
+        for k in range(0, n, c):
+            via = dist[k : k + c, :, None] + dist[k : k + c, None, :]
+            np.minimum(detour, via[0] if c == 1 else via.min(axis=0), out=detour)
         slack = tol.triangle_rel * float(dist.max())
-        viol = np.argwhere(dist > detour + slack)
-        if viol.size:
-            i, j = viol[0]
+        if (dist > detour + slack).any():
+            i, j = np.argwhere(dist > detour + slack)[0]
             k = int(np.argmin(dist[i, :] + dist[:, j]))
             raise TriangleViolationError(
                 int(i), k, int(j), float(dist[i, j]), float(dist[i, k] + dist[k, j])
@@ -79,7 +81,8 @@ def validate_distance_matrix(dist: np.ndarray, tol: Tolerances, n_labels: int | 
 
 @dataclass(frozen=True, eq=False)
 class MetricSpace:
-    """An n-point metric space stored as its distance matrix."""
+    """An n-point metric space stored as its distance matrix, validated at
+    construction; a ``subspace`` inherits the validation and runs none."""
 
     dist: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -108,9 +111,24 @@ class MetricSpace:
 
     def scaled(self, factor: float) -> "MetricSpace":
         """The same point set with every distance multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return MetricSpace(self.dist * factor, labels=self.labels)
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
+        with np.errstate(over="ignore"):  # an overflow is reported by the validation
+            return MetricSpace(self.dist * factor, labels=self.labels)
+
+    def subspace(self, points) -> "MetricSpace":
+        """The space on the given distinct point indices, in that order, with
+        their labels: a subset of a metric space is one, so no validation runs."""
+        idx = list(map(operator.index, points))
+        if not idx or len(set(idx)) < len(idx) or min(idx) < 0 or max(idx) >= self.n:
+            raise ValueError(f"subspace needs distinct point indices in [0, {self.n}), got {idx}")
+        sub = object.__new__(MetricSpace)
+        dist = self.dist.take(idx, axis=0).take(idx, axis=1)
+        dist.setflags(write=False)
+        object.__setattr__(sub, "dist", dist)
+        labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
+        object.__setattr__(sub, "labels", labels)
+        return sub
 
     def __repr__(self) -> str:
         return f"MetricSpace(n={self.n}, diameter={self.diameter:g})"

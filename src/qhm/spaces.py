@@ -15,6 +15,7 @@ non-decreasing and converges to M of the continuum space.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -295,11 +296,16 @@ def approx_m(
     """Approximate M of a built-in compact space through nested finite samples.
 
     Since the sample sets are nested, the values are non-decreasing; this is
-    verified with a small slack and recorded in ``monotone_ok``. A sample
-    space failing the quasihypermetric check indicates a broken descriptor
-    (the built-in spaces all have the property) and raises.
+    verified with a small slack and recorded in ``monotone_ok``. Only the sample
+    of ``max_n`` points is validated: each size n is its subspace on the first
+    n points, which inherits that validation. A sample failing the
+    quasihypermetric check indicates a broken descriptor and raises.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
+    try:
+        max_n = operator.index(max_n)
+    except TypeError:
+        raise TypeError(f"max_n must be an integer, got {max_n!r}") from None
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     cap = desc.max_points()
@@ -309,9 +315,9 @@ def approx_m(
     values: list[float] = []
     monotone = True
     # the samples are nested, so each is a leading block of the largest
-    full = desc.sample_space(max_n, seed=seed).dist
+    full = desc.sample_space(max_n, seed=seed)
     for n in range(2, max_n + 1):
-        report = compute_m(MetricSpace(full[:n, :n]), tol=t)
+        report = compute_m(full.subspace(range(n)), tol=t)
         if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
             raise DescriptorError(
                 f"sample space of size {n} is not quasihypermetric; descriptor is broken"

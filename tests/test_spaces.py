@@ -1,5 +1,7 @@
 """Fixtures, generators, samplers, and the approximation traces."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import qhm
 from qhm.errors import DescriptorError, DuplicatePointError
+from qhm.report import m_report_to_json
 from qhm.spaces import van_der_corput
 
 
@@ -195,3 +198,66 @@ def test_samples_are_bit_identical_leading_blocks_of_the_largest(monkeypatch):
     )
     assert qhm.approx_m(descs[1], max_n=9).sizes == list(range(2, 10))
     assert len(calls) == 1
+
+
+def test_approx_max_n_must_be_an_integer():
+    desc = qhm.CompactSpaceDescriptor(kind="interval", length=1.0)
+    for bad in (3.5, "4", None):
+        with pytest.raises(TypeError, match="max_n"):
+            qhm.approx_m(desc, max_n=bad)
+    assert qhm.approx_m(desc, max_n=np.int64(4)).m_values == qhm.approx_m(desc, max_n=4).m_values
+
+
+def _approx_descriptors():
+    cloud = np.random.default_rng(23).normal(size=(60, 3)).tolist()
+    return [
+        qhm.CompactSpaceDescriptor(kind="interval", length=1.3),
+        qhm.CompactSpaceDescriptor(kind="circle", circumference=5.9),
+        qhm.CompactSpaceDescriptor(kind="euclidean_pointcloud", points=cloud),
+    ]
+
+
+def _spied_reports(monkeypatch):
+    reports = []
+    compute_m = qhm.spaces.compute_m
+    monkeypatch.setattr(
+        qhm.spaces, "compute_m", lambda *a, **k: reports.append(compute_m(*a, **k)) or reports[-1]
+    )
+    return reports
+
+
+def test_approx_m_traces_match_the_per_prefix_route(monkeypatch):
+    """Each size read as a subspace of the one validated sample gives the trace,
+    tags and reports of a fresh MetricSpace on the leading block, byte for byte."""
+    reports = _spied_reports(monkeypatch)
+    for desc, seed, max_n in itertools.product(_approx_descriptors(), (0, 5), (2, 3, 17, 48)):
+        reports.clear()
+        trace = qhm.approx_m(desc, max_n=max_n, seed=seed)
+        full = desc.sample_space(max_n, seed=seed).dist
+        ref = [qhm.compute_m(qhm.MetricSpace(full[:n, :n])) for n in range(2, max_n + 1)]
+        assert trace.sizes == list(range(2, max_n + 1))
+        assert [json.dumps(m_report_to_json(r)) for r in reports] == [
+            json.dumps(m_report_to_json(r)) for r in ref
+        ]
+        values = [r.m_value for r in ref]
+        assert np.array(trace.m_values).tobytes() == np.array(values).tobytes()
+        rising = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+        assert trace.monotone_ok == rising
+
+
+def test_approx_m_validates_one_sample_per_trace(monkeypatch):
+    calls = []
+    validate = qhm.metric.validate_distance_matrix
+    monkeypatch.setattr(
+        qhm.metric, "validate_distance_matrix", lambda d, *a: calls.append(d.shape[0]) or validate(d, *a)
+    )
+    for desc in _approx_descriptors():
+        calls.clear()
+        qhm.approx_m(desc, max_n=24, seed=5)
+        assert calls == [24]
+        # the per-prefix route it replaces validated every size
+        calls.clear()
+        full = desc.sample_space(24, seed=5).dist
+        for n in range(2, 25):
+            qhm.MetricSpace(full[:n, :n])
+        assert calls == [24] + list(range(2, 25))
