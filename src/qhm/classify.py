@@ -30,8 +30,8 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError
-from .linalg import cholesky, definite_solve, double_center, jacobi_eigh, one_sided_jacobi
-from .linalg import symmetric_rank_and_nullspace
+from .linalg import _sign_columns, cholesky, definite_solve, double_center, jacobi_eigh
+from .linalg import one_sided_jacobi, symmetric_rank_and_nullspace
 from .metric import MetricSpace, SignedMeasure, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -57,8 +57,8 @@ class Analysis:
     ``kernel_eig``, that of the centred kernel -1/2 P d P, eigenvalues
     descending, read by the centred verdicts and ``s_embed``; and
     ``kernel_coords``, the same spectrum with the principal coordinates by
-    one-sided Jacobi, read by ``s_embed`` alone, on large strictly
-    quasihypermetric spaces.
+    one-sided Jacobi, which ``s_embed`` reads in its place on every space
+    certified strictly quasihypermetric, unless it is None.
     ``build_report`` passes one per report to the entry points that take
     ``analysis=``; called alone, each makes its own, so none outlives one call.
     """
@@ -121,10 +121,7 @@ class Analysis:
         y = np.zeros((n, n))
         y[:-1, :-1] = z.T
         y[:, :-1] -= np.outer(h, (z * h[:-1]).sum(axis=1) / h[-1])
-        # jacobi_eigh's sign rule: each column's largest-magnitude entry is positive
-        flip = y[np.argmax(np.abs(y), axis=0), np.arange(n)] < 0.0
-        y[:, flip] = -y[:, flip]
-        return np.append(w[order], 0.0), y
+        return np.append(w[order], 0.0), _sign_columns(y)  # jacobi_eigh's sign rule
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import Analysis
 from .errors import ContradictionError, ConvergenceWarning, NotQuasihypermetricError, PreconditionError
-from .linalg import lstsq_minnorm
+from .linalg import RANK_REL, definite_solve, lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure
 from .minnorm import min_norm_point_in_hull
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -64,23 +64,14 @@ class SEmbedding:
         return sum(((x[:, None] - x[None, :]) ** 2 for x in self.points.T), np.zeros((n, n)))
 
 
-# the fewest points at which a strictly quasihypermetric space is embedded by
-# the one-sided route. Not a speed crossover (the route is also faster at odd
-# n < 16): below it the embeddings stay those of the two-sided kernel bit for
-# bit, including the bases picked within repeated eigenvalues
-ONE_SIDED_MIN_N = 16
-
-
 def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:
     """Embed (X, sqrt(d)) in Euclidean space of minimal dimension.
 
-    Coordinates come from the centred kernel's eigenpairs, ``kernel_eig`` of
-    the analysis, or, on a space of at least ``ONE_SIDED_MIN_N`` points
-    certified strictly quasihypermetric, from ``kernel_coords``, one-sided
-    Jacobi on a Cholesky factor of the kernel, when that factor exists. The
-    two agree up to rounding and, within repeated eigenvalues, a rotation.
-    The one-sided route re-derives the kernel from d and does not reuse the
-    Cholesky factor of the strictness verdict that the embedding re-checks.
+    Coordinates are the analysis' ``kernel_coords``, by one-sided Jacobi on a
+    Cholesky factor of the centred kernel re-derived from d, on a space
+    certified strictly quasihypermetric, and else, or where that factor fails,
+    the scaled eigenpairs ``kernel_eig``: equal up to rounding and a rotation
+    within repeated eigenvalues.
 
     Raises ``NotQuasihypermetricError`` (with the offending mass-zero vector)
     if the centred kernel has a significantly negative eigenvalue.
@@ -89,7 +80,7 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
     space, t, n = a.space, a.tol, a.space.n
     if n == 1:
         return SEmbedding(space, np.zeros((1, 0)), 0, np.zeros(1))
-    coords = a.kernel_coords if n >= ONE_SIDED_MIN_N and a.certified_strict else None
+    coords = a.kernel_coords if a.certified_strict else None
     w, v = a.kernel_eig if coords is None else coords
     if w[-1] < -t.pos_tol(n, space.diameter):
         low = int(np.argmin(w))  # the first of tied lowest, as in ascending order
@@ -116,10 +107,12 @@ def fit_circumsphere(emb: SEmbedding) -> Sphere:
     """Least-squares circumsphere of the embedded points, never thresholded.
 
     In centred coordinates yc_i = y_i - mean(y), with s_i = |yc_i|^2, the
-    conditions |yc_i - z|^2 = r^2 become 2 Yc z = s - mean(s), solved in
-    least squares (Yc'Yc is diagonal on ``s_embed`` output). Reports the
-    residual per equation relative to max(1, diameter): machine level for a
-    spherical point set, large otherwise.
+    conditions |yc_i - z|^2 = r^2 become 2 Yc z = s - mean(s). On ``s_embed``
+    output Yc'Yc is diagonal: where Gershgorin's discs show it so within
+    sqrt(eps), clear of ``RANK_REL`` trace(Yc'Yc), the diagonal solve and one
+    Jacobi step solve the normal equations; elsewhere ``definite_solve`` with
+    that shift, or ``lstsq_minnorm`` where it refuses (rank-deficient points).
+    The residual per equation is relative to max(1, diameter).
     """
     pts = emb.points
     n = pts.shape[0]
@@ -128,10 +121,16 @@ def fit_circumsphere(emb: SEmbedding) -> Sphere:
     centroid = pts.mean(axis=0)
     yc = pts - centroid[None, :]
     sq = np.einsum("ij,ij->i", yc, yc)
-    zc, residual = lstsq_minnorm(2.0 * yc, sq - sq.mean())
-    radii = np.linalg.norm(yc - zc[None, :], axis=1)
-    rel = residual / (math.sqrt(n) * max(1.0, emb.space.diameter))
-    return Sphere(zc + centroid, float(radii.mean()), rel)
+    b = sq - sq.mean()
+    a, c = yc.T @ yc, 0.5 * (yc.T @ b)
+    d, cut = np.diag(a), RANK_REL * sq.sum()
+    if np.all(np.abs(a - np.diag(d)).sum(axis=1) < np.sqrt(np.finfo(float).eps) * (d - cut)):
+        zc = (2.0 * c - a @ (c / d)) / d
+    else:
+        solved = definite_solve(a, c, cut * np.eye(len(a)))
+        zc = lstsq_minnorm(2.0 * yc, b)[0] if solved is None else solved[1]
+    rel = float(np.linalg.norm(2.0 * yc @ zc - b)) / (math.sqrt(n) * max(1.0, emb.space.diameter))
+    return Sphere(zc + centroid, float(np.linalg.norm(yc - zc, axis=1).mean()), rel)
 
 
 def circumsphere(emb: SEmbedding, tol: Tolerances | None = None) -> Sphere | None:

@@ -8,10 +8,9 @@ positive definiteness and solves positive definite systems. One-sided Jacobi
 (Hestenes) on a Cholesky factor L of a positive definite A = L L' gives A's
 eigenvalues, each to a relative error of about eps times the condition number
 of A scaled to unit diagonal, not of A itself (Demmel & Veselic); it embeds
-the strictly quasihypermetric spaces of at least ``embedding.ONE_SIDED_MIN_N``
-points, and the two-sided kernel does every other decomposition, on one array
-[A | V'] of A and its eigenvector rows that holds A or A' in turn, so that it
-never copies a transpose.
+every certified strictly quasihypermetric space, and the two-sided kernel does
+every other decomposition, on one array [A | V'] of A and its eigenvector rows
+that holds A or A' in turn, so that it never copies a transpose.
 """
 
 from __future__ import annotations
@@ -78,8 +77,7 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
     w : ndarray
         Eigenvalues in ascending order.
     v : ndarray
-        Matching orthonormal eigenvectors as columns. Each column's sign is
-        normalized so its largest-magnitude entry is positive.
+        Matching orthonormal eigenvectors as columns, signed by ``_sign_columns``.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -122,11 +120,16 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
             # A, in the input's memory order, fixes the order of the off-norm's sum
             np.copyto(a, av.T if flipped else av)
     order = np.argsort(np.diag(av), kind="stable")
-    w = np.diag(av)[order]
-    v = av_vt[order, n:].T
-    flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
+    return np.diag(av)[order], _sign_columns(av_vt[order, n:].T)
+
+
+def _sign_columns(v) -> np.ndarray:
+    """``v``, each column negated where its first entry within a relative 1e-12
+    of its largest magnitude is negative: mirror-image ties sign by position."""
+    lead = np.argmax((mag := np.abs(v)) >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+    flip = v[lead, np.arange(v.shape[1])] < 0.0
     v[:, flip] = -v[:, flip]
-    return w, v
+    return v
 
 
 def one_sided_jacobi(a) -> np.ndarray:

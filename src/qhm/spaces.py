@@ -218,17 +218,18 @@ class CompactSpaceDescriptor:
             return MetricSpace(np.abs(pos[:, None] - pos[None, :]))
         if self.kind == "circle":
             c = float(self.circumference)
-            xs = [0.0, 0.25 * c, 0.5 * c, 0.75 * c]
-            k = 1
-            while len(xs) < n:
+            xs, m, k = np.empty(max(n, 4)), 4, 1
+            xs[:4] = 0.0, 0.25 * c, 0.5 * c, 0.75 * c
+            while m < n:
                 cand = (k * _GOLDEN) % 1.0 * c
                 k += 1
                 # guard against (theoretically impossible) collisions, with
                 # wraparound taken into account
-                sep = min(min(abs(cand - x), c - abs(cand - x)) for x in xs)
-                if sep > 1e-12 * c:
-                    xs.append(cand)
-            pos = np.array(xs[:n])
+                gap = np.abs(cand - xs[:m])
+                if np.min(np.minimum(gap, c - gap)) > 1e-12 * c:
+                    xs[m] = cand
+                    m += 1
+            pos = xs[:n]
             gap = np.abs(pos[:, None] - pos[None, :])
             return MetricSpace(np.minimum(gap, c - gap))
         cloud = np.array(self.points)

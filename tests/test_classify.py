@@ -9,7 +9,6 @@ import pytest
 
 import qhm
 from qhm import classify
-from qhm.embedding import ONE_SIDED_MIN_N
 from qhm.errors import BudgetExceededError
 from qhm.linalg import double_center, jacobi_eigh
 from qhm.tolerances import DEFAULT_TOLERANCES
@@ -230,9 +229,8 @@ def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_qua
 
 def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     """A strictly quasihypermetric report makes one strict-margin Cholesky
-    test and one decomposition of the centred kernel: below N0 points an
-    n x n Jacobi decomposition, from N0 up one-sided Jacobi on its deflated
-    factor and no n x n Jacobi decomposition."""
+    test and one decomposition of the centred kernel, one-sided Jacobi on its
+    deflated factor, at every n, and no Jacobi eigendecomposition."""
     sizes, shifts, one_sided = [], [], []
 
     def counted_eigh(a, *args, **kwargs):
@@ -255,26 +253,22 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     rng = np.random.default_rng(23)
     spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
     spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (5, 8)]
-    spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (ONE_SIDED_MIN_N, 24)]
+    spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (16, 24)]
     # the ellipsoid route's budget is n (2B+1)^n even though it enumerates far less
     wide = qhm.Tolerances(hyper_budget=1e14)
     for space in spaces:
         sizes.clear()
         shifts.clear()
         one_sided.clear()
-        if space.n < ONE_SIDED_MIN_N:
+        if space.n < 16:
             doc = qhm.build_report(space)
         else:
             doc = qhm.build_report(space, hyper_bound=1, tol=wide)
         assert doc["classification"]["strictly_quasihypermetric"]["holds"]
         assert doc["classification"]["matrix_rank"] == space.n
         assert len(shifts) == 1 and shifts[0] is not None
-        if space.n < ONE_SIDED_MIN_N:
-            assert sizes.count(space.n) == 1 and len(sizes) == 2  # and the circumsphere fit
-            assert one_sided == []
-        else:
-            assert sizes == [space.n - 1]  # the circumsphere fit alone
-            assert one_sided == [space.n - 1]
+        assert sizes == []
+        assert one_sided == [space.n - 1]
 
 
 def test_hypermetric_budget_fails_before_any_decomposition(monkeypatch):

@@ -8,9 +8,8 @@ import pytest
 
 import qhm
 from qhm import classify
-from qhm.embedding import ONE_SIDED_MIN_N
 from qhm.errors import ContradictionError, NotQuasihypermetricError, PreconditionError
-from qhm.linalg import cholesky, gram_rank, one_sided_jacobi
+from qhm.linalg import cholesky, gram_rank, lstsq_minnorm, one_sided_jacobi
 
 from conftest import euclidean_corpus
 
@@ -188,6 +187,82 @@ def test_circumsphere_follows_a_rigid_motion(star, equilateral):
         assert moved.residual < 1e-12
 
 
+def test_circumsphere_of_an_embedding_runs_no_eigensolver(monkeypatch):
+    spaces = [qhm.make_fixture(n) for n in ("assouad5", "equilateral3_6", "cycle4_arclength", "star_1_2")]
+    spaces += euclidean_corpus(20, seed=14)
+    spaces += [qhm.CompactSpaceDescriptor("circle", circumference=5.0).sample_space(9)]
+    embs = [qhm.s_embed(space) for space in spaces]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the circumsphere fit ran a factorization")
+
+    # on an embedding the normal matrix is diagonal to rounding: no Cholesky either
+    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", refused)
+    monkeypatch.setattr(qhm.embedding, "lstsq_minnorm", refused)
+    monkeypatch.setattr(qhm.embedding, "definite_solve", refused)
+    for emb in embs:
+        qhm.fit_circumsphere(emb)
+
+
+def test_circumsphere_of_rotated_points_is_solved_by_cholesky(monkeypatch, star):
+    emb = qhm.s_embed(star)
+    q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(emb.dim, emb.dim)))
+    pts = emb.points @ q + 1.5
+    solves = []
+
+    def counted_solve(a, b, shift=None):
+        solves.append(len(a))
+        return qhm.linalg.definite_solve(a, b, shift)
+
+    monkeypatch.setattr(qhm.embedding, "definite_solve", counted_solve)
+    sphere = qhm.fit_circumsphere(replace(emb, points=pts))
+    assert solves == [emb.dim]
+    yc = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", yc, yc)
+    zc, _ = lstsq_minnorm(2.0 * yc, sq - sq.mean())
+    assert np.allclose(sphere.centre, zc + pts.mean(axis=0), rtol=0.0, atol=1e-12)
+    assert sphere.residual < 1e-14
+
+
+def test_circumsphere_of_rank_deficient_points_is_the_minimum_norm_one(monkeypatch):
+    """Coplanar points given in 3 coordinates: the normal matrix is singular,
+    Cholesky refuses, and the centre is the minimum-norm least-squares one."""
+    rng = np.random.default_rng(3)
+    square = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    tilted = square @ q + np.array([0.5, -2.0, 1.0])
+    fallbacks = []
+
+    def counted_lstsq(a, b, *args, **kwargs):
+        fallbacks.append(a.shape)
+        return lstsq_minnorm(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(qhm.embedding, "lstsq_minnorm", counted_lstsq)
+    for pts in (square, tilted, rng.normal(size=(5, 2)) @ rng.normal(size=(2, 4))):
+        space = qhm.from_euclidean(pts)
+        sphere = qhm.fit_circumsphere(qhm.SEmbedding(space, pts, pts.shape[1], np.zeros(len(pts))))
+        yc = pts - pts.mean(axis=0)
+        sq = np.einsum("ij,ij->i", yc, yc)
+        zc, residual = lstsq_minnorm(2.0 * yc, sq - sq.mean())
+        assert np.array_equal(sphere.centre, zc + pts.mean(axis=0))
+        assert sphere.residual == residual / (math.sqrt(len(pts)) * max(1.0, space.diameter))
+    assert fallbacks == [(4, 3), (4, 3), (5, 4)]
+    unit = qhm.fit_circumsphere(qhm.SEmbedding(qhm.from_euclidean(square), square, 3, np.zeros(4)))
+    assert abs(unit.radius - 1.0) < 1e-12
+
+
+def test_twice_the_squared_radius_is_m():
+    rng = np.random.default_rng(29)
+    spaces = [qhm.make_fixture(n) for n in ("equilateral3_6", "cycle4_arclength", "star_1_2")]
+    spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in range(3, 13)]
+    t = qhm.DEFAULT_TOLERANCES
+    for space in spaces:
+        m = qhm.compute_m(space).m_value
+        sphere = qhm.fit_circumsphere(qhm.s_embed(space))
+        assert abs(2.0 * sphere.radius**2 - m) <= t.inv_tol(space.n, space.diameter)
+        assert sphere.residual <= t.sphere
+
+
 def test_affinely_independent_matches_homogeneous_rank(equilateral, cycle4, star, assouad):
     spaces = [equilateral, cycle4, star, assouad] + euclidean_corpus(30, seed=12)
     for space in spaces:
@@ -197,15 +272,21 @@ def test_affinely_independent_matches_homogeneous_rank(equilateral, cycle4, star
 
 
 def _strict_spaces():
-    """Strictly quasihypermetric spaces of N0..64 points: Gaussian point sets
+    """Strictly quasihypermetric spaces of 3..64 points: Gaussian point sets
     in R^3 and evenly sampled intervals."""
     rng = np.random.default_rng(37)
-    spaces = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (ONE_SIDED_MIN_N, 17, 24, 33, 64)]
+    spaces = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (16, 17, 24, 33, 64, 3, 7, 12)]
     spaces += [
         qhm.CompactSpaceDescriptor("interval", length=length).sample_space(n)
-        for n, length in ((ONE_SIDED_MIN_N, 1.0), (21, 2.5), (40, 0.7))
+        for n, length in ((16, 1.0), (21, 2.5), (40, 0.7), (5, 1.0), (17, 0.8))
     ]
     return spaces
+
+
+def _leads(y):
+    """Each column's leading entry: the first within 1e-12 of its largest magnitude."""
+    mag = np.abs(y)
+    return np.array([np.flatnonzero(m >= (1.0 - 1e-12) * m.max())[0] for m in mag.T])
 
 
 def test_one_sided_route_agrees_with_the_two_sided_kernel():
@@ -223,7 +304,7 @@ def test_one_sided_route_agrees_with_the_two_sided_kernel():
         # principal coordinates: orthogonal columns whose squared norms are the eigenvalues
         gram = y.T @ y
         assert np.allclose(gram, np.diag(emb.gram_eigenvalues[:-1]), rtol=0.0, atol=1e-12 * w[0])
-        assert np.all(y[np.argmax(np.abs(y), axis=0), np.arange(n - 1)] > 0.0)  # the sign rule
+        assert np.all(y[_leads(y), np.arange(n - 1)] > 0.0)  # the sign rule
         dev = np.max(np.abs(emb.squared_point_distances() - space.dist))
         assert dev <= tol.emb_tol(space.diameter)
         # the same coordinates as the two-sided route, the eigenvalues being simple
@@ -232,9 +313,25 @@ def test_one_sided_route_agrees_with_the_two_sided_kernel():
         assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def test_mirror_entries_sign_both_routes_alike():
+    """The 17-point interval of length 0.8: columns whose two largest entries
+    are mirror images take the same sign from both routes, by position."""
+    space = qhm.CompactSpaceDescriptor("interval", length=0.8).sample_space(17)
+    a = classify.Analysis(space)
+    w, v = a.kernel_eig
+    y = a.kernel_coords[1][:, :-1]
+    mag = np.abs(y)
+    top = np.sort(mag, axis=0)
+    assert np.any(top[-2] >= (1.0 - 1e-12) * top[-1])  # some column has tied entries
+    assert np.array_equal(np.sign(y[_leads(y), np.arange(16)]), np.ones(16))
+    assert np.array_equal(np.sign(v[_leads(v), np.arange(17)]), np.ones(17))
+    ref = v[:, :-1] * np.sqrt(w[:-1])
+    assert np.array_equal(np.sign(np.sum(y * ref, axis=0)), np.ones(16))
+
+
 def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
-    """Band spaces, spaces that are not quasihypermetric and spaces of fewer
-    than N0 points never try the route; strict spaces of N0 points take it."""
+    """Band spaces and spaces that are not quasihypermetric never try the
+    route; every certified strict space, from n = 2 up, takes it once."""
     factored, rotated = [], []
 
     def counted_cholesky(a):
@@ -248,38 +345,42 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify, "one_sided_jacobi", counted_jacobi)
     circle = qhm.CompactSpaceDescriptor("circle", circumference=5.0)
-    for n in (ONE_SIDED_MIN_N, 20, 33):
+    for n in (4, 7, 16, 20, 33):
         band = circle.sample_space(n)
         assert not classify.Analysis(band).certified_strict
         assert qhm.s_embed(band).dim < n - 1
+    for n in (5, 9, 16, 20, 33):
         with pytest.raises(NotQuasihypermetricError):
-            qhm.s_embed(qhm.random_metric(n, seed=1))
+            qhm.s_embed(qhm.random_metric(n, seed=1 if n > 5 else 279))
+    assert factored == [] and rotated == []
     rng = np.random.default_rng(5)
-    small = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in range(2, ONE_SIDED_MIN_N)]
-    for space in small + [qhm.make_fixture("equilateral3_6"), qhm.make_fixture("star_1_2")]:
+    strict = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in range(2, 18)]
+    strict += [qhm.make_fixture("equilateral3_6"), qhm.make_fixture("star_1_2")]
+    for space in strict:
         assert classify.Analysis(space).certified_strict
         qhm.full_embedding(space)
-    assert factored == [] and rotated == []
-    qhm.full_embedding(qhm.from_euclidean(rng.normal(size=(ONE_SIDED_MIN_N, 3))))
-    assert factored == rotated == [ONE_SIDED_MIN_N - 1]
+    assert factored == rotated == [space.n - 1 for space in strict]
 
 
 def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
-    space = _strict_spaces()[0]
-    monkeypatch.setattr(qhm.embedding, "ONE_SIDED_MIN_N", space.n + 1)
-    two_sided = qhm.s_embed(space)
-    monkeypatch.setattr(qhm.embedding, "ONE_SIDED_MIN_N", space.n)
-    monkeypatch.setattr(classify, "cholesky", lambda a: None)
-    fallback = qhm.s_embed(space)
-    assert np.array_equal(fallback.points, two_sided.points)
-    assert np.array_equal(fallback.gram_eigenvalues, two_sided.gram_eigenvalues)
+    for space in _strict_spaces()[:1] + _strict_spaces()[-2:]:
+        monkeypatch.setattr(classify, "cholesky", lambda a: None)
+        a = classify.Analysis(space)
+        assert a.certified_strict and a.kernel_coords is None
+        fallback = qhm.s_embed(space, analysis=a)
+        w, v = a.kernel_eig
+        assert np.array_equal(fallback.gram_eigenvalues, w)
+        assert fallback.dim == space.n - 1
+        assert np.array_equal(fallback.points, v[:, : space.n - 1] * np.sqrt(w[: space.n - 1]))
+        monkeypatch.undo()
+        assert classify.Analysis(space).kernel_coords is not None
 
 
 def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypatch):
-    """With the Cholesky verdict forced on a circle sample of N0 points, the
+    """With the Cholesky verdict forced on a 16-point circle sample, the
     embedding takes the one-sided route and the report's dimension re-check
     still refuses it."""
-    space = qhm.CompactSpaceDescriptor("circle", circumference=5.0).sample_space(ONE_SIDED_MIN_N)
+    space = qhm.CompactSpaceDescriptor("circle", circumference=5.0).sample_space(16)
     factored = []
 
     def counted_cholesky(a):
@@ -292,4 +393,4 @@ def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypa
     monkeypatch.setattr(classify, "check_hypermetric_bounded", lambda *args, **kwargs: classify.Verdict(True))
     with pytest.raises(ContradictionError, match="< n - 1"):
         qhm.build_report(space)
-    assert factored == [ONE_SIDED_MIN_N - 1]
+    assert factored == [15]

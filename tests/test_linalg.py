@@ -334,8 +334,10 @@ def _ref_jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=64):
     order = np.argsort(np.diag(a), kind="stable")
     w = np.diag(a)[order]
     v = vt[order].T
-    flip = v[np.argmax(np.abs(v), axis=0), np.arange(n)] < 0.0
-    v[:, flip] = -v[:, flip]
+    for j in range(n):  # the first entry within 1e-12 of the largest magnitude is positive
+        mag = np.abs(v[:, j])
+        if v[np.flatnonzero(mag >= (1.0 - 1e-12) * mag.max())[0], j] < 0.0:
+            v[:, j] = -v[:, j]
     return w, v
 
 
