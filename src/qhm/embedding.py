@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import Analysis
 from .errors import ContradictionError, ConvergenceWarning, NotQuasihypermetricError, PreconditionError
-from .linalg import RANK_REL, definite_solve, lstsq_minnorm
+from .linalg import RANK_REL, lstsq_minnorm
 from .metric import MetricSpace, SignedMeasure
 from .minnorm import min_norm_point_in_hull
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -110,8 +110,8 @@ def fit_circumsphere(emb: SEmbedding) -> Sphere:
     conditions |yc_i - z|^2 = r^2 become 2 Yc z = s - mean(s). On ``s_embed``
     output Yc'Yc is diagonal: where Gershgorin's discs show it so within
     sqrt(eps), clear of ``RANK_REL`` trace(Yc'Yc), the diagonal solve and one
-    Jacobi step solve the normal equations; elsewhere ``definite_solve`` with
-    that shift, or ``lstsq_minnorm`` where it refuses (rank-deficient points).
+    Jacobi step solve the normal equations; other points, rotated or
+    rank-deficient, take ``lstsq_minnorm``'s minimum-norm solution.
     The residual per equation is relative to max(1, diameter).
     """
     pts = emb.points
@@ -127,8 +127,7 @@ def fit_circumsphere(emb: SEmbedding) -> Sphere:
     if np.all(np.abs(a - np.diag(d)).sum(axis=1) < np.sqrt(np.finfo(float).eps) * (d - cut)):
         zc = (2.0 * c - a @ (c / d)) / d
     else:
-        solved = definite_solve(a, c, cut * np.eye(len(a)))
-        zc = lstsq_minnorm(2.0 * yc, b)[0] if solved is None else solved[1]
+        zc = lstsq_minnorm(2.0 * yc, b)[0]
     rel = float(np.linalg.norm(2.0 * yc @ zc - b)) / (math.sqrt(n) * max(1.0, emb.space.diameter))
     return Sphere(zc + centroid, float(np.linalg.norm(yc - zc, axis=1).mean()), rel)
 

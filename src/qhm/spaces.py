@@ -218,18 +218,13 @@ class CompactSpaceDescriptor:
             return MetricSpace(np.abs(pos[:, None] - pos[None, :]))
         if self.kind == "circle":
             c = float(self.circumference)
-            xs, m, k = np.empty(max(n, 4)), 4, 1
-            xs[:4] = 0.0, 0.25 * c, 0.5 * c, 0.75 * c
-            while m < n:
-                cand = (k * _GOLDEN) % 1.0 * c
-                k += 1
-                # guard against (theoretically impossible) collisions, with
-                # wraparound taken into account
-                gap = np.abs(cand - xs[:m])
-                if np.min(np.minimum(gap, c - gap)) > 1e-12 * c:
-                    xs[m] = cand
-                    m += 1
-            pos = xs[:n]
+            # the quarter points, then golden-ratio steps. No two coincide:
+            # |m phi - p| >= 1 / (phi^2 m) for integers m >= 1 and p, so step k
+            # is at least c / (phi^2 k) from every earlier step and at least
+            # c / (16 phi^2 k) from the quarter points
+            quarters = [0.0, 0.25 * c, 0.5 * c, 0.75 * c]
+            steps = (np.arange(1, max(n - 3, 1)) * _GOLDEN) % 1.0 * c
+            pos = np.concatenate([quarters, steps])[:n]
             gap = np.abs(pos[:, None] - pos[None, :])
             return MetricSpace(np.minimum(gap, c - gap))
         cloud = np.array(self.points)

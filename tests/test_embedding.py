@@ -196,37 +196,19 @@ def test_circumsphere_of_an_embedding_runs_no_eigensolver(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the circumsphere fit ran a factorization")
 
-    # on an embedding the normal matrix is diagonal to rounding: no Cholesky either
+    # on an embedding the normal matrix is diagonal to rounding
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", refused)
     monkeypatch.setattr(qhm.embedding, "lstsq_minnorm", refused)
-    monkeypatch.setattr(qhm.embedding, "definite_solve", refused)
     for emb in embs:
         qhm.fit_circumsphere(emb)
 
 
-def test_circumsphere_of_rotated_points_is_solved_by_cholesky(monkeypatch, star):
-    emb = qhm.s_embed(star)
-    q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(emb.dim, emb.dim)))
-    pts = emb.points @ q + 1.5
-    solves = []
-
-    def counted_solve(a, b, shift=None):
-        solves.append(len(a))
-        return qhm.linalg.definite_solve(a, b, shift)
-
-    monkeypatch.setattr(qhm.embedding, "definite_solve", counted_solve)
-    sphere = qhm.fit_circumsphere(replace(emb, points=pts))
-    assert solves == [emb.dim]
-    yc = pts - pts.mean(axis=0)
-    sq = np.einsum("ij,ij->i", yc, yc)
-    zc, _ = lstsq_minnorm(2.0 * yc, sq - sq.mean())
-    assert np.allclose(sphere.centre, zc + pts.mean(axis=0), rtol=0.0, atol=1e-12)
-    assert sphere.residual < 1e-14
-
-
-def test_circumsphere_of_rank_deficient_points_is_the_minimum_norm_one(monkeypatch):
-    """Coplanar points given in 3 coordinates: the normal matrix is singular,
-    Cholesky refuses, and the centre is the minimum-norm least-squares one."""
+def test_circumsphere_off_an_embedding_is_the_minimum_norm_one(monkeypatch, star):
+    """Points that are not an embedding's, such as a rotated embedding or
+    coplanar points given in 3 coordinates (a singular normal matrix): the
+    diagonal solve refuses, and the centre is the minimum-norm least-squares one."""
+    turn, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(3, 3)))
+    rotated = qhm.s_embed(star).points @ turn + 1.5
     rng = np.random.default_rng(3)
     square = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -238,7 +220,7 @@ def test_circumsphere_of_rank_deficient_points_is_the_minimum_norm_one(monkeypat
         return lstsq_minnorm(a, b, *args, **kwargs)
 
     monkeypatch.setattr(qhm.embedding, "lstsq_minnorm", counted_lstsq)
-    for pts in (square, tilted, rng.normal(size=(5, 2)) @ rng.normal(size=(2, 4))):
+    for pts in (rotated, square, tilted, rng.normal(size=(5, 2)) @ rng.normal(size=(2, 4))):
         space = qhm.from_euclidean(pts)
         sphere = qhm.fit_circumsphere(qhm.SEmbedding(space, pts, pts.shape[1], np.zeros(len(pts))))
         yc = pts - pts.mean(axis=0)
@@ -246,7 +228,7 @@ def test_circumsphere_of_rank_deficient_points_is_the_minimum_norm_one(monkeypat
         zc, residual = lstsq_minnorm(2.0 * yc, sq - sq.mean())
         assert np.array_equal(sphere.centre, zc + pts.mean(axis=0))
         assert sphere.residual == residual / (math.sqrt(len(pts)) * max(1.0, space.diameter))
-    assert fallbacks == [(4, 3), (4, 3), (5, 4)]
+    assert fallbacks == [(4, 3), (4, 3), (4, 3), (5, 4)]
     unit = qhm.fit_circumsphere(qhm.SEmbedding(qhm.from_euclidean(square), square, 3, np.zeros(4)))
     assert abs(unit.radius - 1.0) < 1e-12
 
