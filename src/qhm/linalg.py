@@ -7,10 +7,11 @@ on these matrices (Demmel & Veselic 1992). A Cholesky factorization decides
 positive definiteness and solves positive definite systems. One-sided Jacobi
 (Hestenes) on a Cholesky factor L of a positive definite A = L L' gives A's
 eigenvalues, each to a relative error of about eps times the condition number
-of A scaled to unit diagonal, not of A itself (Demmel & Veselic); it embeds
-every certified strictly quasihypermetric space, and the two-sided kernel does
-every other decomposition, on one array [A | V'] of A and its eigenvector rows
-that holds A or A' in turn, so that it never copies a transpose.
+of A scaled to unit diagonal, not of A itself (Demmel & Veselic). Turning a
+round's pairs by one batched 2x2 correction (Rutishauser) until a sweep's worth
+of rounds in a row turns none, it embeds every certified strictly QH space; the
+two-sided kernel does every other decomposition, on one array [A | V'] of A
+and its eigenvector rows that holds A or A' in turn, never copying a transpose.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def _rotation(d, apq):
-    """``([c; c], [-s; s])`` of the rotations that zero a_pq in the pairs'
+    """``(c, s)`` of the rotations that zero a_pq in the pairs'
     [[a_pp, a_pq], [a_pq, a_qq]], with d = a_qq - a_pp."""
     # t = tan of the angle, sign(d) 2a_pq / (|d| + hypot(d, 2a_pq)) rounded the
     # same; the form with theta = d / (2 a_pq) overflows as a_pq -> 0
     t = (apq := 2.0 * apq) / (d + np.copysign(np.hypot(d, apq), d))
-    t = np.concatenate((-t, t))[:, None]
-    cc = 1.0 / np.sqrt(t * t + 1.0)
-    return cc, t * cc
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    return c, t * c
 
 
 # the Jacobi kernels' relative off-diagonal size below which a rotation is
@@ -101,12 +101,13 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
             for p, q, pq, qp in _round_robin(n):
                 apq = av[q, p] if flipped else av[p, q]
                 active = np.abs(apq) > skip
-                if not active.all():
-                    if not active.any():
+                if (k := np.count_nonzero(active)) < len(p):
+                    if k == 0:
                         continue
                     p, q, apq = p[active], q[active], apq[active]
                     pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-                cc, ss = _rotation(av[q, q] - av[p, p], apq)
+                c, s = _rotation(av[q, q] - av[p, p], apq)
+                cc, ss = np.concatenate((c, c))[:, None], np.concatenate((-s, s))[:, None]
                 # A <- J'AJ: rows [p; q] to [c m_p - s m_q; s m_p + c m_q], first of the
                 # view that holds A, then of its transpose, av's on [A | V'] to turn V' too
                 for m in (av.T, av_vt) if flipped else (av_vt, av.T):
@@ -138,48 +139,46 @@ def one_sided_jacobi(a) -> np.ndarray:
     is diagonal. The squared row norms of z are the eigenvalues of a'a, and its
     rows, normalized, the eigenvectors, with no rotation accumulated.
 
-    The rounds are ``jacobi_eigh``'s, each a whole-row update. Each pair turns
-    by the angle that zeroes z_p . z_q, the one ``jacobi_eigh`` takes on the
-    pair's Gram matrix, in Rutishauser's form [z_p; z_q] + s [-z_q - tau z_p;
-    z_p - tau z_q], tau = s / (1 + c), which keeps the row norms, and so the
-    eigenvalues, from drifting with the rounding of the cosine. A pair is
+    The rounds are ``jacobi_eigh``'s. Each pair turns by the angle that zeroes
+    z_p . z_q, ``jacobi_eigh``'s on the pair's Gram matrix, a round's pairs by
+    one batched 2x2 product in Rutishauser's correction form [z_p; z_q] +=
+    [[-s tau, -s], [s, -s tau]] [z_p; z_q], tau = s / (1 + c), which keeps the
+    row norms, the eigenvalues, from drifting with the rounding of c. A pair is
     skipped when the cosine of its rows is at most ``SWEEP_TOL``, or z_p . z_q
     at most ``SWEEP_TOL`` |a|_F^2 / m^2 for m rows (``jacobi_eigh``'s skip on
-    z z', so that rows at rounding level of a rank-deficient a settle). Sweeps
-    repeat until one rotates no pair, or emit ``ConvergenceWarning`` when
-    ``MAX_SWEEPS`` run out first.
+    z z', so that rows at rounding level of a rank-deficient a settle). Rounds
+    run until a sweep's worth in a row rotates nothing (whole sweeps would stop
+    with the same z), or emit ``ConvergenceWarning`` after ``MAX_SWEEPS`` sweeps.
     """
     z = np.array(a, dtype=float)
     if z.ndim != 2:
         raise ValueError("expected a matrix")
+    rounds = _round_robin(len(z)) if len(z) > 1 else ()  # a single row is done
     skip = SWEEP_TOL * float(np.sum(z * z)) / max(len(z), 1) ** 2
-    sweeps = MAX_SWEEPS + 1 if len(z) > 1 else 0  # a single row is done
-    for sweep in range(sweeps):
-        if sweep == MAX_SWEEPS:
-            msg = f"one-sided Jacobi hit the cap of {MAX_SWEEPS} sweeps"
-            warnings.warn(ConvergenceWarning(msg), stacklevel=2)
+    quiet = 0  # rounds in a row that rotated no pair
+    for r in range(MAX_SWEEPS * len(rounds)):
+        if quiet == len(rounds):
             break
-        rotated = False
-        for p, q, pq, _ in _round_robin(len(z)):
-            x, k = z[pq], len(p)  # rows [p; q]
-            sq = np.einsum("ij,ij->i", x, x)
-            xx, yy, xy = sq[:k], sq[k:], np.einsum("ij,ij->i", x[:k], x[k:])
-            active = np.abs(xy) > np.maximum(SWEEP_TOL * np.sqrt(xx * yy), skip)
-            if not active.all():
-                if not active.any():
-                    continue
-                p, q, xx, yy, xy = p[active], q[active], xx[active], yy[active], xy[active]
-                x, k = z[pq := np.concatenate((p, q))], len(p)
-            rotated = True
-            cc, ss = _rotation(yy - xx, xy)
-            tmp = (ss / (1.0 + cc)) * x
-            np.subtract(x[k:], tmp[:k], out=tmp[:k])
-            np.subtract(x[:k], tmp[k:], out=tmp[k:])
-            tmp *= ss
-            x += tmp
-            z[pq] = x
-        if not rotated:
-            break
+        p, q, pq, _ = rounds[r % len(rounds)]
+        y = z[pq].reshape(2, len(p), -1)  # rows [p; q]; y[:, i] is pair i's [z_p; z_q]
+        g = np.einsum("aij,bij->abi", y, y)  # the pairs' Gram matrices
+        xx, yy, xy = g[0, 0], g[1, 1], g[0, 1]
+        active = np.abs(xy) > np.maximum(SWEEP_TOL * np.sqrt(xx * yy), skip)
+        if (k := np.count_nonzero(active)) == 0:
+            quiet += 1
+            continue
+        quiet = 0
+        if k < len(p):
+            p, q, xx, yy, xy = p[active], q[active], xx[active], yy[active], xy[active]
+            y = z[pq := np.concatenate((p, q))].reshape(2, k, -1)
+        c, s = _rotation(yy - xx, xy)
+        st = (ns := -s) * (s / (1.0 + c))  # -s tau
+        corr = np.array([[st, ns], [s, st]]).transpose(2, 0, 1)  # k corrections, 2 x 2
+        y += (corr @ y.transpose(1, 0, 2)).transpose(1, 0, 2)
+        z[pq] = y.reshape(2 * k, -1)
+    if quiet < len(rounds):
+        msg = f"one-sided Jacobi hit the cap of {MAX_SWEEPS} sweeps"
+        warnings.warn(ConvergenceWarning(msg), stacklevel=2)
     return z
 
 
