@@ -52,8 +52,7 @@ class Analysis:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
     ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
     positive definite; ``eig_d``, the Jacobi pair of d, eigenvalues
-    ascending, read by ``classify_space`` (rank and nullspace) and by
-    ``compute_m`` where its band route declines (its QH re-check, d w = 1);
+    ascending, read only by ``classify_space`` (rank and nullspace);
     ``kernel_eig``, that of the centred kernel -1/2 P d P, eigenvalues
     descending, read by the centred verdicts and ``s_embed``; and
     ``kernel_coords``, the same spectrum with the principal coordinates by
@@ -177,27 +176,6 @@ def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
     if alpha[int(np.argmax(np.abs(alpha)))] < 0:
         alpha = -alpha
     return Verdict(True), Verdict(False, witness=SignedMeasure(space, alpha))
-
-
-def _qh_by_inertia(a: Analysis) -> bool:
-    """The quasihypermetric verdict of ``_centred_verdicts``, read off the
-    spectrum of d: is the top eigenvalue mu of d on the mass-zero hyperplane
-    at most ptol? By Cauchy interlacing mu lies between the two largest
-    eigenvalues of d, where it is the root of the increasing secular function
-    f(x) = sum u_i^2 / (lambda_i - x), u = V'1. So mu <= ptol iff no
-    eigenvalue exceeds ptol, or exactly one does and f(ptol) =
-    1'(d - ptol I)^-1 1 >= 0 (Haynsworth inertia additivity). ``compute_m``
-    asks it in the band only where ``_band_solution`` declines."""
-    w, v = a.eig_d
-    gap = w - a.tol.pos_tol(a.space.n, a.space.diameter)
-    above = int(np.count_nonzero(gap > 0.0))
-    if above != 1:
-        return above == 0
-    u2 = v.sum(axis=0) ** 2
-    pole = gap == 0.0
-    if np.any(u2[pole] > 0.0):
-        return False  # f falls to -inf just above lambda_2 = ptol, so mu > ptol
-    return float(np.sum(u2[~pole] / gap[~pole])) >= 0.0
 
 
 # the most rows in one block of the box route, which keeps its memory

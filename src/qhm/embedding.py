@@ -205,12 +205,9 @@ def recentred_embedding(space: MetricSpace, tol: Tolerances | None = None) -> SE
     return replace(emb, points=points, sphere=replace(sphere, centre=np.zeros(emb.dim)))
 
 
-def affinely_independent(emb: SEmbedding, tol: Tolerances | None = None) -> bool:
-    """Whether the embedded points are affinely independent.
-
-    They are iff the embedding dimension, the rank ``s_embed`` found for the
-    centred kernel, is n - 1. ``tol`` is accepted for compatibility only.
-    """
+def affinely_independent(emb: SEmbedding) -> bool:
+    """Whether the embedded points are affinely independent: iff the embedding
+    dimension, the rank ``s_embed`` found for the centred kernel, is n - 1."""
     return emb.dim == emb.points.shape[0] - 1
 
 

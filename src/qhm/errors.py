@@ -126,7 +126,7 @@ class NotQuasihypermetricError(NegativityError):
 
 
 class InconsistentSystemError(QhmError):
-    """A linear system that should be consistent was not, within tolerance."""
+    """A solution of d w = 1 that should pass its checks did not, within tolerance."""
 
     exit_code = 14
 

@@ -6,7 +6,8 @@ always consistent when the space is quasihypermetric, the total mass of any
 solution is solution-independent, and M equals its reciprocal, with w
 normalized to mass 1 being a maximal measure. Zero total mass means the
 supremum is infinite, as does failure of the quasihypermetric property. Away
-from its threshold, Cholesky factorizations of Schoenberg's form decide both.
+from its threshold, Cholesky factorizations of Schoenberg's form decide both,
+and near it a semidefinite elimination of that form does: no eigensolver runs.
 
 M+(X), the same supremum over probability measures, is generally smaller: it
 is M(F) for the support F of a maximal probability measure, found by an active
@@ -21,11 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import Analysis, _qh_by_inertia
+from .classify import Analysis
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import cholesky, cholesky_solve, eigh_pinv_solve, gram_rank, lstsq_minnorm
-from .linalg import semidefinite_cholesky
+from .linalg import cholesky, cholesky_solve, eigh_pinv_solve, gram_rank, semidefinite_cholesky
 from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -68,38 +68,6 @@ class MReport:
         return cls(math.inf, None, None, None, None, tags, mass, residual)
 
 
-def _canonical_solution(w0: np.ndarray, null_basis: np.ndarray) -> tuple[np.ndarray, str]:
-    """Pick the canonical solution of a singular consistent system.
-
-    From the minimum-norm solution, move within the solution set so that a
-    maximal independent set of "free" coordinates (chosen greedily from the
-    highest index down) is exactly zero. This is the basic solution classical
-    elimination would produce and it reproduces the textbook maximal measures
-    on the degenerate fixtures; the total mass is unaffected since nullspace
-    vectors of a consistent system have mass zero.
-    """
-    m = null_basis.shape[1]
-    if m == 0:
-        return w0, "unique-solution"
-    picked: list[int] = []
-    ortho: list[np.ndarray] = []
-    for j in range(null_basis.shape[0] - 1, -1, -1):
-        r = null_basis[j].astype(float)
-        for u in ortho:
-            r = r - (r @ u) * u
-        norm = float(np.linalg.norm(r))
-        if norm > 1e-8:
-            picked.append(j)
-            ortho.append(r / norm)
-            if len(picked) == m:
-                break
-    rows = np.array(picked)
-    t, _ = lstsq_minnorm(null_basis[rows, :], -w0[rows])
-    w = w0 + null_basis @ t
-    w[rows] = 0.0
-    return w, "basic-solution"
-
-
 def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> MReport:
     """Compute M(X), a maximal measure when one exists, and the bookkeeping.
 
@@ -108,11 +76,12 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
     ptol = ``pos_tol``, K - ptol S positive definite means strictly QH, and
     K y = g (the last column of d) gives M = g'y and the maximal measure
     [y; 1 - sum y]; K + ptol S not positive definite means not QH, as in
-    ``check_quasihypermetric``. In the band between, ``_band_solution``
-    decides; where it declines, d alone is decomposed: its spectrum re-checks
-    the verdict by inertia (``_qh_by_inertia``) and solves d w = 1, as for a
-    Cholesky solution that fails a check. A one-point space has M = 0,
-    attained by its only probability measure (our convention).
+    ``check_quasihypermetric``. In the band between, and for a Cholesky
+    solution that fails a check, the semidefinite elimination of
+    ``_band_solution`` decides, with no eigensolver: it gives M, or M = inf
+    with a zero-mass certificate, or raises ``InconsistentSystemError``
+    (exit 14) naming ``pos``. A one-point space has M = 0, attained by its
+    only probability measure (our convention).
     """
     a = analysis or Analysis(space, tol)
     space, t = a.space, a.tol
@@ -120,78 +89,92 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
     k, g, shift = a.form
-    # with pos >= rank every eigenvalue of d clears the rank cutoff of the
-    # eigendecomposition route, so the maximal measure is unique
+    # with pos >= rank every eigenvalue of d exceeds rank times the largest
+    # (``Analysis.certified_strict``), so the maximal measure is unique
     if t.pos >= t.rank and a.strict is not None:
         y = a.strict[1]
         w = np.append(y, 1.0 - y.sum()) / float(g @ y)
         try:
             return _certified(space, w, True, t)
         except InconsistentSystemError:
-            pass  # the eigendecomposition route decides, and raises if it fails too
+            pass  # the elimination decides, and raises if it declines too
     elif cholesky(k + shift) is None:
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
-    elif (band := _band_solution(space, t)) is not None:
-        return band
-    elif not _qh_by_inertia(a):
-        return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
-    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), t.rank, a.eig_d)
-    if residual > t.res_tol(space.n):
-        raise InconsistentSystemError(
-            f"the system d w = 1 is inconsistent (residual {residual:.3e}) although the "
-            "quasihypermetric check passed; tolerances may be mis-set for this input"
-        )
-    w, how = _canonical_solution(w0, null_basis)
-    mass = float(w.sum())
-    if abs(mass) <= t.mass_tol(space.n):
-        return MReport._infinite((TAG_ZERO_MASS, f"m:{how}"), mass, residual)
-    # d w = 1 is consistent, so null vectors of d have mass zero and the
-    # bordered matrix of uniqueness_of_maximal has full rank iff d does
-    return _certified(space, w, rank == space.n, t)
+    return _band_solution(space, t)
 
 
-def _band_solution(space: MetricSpace, t: Tolerances) -> MReport | None:
-    """``compute_m`` in the band without an eigensolver, or None where it
-    declines. K0, the form at point 0 (moved last), is eliminated skipping
-    pivots at most ``rank`` times its largest diagonal entry; point 0 and the
-    kept columns T are d's lowest-index column basis, which ``_canonical_solution``
-    keeps. For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I
-    and S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0:
-    QH. K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at
-    point 0, y on T, 0 elsewhere) unless ``_certified`` fails (as at zero mass)."""
+def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
+    """``compute_m`` by elimination. K0, the form at point 0 (moved last), is
+    eliminated skipping pivots at most ``rank`` times its largest diagonal
+    entry; point 0 and the kept columns T are d's lowest-index column basis.
+    For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I and
+    S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0: QH.
+    K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at point
+    0, y on T, 0 elsewhere) if ``_certified`` accepts it. Else a skipped column
+    j with g0[j] - K0[j, T] y beyond ``res_tol`` is a zero-mass certificate:
+    K0's null vector z on j (z_j = 1, z_T = -K0[T, T]^-1 K0[T, j]) is the
+    mass-zero measure v = (-sum z, z), and d v is constant at g0'z, that
+    residual; ``invariant_value`` checks it, and M = inf. Anything else
+    raises ``InconsistentSystemError``."""
     k, g, _ = schoenberg_form(np.roll(space.dist, -1, axis=(0, 1)))
     kept, low, c = semidefinite_cholesky(k, t.rank * 2.0 * float(g.max()))
     gershgorin = c.diagonal() + np.abs(c.diagonal()) - np.abs(c).sum(axis=1)
-    if gershgorin.min(initial=0.0) < -t.pos_tol(space.n, space.diameter):
-        return None
+    if (bound := gershgorin.min(initial=0.0)) < -t.pos_tol(space.n, space.diameter):
+        raise _declined(space, t, f"a Gershgorin bound of {bound:.3e} on its Schur complement")
     y = cholesky_solve(low, g[kept])
     w = np.zeros(space.n)
     w[0], w[1:][kept] = 1.0 - y.sum(), y
     try:
         return _certified(space, w / float(g[kept] @ y), bool(kept.all()), t)
-    except InconsistentSystemError:
-        return None
+    except InconsistentSystemError as refused:
+        declined = _declined(space, t, str(refused))
+    skipped = np.flatnonzero(~kept)
+    gap = g[skipped] - k[np.ix_(skipped, kept)] @ y
+    if not np.any(np.abs(gap) > t.res_tol(space.n)):
+        raise declined
+    j = skipped[np.argmax(np.abs(gap))]
+    z = np.zeros(space.n - 1)
+    z[j], z[kept] = 1.0, -cholesky_solve(low, k[kept, j])
+    v = SignedMeasure(space, np.append(-z.sum(), z))
+    if (level := invariant_value(v, t)) is None or abs(level) <= t.inv_tol(space.n, space.diameter):
+        raise declined
+    w = v.weights / level
+    residual = float(np.linalg.norm(space.dist @ w - 1.0))
+    return MReport._infinite((TAG_ZERO_MASS, "m:elimination-null-vector"), float(w.sum()), residual)
+
+
+def _declined(space: MetricSpace, t: Tolerances, why: str) -> InconsistentSystemError:
+    return InconsistentSystemError(
+        f"the elimination of Schoenberg's form declines ({why}); spaces that fail the "
+        f"quasihypermetric property by less than pos_tol = "
+        f"{t.pos_tol(space.n, space.diameter):.3e} (pos = {t.pos!r}) land here"
+    )
 
 
 def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -> MReport:
-    """The report for a solution w of d w = 1, once its residual, its mass and
-    the potential of the maximal measure w / mass have passed their checks."""
+    """The report for a solution w of d w = 1, once its residual, its mass,
+    the potential of the maximal measure w / mass and M = 1 / mass >= D/2
+    (the diametral pair's energy; a saddle of the energy can fall below it)
+    have passed their checks."""
     mass = float(w.sum())
     residual = float(np.linalg.norm(space.dist @ w - 1.0))
-    measure = SignedMeasure(space, w / mass)
-    deviation = float(np.max(np.abs(potential(measure) - 1.0 / mass)))
+    measure, m = SignedMeasure(space, w / mass), 1.0 / mass
+    deviation = float(np.max(np.abs(potential(measure) - m)))
+    slack = t.inv_tol(space.n, space.diameter)
     if (
         residual > t.res_tol(space.n)
         or abs(mass) <= t.mass_tol(space.n)
-        or deviation > t.inv_tol(space.n, space.diameter)
+        or deviation > slack
+        or m < 0.5 * space.diameter - slack
     ):
         raise InconsistentSystemError(
             "maximal-measure certificate failed: the solution of d w = 1 has residual "
             f"{residual:.3e} and mass {mass:.3e}, and the potential of the solved measure "
-            f"deviates from M by up to {deviation:.3e}"
+            f"deviates from M = {m:.6g} by up to {deviation:.3e}; M is at least D/2 = "
+            f"{0.5 * space.diameter:.6g}"
         )
     tags = ("m:linear-system-pseudoinverse", f"m:{'unique' if unique else 'basic'}-solution")
-    return MReport(1.0 / mass, measure, None, unique, 1.0 / mass, tags, mass, residual)
+    return MReport(m, measure, None, unique, m, tags, mass, residual)
 
 
 def mass_of_solution_is_canonical(space: MetricSpace, tol: Tolerances | None = None) -> bool:

@@ -292,10 +292,11 @@ def approx_m(
     """Approximate M of a built-in compact space through nested finite samples.
 
     Since the sample sets are nested, the values are non-decreasing; this is
-    verified with a small slack and recorded in ``monotone_ok``. Only the sample
-    of ``max_n`` points is validated: each size n is its subspace on the first
-    n points, which inherits that validation. A sample failing the
-    quasihypermetric check indicates a broken descriptor and raises.
+    verified up to ``inv_tol``, the accuracy to which each M is certified, and
+    recorded in ``monotone_ok``. Only the sample of ``max_n`` points is
+    validated: each size n is its subspace on the first n points, which
+    inherits that validation. A sample failing the quasihypermetric check
+    indicates a broken descriptor and raises.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     try:
@@ -312,6 +313,7 @@ def approx_m(
     monotone = True
     # the samples are nested, so each is a leading block of the largest
     full = desc.sample_space(max_n, seed=seed)
+    diameter = full.diameter
     for n in range(2, max_n + 1):
         report = compute_m(full.subspace(range(n)), tol=t)
         if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
@@ -320,6 +322,6 @@ def approx_m(
             )
         sizes.append(n)
         values.append(report.m_value)
-        if len(values) >= 2 and values[-1] < values[-2] - 1e-9 * max(1.0, abs(values[-2])):
+        if len(values) >= 2 and values[-1] < values[-2] - t.inv_tol(n, diameter):
             monotone = False
     return ApproxTrace(desc, seed, sizes, values, monotone)

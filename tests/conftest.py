@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ def one_point():
 NON_QH_SEED = 279
 
 
+# (n, seed, pos): random_metric(n, seed) is not quasihypermetric, but by less
+# than the pos_tol of this pos, and its stationary value of d w = 1 is a
+# saddle below D/2 (M = -4.85 and M = 1.0095)
+LOOSENED_POS_CASES = [(7, 1396780018, 0.00026138235285266755), (8, 1652674586, 0.007454371489546016)]
+
+
 @pytest.fixture
 def non_quasihypermetric():
     space = qhm.random_metric(5, seed=NON_QH_SEED)
@@ -57,3 +65,48 @@ def restricted_top(space):
     P d P there), by LAPACK as the reference."""
     q = np.linalg.qr(np.eye(space.n) - 1.0 / space.n)[0][:, : space.n - 1]
     return float(np.linalg.eigvalsh(q.T @ space.dist @ q)[-1])
+
+
+def quadratic_oracle_m(space, tol=1e-12):
+    """Independent route to M: parametrize the mass-1 slice as u + B t and
+    maximize the quadratic analytically through numpy's eigendecomposition."""
+    d = space.dist
+    n = space.n
+    u = np.full(n, 1.0 / n)
+    q, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), np.eye(n)[:, : n - 1]]))
+    basis = q[:, 1:]
+    a = basis.T @ d @ basis
+    g = basis.T @ (d @ u)
+    c = float(u @ d @ u)
+    lam, vec = np.linalg.eigh(a)
+    gt = vec.T @ g
+    scale = max(1.0, float(np.abs(lam).max()))
+    value = c
+    for l, gi in zip(lam, gt):
+        if l < -tol * scale:
+            value -= gi * gi / l
+        elif abs(gi) > 1e-8:
+            return math.inf
+    return value
+
+
+def circle_sample(n, circumference=8.0):
+    """The first n sample points of a circle with the arc-length metric."""
+    desc = qhm.CompactSpaceDescriptor(kind="circle", circumference=circumference)
+    return desc.sample_space(n)
+
+
+def seeded_spaces(seed, rounds):
+    """random_metric (n = 3..9), from_euclidean (n = 3..11) and circle samples:
+    inputs for every branch of the quasihypermetric decision in compute_m."""
+    rng = np.random.default_rng(seed)
+    spaces = []
+    for _ in range(rounds):
+        for n in range(3, 10):
+            spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
+        for n in range(3, 12):
+            dim = int(rng.integers(1, 5))
+            spaces.append(qhm.from_euclidean(rng.normal(size=(n, dim))))
+    for n in range(2, 14):
+        spaces.append(circle_sample(n, circumference=float(rng.uniform(1.0, 10.0))))
+    return spaces

@@ -13,7 +13,7 @@ import numpy as np
 
 import qhm
 
-from test_mconstant import quadratic_oracle_m
+from conftest import quadratic_oracle_m
 
 
 def _verdict(num, name, ok, detail=""):

@@ -8,6 +8,8 @@ import pytest
 import qhm
 from qhm.cli import main
 
+from conftest import LOOSENED_POS_CASES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -371,3 +373,14 @@ def test_report_carries_the_m_plus_certificate(capsys, tmp_path, assouad_csv):
         assert (cert["max_outside_potential"] is None) == (outside.size == 0)
         if outside.size:
             assert cert["max_outside_potential"] == outside.max() <= m_plus
+
+
+@pytest.mark.parametrize(("n", "seed", "pos"), LOOSENED_POS_CASES)
+def test_m_exits_14_where_a_loosened_pos_leaves_no_maximal_measure(capsys, tmp_path, n, seed, pos):
+    """Not quasihypermetric by less than pos_tol: no saddle value is printed
+    for M; ``qhm m`` exits 14 with a message naming pos."""
+    path = str(tmp_path / "space.csv")
+    qhm.dump(qhm.random_metric(n, seed=seed), path)
+    code, out, err = run(capsys, "m", path, "--tol", f"pos={pos!r}")
+    assert code == 14
+    assert out == "" and "pos" in err

@@ -1,21 +1,21 @@
 """M(X), maximal measures, M+, and their certificates."""
 
-import json
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import qhm
-from qhm.classify import Analysis, _qh_by_inertia
-from qhm.errors import PreconditionError
-from qhm.linalg import eigh_pinv_solve, jacobi_eigh, semidefinite_cholesky
-from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS, _canonical_solution
-from qhm.report import m_report_to_json
+from qhm.errors import InconsistentSystemError, PreconditionError
+from qhm.linalg import eigh_pinv_solve, jacobi_eigh, lstsq_minnorm, semidefinite_cholesky
+from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS, MReport, _certified
 from qhm.spaces import FIXTURE_NAMES
 
-from conftest import NON_QH_SEED, euclidean_corpus
+from conftest import LOOSENED_POS_CASES, NON_QH_SEED, circle_sample, euclidean_corpus
+from conftest import quadratic_oracle_m
 from conftest import restricted_top as _restricted_top
+from conftest import seeded_spaces
 
 
 def test_equilateral(equilateral):
@@ -162,29 +162,6 @@ def test_monotone_under_point_addition():
         assert b >= a - 1e-9
 
 
-def quadratic_oracle_m(space, tol=1e-12):
-    """Independent route: parametrize the mass-1 slice as u + B t and maximize
-    the quadratic analytically through numpy's eigendecomposition."""
-    d = space.dist
-    n = space.n
-    u = np.full(n, 1.0 / n)
-    q, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), np.eye(n)[:, : n - 1]]))
-    basis = q[:, 1:]
-    a = basis.T @ d @ basis
-    g = basis.T @ (d @ u)
-    c = float(u @ d @ u)
-    lam, vec = np.linalg.eigh(a)
-    gt = vec.T @ g
-    scale = max(1.0, float(np.abs(lam).max()))
-    value = c
-    for l, gi in zip(lam, gt):
-        if l < -tol * scale:
-            value -= gi * gi / l
-        elif abs(gi) > 1e-8:
-            return math.inf
-    return value
-
-
 def test_oracle_equivalence_small():
     rng = np.random.default_rng(55)
     checked = 0
@@ -202,30 +179,8 @@ def test_oracle_equivalence_small():
             assert abs(mine - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-def _circle(n, circumference=8.0):
-    desc = qhm.CompactSpaceDescriptor(kind="circle", circumference=circumference)
-    return desc.sample_space(n)
-
-
-def _seeded_spaces(seed, rounds):
-    """random_metric (n = 3..9), from_euclidean (n = 3..11) and circle samples:
-    inputs for every branch of the quasihypermetric decision in compute_m."""
-    rng = np.random.default_rng(seed)
-    spaces = []
-    for _ in range(rounds):
-        for n in range(3, 10):
-            spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
-        for n in range(3, 12):
-            dim = int(rng.integers(1, 5))
-            spaces.append(qhm.from_euclidean(rng.normal(size=(n, dim))))
-    for n in range(2, 14):
-        spaces.append(_circle(n, circumference=float(rng.uniform(1.0, 10.0))))
-    return spaces
-
-
 def _spied_band_route(monkeypatch):
-    """Patch compute_m's band route to log what it returns, None when it
-    declines and the eigenvector route decides."""
+    """Patch compute_m's elimination to log each report it returns."""
     band = qhm.mconstant._band_solution
     returned = []
     monkeypatch.setattr(
@@ -235,15 +190,16 @@ def _spied_band_route(monkeypatch):
 
 
 def test_qh_decision_matches_the_centred_route(monkeypatch):
-    """compute_m reads the verdict off a semidefinite elimination in the band,
-    or off the spectrum of d where that declines; P d P must agree."""
+    """compute_m reads the verdict off Cholesky factorizations, or in the band
+    off a semidefinite elimination; P d P must agree, and on a quasihypermetric
+    space M is the reciprocal mass of d's pseudoinverse solution of d w = 1,
+    infinite with a zero-mass certificate where that mass is zero."""
     reference_check = qhm.check_quasihypermetric
     returned = _spied_band_route(monkeypatch)
-    spaces = _seeded_spaces(2024, 64)
+    spaces = seeded_spaces(2024, 64)
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
     assert len(spaces) >= 1000
-    branches = {"not-qh": 0, "one-positive": 0, "band": 0}
-    fallbacks = []
+    branches = {"not-qh": 0, "one-positive": 0, "band": 0, "zero-mass": 0}
     t = qhm.DEFAULT_TOLERANCES
     for space in spaces:
         before = len(returned)
@@ -252,8 +208,6 @@ def test_qh_decision_matches_the_centred_route(monkeypatch):
         assert (TAG_NOT_QUASIHYPERMETRIC in rep.method_tags) == (not qh)
         if len(returned) == before:
             branches["one-positive" if qh else "not-qh"] += 1
-        elif returned[-1] is None:
-            fallbacks.append(space)
         else:
             branches["band"] += 1
         if not qh:
@@ -264,11 +218,12 @@ def test_qh_decision_matches_the_centred_route(monkeypatch):
         mass = float(w0.sum())  # null vectors of a consistent system have mass zero
         if abs(mass) <= t.mass_tol(space.n):
             assert math.isinf(rep.m_value) and TAG_ZERO_MASS in rep.method_tags
+            assert len(returned) > before  # certified by the elimination
+            branches["zero-mass"] += 1
         else:
             assert abs(rep.m_value - 1.0 / mass) <= 1e-9 * max(1.0, 1.0 / mass)
-    assert min(branches.values()) >= 10, branches
-    assouad = qhm.make_fixture("assouad5").dist
-    assert any(np.array_equal(space.dist, assouad) for space in fallbacks)
+    assert min(branches[b] for b in ("not-qh", "one-positive", "band")) >= 10, branches
+    assert branches["zero-mass"] >= 1, branches
 
 
 def _permuted(space, perm):
@@ -277,7 +232,7 @@ def _permuted(space, perm):
 
 def test_permutation_invariance():
     rng = np.random.default_rng(61)
-    for space in _seeded_spaces(61, 3):
+    for space in seeded_spaces(61, 3):
         perm = rng.permutation(space.n)
         base, moved = qhm.compute_m(space), qhm.compute_m(_permuted(space, perm))
         assert base.method_tags[0] == moved.method_tags[0]
@@ -295,7 +250,7 @@ def test_permutation_invariance():
 
 
 def test_scale_covariance_seeded():
-    for space in _seeded_spaces(62, 3):
+    for space in seeded_spaces(62, 3):
         base = qhm.compute_m(space)
         for lam in (0.3, 7.0):
             scaled = qhm.compute_m(space.scaled(lam))
@@ -310,7 +265,7 @@ def test_scale_covariance_seeded():
 def test_monotone_under_subsets_and_mplus_bounds():
     rng = np.random.default_rng(63)
     checked = 0
-    for space in _seeded_spaces(63, 3):
+    for space in seeded_spaces(63, 3):
         rep = qhm.compute_m(space)
         if not rep.is_finite or space.n < 3:
             continue
@@ -328,28 +283,75 @@ def test_monotone_under_subsets_and_mplus_bounds():
     assert checked >= 30
 
 
-def test_jacobi_runs_only_in_the_band(monkeypatch):
-    """Away from the threshold compute_m decides by Cholesky and never
-    calls the eigensolver; within +-pos_tol of it, the semidefinite
-    elimination calls none either, and where it declines the spectral route
-    decomposes d itself once, and never the centred kernel."""
-    returned = _spied_band_route(monkeypatch)
+def _canonical_solution(w0, null_basis):
+    """The basic solution of a singular consistent system: from the
+    minimum-norm solution w0, move within the solution set so that a maximal
+    independent set of "free" coordinates, chosen greedily from the highest
+    index down, is exactly zero. A frozen copy of the eigenvector route that
+    compute_m no longer has, kept as its reference."""
+    m = null_basis.shape[1]
+    if m == 0:
+        return w0, "unique-solution"
+    picked, ortho = [], []
+    for j in range(null_basis.shape[0] - 1, -1, -1):
+        r = null_basis[j].astype(float)
+        for u in ortho:
+            r = r - (r @ u) * u
+        norm = float(np.linalg.norm(r))
+        if norm > 1e-8:
+            picked.append(j)
+            ortho.append(r / norm)
+            if len(picked) == m:
+                break
+    rows = np.array(picked)
+    t, _ = lstsq_minnorm(null_basis[rows, :], -w0[rows])
+    w = w0 + null_basis @ t
+    w[rows] = 0.0
+    return w, "basic-solution"
+
+
+def _eigenvector_route(space, t=qhm.DEFAULT_TOLERANCES):
+    """compute_m's former route for a quasihypermetric space in the band, as
+    the reference: ``eigh_pinv_solve`` on d, then ``_canonical_solution``,
+    then the certificate checks. Returns the report and d's null basis."""
+    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), t.rank)
+    assert residual <= t.res_tol(space.n)
+    w, how = _canonical_solution(w0, null_basis)
+    mass = float(w.sum())
+    if abs(mass) <= t.mass_tol(space.n):
+        return MReport._infinite((TAG_ZERO_MASS, f"m:{how}"), mass, residual), null_basis
+    return _certified(space, w, rank == space.n, t), null_basis
+
+
+def _counted_eigensolvers(monkeypatch):
+    """Patch every binding of ``jacobi_eigh`` and ``eigh_pinv_solve`` that the
+    package reads to log the size of each call."""
     calls = []
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.array(a, dtype=float))
-        return jacobi_eigh(a, *args, **kwargs)
+    def counting(fn):
+        return lambda a, *args, **kwargs: calls.append(len(a)) or fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted)
-    monkeypatch.setattr(qhm.classify, "jacobi_eigh", counted)
-    spaces = _seeded_spaces(4048, 64) + [_circle(n) for n in range(14, 25)]
+    for module in (qhm.linalg, qhm.classify, qhm.mconstant):
+        for name in ("jacobi_eigh", "eigh_pinv_solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return calls
+
+
+def test_compute_m_runs_no_eigensolver(monkeypatch):
+    """compute_m decides by Cholesky away from the threshold and by the
+    semidefinite elimination within +-pos_tol of it, zero-mass spaces such as
+    assouad5 included, and makes no jacobi_eigh or eigh_pinv_solve call on any
+    input, not even where the elimination declines and raises."""
+    returned = _spied_band_route(monkeypatch)
+    calls = _counted_eigensolvers(monkeypatch)
+    spaces = seeded_spaces(4048, 64) + [circle_sample(n) for n in range(14, 25)]
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
     assert len(spaces) >= 1000
     t = qhm.DEFAULT_TOLERANCES
-    branches = {"strict": 0, "not-qh": 0, "band": 0, "fallback": 0}
+    branches = {"strict": 0, "not-qh": 0, "band": 0, "zero-mass": 0}
     for space in spaces:
         top, ptol = _restricted_top(space), t.pos_tol(space.n, space.diameter)
-        calls.clear()
         returned.clear()
         rep = qhm.compute_m(space)
         if top < -ptol:
@@ -358,17 +360,17 @@ def test_jacobi_runs_only_in_the_band(monkeypatch):
         elif top > ptol:
             branch = "not-qh"
             assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
-        elif returned[0] is not None:
-            branch = "band"
         else:
-            branch = "fallback"
-            # smaller calls come from _canonical_solution's nullspace solve
-            full = [m for m in calls if m.shape == space.dist.shape]
-            assert len(full) == 1 and np.array_equal(full[0], space.dist), space.n
-        assert branch == "fallback" or not calls, (branch, space.n)
+            branch = "band" if rep.is_finite else "zero-mass"
+            assert returned == [rep]
+        assert calls == [], (branch, space.n)
         branches[branch] += 1
-    assert branches["fallback"] >= 1, branches
+    assert branches["zero-mass"] >= 1, branches
     assert min(branches[b] for b in ("strict", "not-qh", "band")) >= 10, branches
+    for n, seed, pos in LOOSENED_POS_CASES:
+        with pytest.raises(InconsistentSystemError):
+            qhm.compute_m(qhm.random_metric(n, seed=seed), tol=qhm.Tolerances(pos=pos))
+    assert calls == []
 
 
 def _tolerances_at(space, ptol):
@@ -386,11 +388,13 @@ def _tolerances_at(space, ptol):
 
 def test_qh_verdict_at_the_threshold_follows_pos_tol():
     """With ptol = 2 kappa both fixed spaces sit in the band, with kappa / 2
-    neither does; ptol = (1 +- 1e-6) kappa on seeded spaces asks the
-    secular sign of compute_m's re-check for six digits, and ptol = lambda_2
-    of d puts a pole of its secular sum at ptol. compute_m's
-    verdict, and the re-check's, equal check_quasihypermetric's every time,
-    as they do on circle samples at the default tolerances."""
+    neither does; ptol = (1 +- 1e-6) kappa on seeded spaces asks for the
+    verdict to six digits, and ptol = lambda_2 of d sets it at an eigenvalue
+    of d itself. compute_m's verdict equals
+    check_quasihypermetric's every time, as it does on circle samples at the
+    default tolerances, except on spaces that are not quasihypermetric by
+    less than ptol: there the elimination cannot certify a maximal measure,
+    and compute_m raises (exit 14) rather than return a saddle value."""
     rng = np.random.default_rng(71)
     strict = qhm.from_euclidean(rng.normal(size=(7, 3)))
     non_qh = qhm.random_metric(5, seed=NON_QH_SEED)
@@ -400,37 +404,34 @@ def test_qh_verdict_at_the_threshold_follows_pos_tol():
         for _ in range(4):
             spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
             spaces.append(qhm.from_euclidean(rng.normal(size=(n, 3))))
-    not_qh = poles = 0
+    not_qh = poles = runs = declined = 0
     for space in spaces:
         top = _restricted_top(space)
         kappa = abs(top)
         not_qh += top > 0.0
         ptols = [scale * kappa for scale in (2.0, 0.5, 1.0 + 1e-6, 1.0 - 1e-6)]
         lam2 = float(jacobi_eigh(space.dist)[0][-2])
-        if lam2 > 0.0:  # ptol = lambda_2 puts a pole of the secular sum at ptol
+        if lam2 > 0.0:
             ptols.append(lam2)
         for ptol in ptols:
             t = _tolerances_at(space, ptol)
             poles += t.pos_tol(space.n, space.diameter) == lam2
+            runs += 1
             verdict = qhm.check_quasihypermetric(space, tol=t).holds
             assert verdict == (top < 0.0 or ptol > kappa)
-            assert _qh_by_inertia(Analysis(space, t)) == verdict
+            if verdict and top > 0.0:
+                with pytest.raises(InconsistentSystemError, match="pos"):
+                    qhm.compute_m(space, tol=t)
+                declined += 1
+                continue
             rep = qhm.compute_m(space, tol=t)
             assert (TAG_NOT_QUASIHYPERMETRIC not in rep.method_tags) == verdict
     assert not_qh >= 5 and poles >= 2, (not_qh, poles)
+    assert (runs, declined) == (172, 10)
     for n in range(2, 40):
-        circle = _circle(n)
+        circle = circle_sample(n)
         verdict = qhm.check_quasihypermetric(circle).holds
         assert (TAG_NOT_QUASIHYPERMETRIC not in qhm.compute_m(circle).method_tags) == verdict
-
-
-def _eigenvector_route(monkeypatch, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with compute_m's band route declining, so that
-    in the band d's eigenvectors decide: ``eigh_pinv_solve``, then
-    ``_canonical_solution``."""
-    with monkeypatch.context() as patch:
-        patch.setattr(qhm.mconstant, "_band_solution", lambda *a: None)
-        return fn(*args, **kwargs)
 
 
 def _graph_space(adjacent, count):
@@ -448,47 +449,44 @@ def test_band_route_agrees_with_the_eigenvector_route(monkeypatch):
     basis, so on circle samples, cycle graphs, hypercubes (whose Schur
     complement is larger than 1x1, so Gershgorin decides) and the fixtures it
     zeroes the coordinates _canonical_solution zeroes, and its M and measure
-    are those of the eigenvector route to rounding."""
+    are those of the frozen eigenvector route to rounding. On assouad5 both
+    find M infinite at zero mass."""
     t = qhm.DEFAULT_TOLERANCES
-    # (space, whether the band route certifies it): circles of 4 points or
+    # (space, whether the elimination decides it): circles of 4 points or
     # more, even cycles and hypercubes of 4 points or more are in the band
-    cases = [(_circle(n, c), n >= 4) for c in np.linspace(0.9, 12.7, 10) for n in range(2, 49)]
+    cases = [(circle_sample(n, c), n >= 4) for c in np.linspace(0.9, 12.7, 10) for n in range(2, 49)]
     for n in range(3, 16):
         cycle = _graph_space(lambda i, j: (i - j) % n in (1, n - 1), n)
         cases.append((cycle, n % 2 == 0))
     for k in range(1, 6):
         cases.append((_graph_space(lambda i, j: bin(i ^ j).count("1") == 1, 2**k), k >= 2))
-    cases += [(qhm.make_fixture(name), name == "cycle4_arclength") for name in FIXTURE_NAMES]
-    zeros = []  # what _canonical_solution zeroes: from a generic start the rest is nonzero
-
-    def spied(w0, null_basis):
-        start = np.random.default_rng(len(w0)).normal(size=len(w0))
-        zeros.append(np.flatnonzero(_canonical_solution(start, null_basis)[0] == 0.0))
-        return _canonical_solution(w0, null_basis)
-
+    band_fixtures = ("cycle4_arclength", "assouad5")
+    cases += [(qhm.make_fixture(name), name in band_fixtures) for name in FIXTURE_NAMES]
     returned = _spied_band_route(monkeypatch)
     for space, in_band in cases:
         returned.clear()
         rep = qhm.compute_m(space)
-        zeros.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(qhm.mconstant, "_canonical_solution", spied)
-            ref = _eigenvector_route(monkeypatch, qhm.compute_m, space)
+        ref, null_basis = _eigenvector_route(space)
+        assert rep.is_finite == ref.is_finite and rep.method_tags[0] == ref.method_tags[0]
+        assert bool(returned) == in_band, space.n
+        if not rep.is_finite:
+            assert TAG_ZERO_MASS in rep.method_tags
+            continue
         assert rep.method_tags == ref.method_tags and rep.unique_maximal == ref.unique_maximal
-        assert rep.is_finite == ref.is_finite
-        assert (bool(returned) and returned[0] is not None) == in_band, space.n
         if in_band:
+            # what _canonical_solution zeroes: from a generic start the rest is nonzero
+            start = np.random.default_rng(space.n).normal(size=space.n)
+            zeros = np.flatnonzero(_canonical_solution(start, null_basis)[0] == 0.0)
             g = space.dist[1:, 0]
             k0 = g[:, None] + g[None, :] - space.dist[1:, 1:]
             kept = semidefinite_cholesky(k0, t.rank * k0.diagonal().max())[0]
             zeroed = np.flatnonzero(~np.append(True, kept))
-            assert len(zeros) == 1 and np.array_equal(zeroed, zeros[0])
+            assert np.array_equal(zeroed, zeros)
             assert np.all(rep.maximal_measure.weights[zeroed] == 0.0)
-        if rep.is_finite:
-            assert abs(rep.m_value - ref.m_value) <= 1e-12 * ref.m_value
-            assert np.abs(rep.maximal_measure.weights - ref.maximal_measure.weights).max() <= 1e-10
-            if space.n <= 24:  # the bordered Gram rank decomposes an n x n matrix too
-                assert rep.unique_maximal == qhm.uniqueness_of_maximal(space)
+        assert abs(rep.m_value - ref.m_value) <= 1e-12 * ref.m_value
+        assert np.abs(rep.maximal_measure.weights - ref.maximal_measure.weights).max() <= 1e-10
+        if space.n <= 24:  # the bordered Gram rank decomposes an n x n matrix too
+            assert rep.unique_maximal == qhm.uniqueness_of_maximal(space)
 
 
 def _threshold_non_qh():
@@ -517,49 +515,83 @@ def _at_the_shifted_level():
     return qhm.MetricSpace(d)
 
 
-def test_band_route_falls_back_byte_for_byte(monkeypatch):
-    """Where the band route declines (zero mass, or not quasihypermetric
-    within ptol) compute_m's report is the eigenvector route's, byte for
-    byte: on assouad5, on the not-QH threshold spaces at ptol = (1 + 1e-6)
-    kappa, and, with the last-point Cholesky made to pass, on not-QH
-    spaces, one of them with a certifiable basic solution."""
-    cases = [(qhm.make_fixture("assouad5"), qhm.DEFAULT_TOLERANCES, False)]
-    non_qh = _threshold_non_qh()
-    assert len(non_qh) >= 5
-    cases += [(space, _tolerances_at(space, (1.0 + 1e-6) * top), False) for space, top in non_qh]
-    for space in (qhm.random_metric(5, seed=NON_QH_SEED), _at_the_shifted_level()):
+def _witnesses(monkeypatch):
+    """Patch ``invariant_value`` in mconstant to log each measure it checks:
+    the zero-mass witnesses of the elimination."""
+    check = qhm.mconstant.invariant_value
+    seen = []
+    monkeypatch.setattr(qhm.mconstant, "invariant_value", lambda mu, t=None: seen.append(mu) or check(mu, t))
+    return seen
+
+
+def test_zero_mass_witness_from_the_band(monkeypatch):
+    """On assouad5, K0 y = g0 is inconsistent on the skipped column, and K0's
+    null vector there is the mass-zero measure v = (2, -2, -2, 1, 1) with
+    d v = 2 1: M is infinite, certified by invariant_value, in every order of
+    the points. On cycle4_arclength the same vector has potential 0, so the
+    system is consistent and no witness is sought."""
+    seen = _witnesses(monkeypatch)
+    assouad = qhm.make_fixture("assouad5")
+    t = qhm.DEFAULT_TOLERANCES
+    rep = qhm.compute_m(assouad)
+    assert rep.method_tags == (TAG_ZERO_MASS, "m:elimination-null-vector")
+    assert math.isinf(rep.m_value) and rep.maximal_measure is None
+    assert abs(rep.solution_mass) <= t.mass_tol(5) and rep.system_residual <= t.res_tol(5)
+    [v] = seen
+    assert np.allclose(v.weights, [2, -2, -2, 1, 1], rtol=0.0, atol=1e-12)
+    assert abs(v.mass) <= 1e-12 and abs(qhm.invariant_value(v) - 2.0) <= 1e-12
+    for perm in itertools.permutations(range(5)):
+        seen.clear()
+        rep = qhm.compute_m(_permuted(assouad, list(perm)))
+        assert TAG_ZERO_MASS in rep.method_tags and len(seen) == 1
+        level = qhm.invariant_value(seen[0])
+        assert abs(seen[0].mass) <= t.mass_tol(5) and abs(level) > t.inv_tol(5, assouad.diameter)
+    seen.clear()
+    assert qhm.compute_m(qhm.make_fixture("cycle4_arclength")).m_value == 2.0 and seen == []
+
+
+def test_band_declines_raise_naming_pos(monkeypatch):
+    """Where the elimination cannot certify M (a Gershgorin bound below
+    -pos_tol, or a solution that fails its checks and no inconsistent column
+    to give a zero-mass witness), compute_m raises InconsistentSystemError,
+    exit 14, naming pos: on the not-QH threshold spaces at ptol = (1 + 1e-6)
+    kappa, and, with the last-point Cholesky made to pass, on not-QH spaces,
+    one of them with a certifiable basic solution."""
+    cases = [(space, _tolerances_at(space, (1.0 + 1e-6) * top)) for space, top in _threshold_non_qh()]
+    assert len(cases) >= 5
+    forced = [qhm.random_metric(5, seed=NON_QH_SEED), _at_the_shifted_level()]
+    for space in forced:
         assert _restricted_top(space) > 1e-2
-        cases.append((space, qhm.DEFAULT_TOLERANCES, True))
-    returned = _spied_band_route(monkeypatch)
-    for space, t, forced in cases:
+    for space, t in cases + [(space, None) for space in forced]:
         with monkeypatch.context() as patch:
-            if forced:
+            if t is None:
                 patch.setattr(qhm.mconstant, "cholesky", lambda a: np.eye(len(a)))
-            returned.clear()
-            rep = qhm.compute_m(space, tol=t)
-            ref = _eigenvector_route(monkeypatch, qhm.compute_m, space, tol=t)
-        assert returned == [None]
-        doc, ref_doc = (json.dumps(m_report_to_json(r)) for r in (rep, ref))
-        assert doc == ref_doc
-        if forced:
-            assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
+            with pytest.raises(InconsistentSystemError, match="pos") as caught:
+                qhm.compute_m(space, tol=t)
+        assert caught.value.exit_code == 14
+
+
+@pytest.mark.parametrize(("n", "seed", "pos"), LOOSENED_POS_CASES)
+def test_loosened_pos_gives_no_saddle_value(n, seed, pos):
+    """A space that is not quasihypermetric by less than pos_tol has no
+    maximal measure; the stationary value of d w = 1 is a saddle (here
+    M = -4.85 and M = 1.0095 < D/2), so compute_m raises rather than return it."""
+    space = qhm.random_metric(n, seed=seed)
+    t = qhm.Tolerances(pos=pos)
+    assert 0.0 < _restricted_top(space) < t.pos_tol(space.n, space.diameter)
+    with pytest.raises(InconsistentSystemError, match="pos"):
+        qhm.compute_m(space, tol=t)
 
 
 def test_approx_m_of_a_circle_makes_no_decomposition(monkeypatch):
     """Every circle sample of 4 points or more is in the band; the nested
-    trace to 48 points solves each without the eigensolver and matches the
-    eigenvector route's trace."""
-    calls = []
-
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return jacobi_eigh(a, *args, **kwargs)
-
+    trace to 48 points solves each without an eigensolver and matches the
+    frozen eigenvector route at every size."""
     desc = qhm.CompactSpaceDescriptor(kind="circle", circumference=8.0)
-    ref = _eigenvector_route(monkeypatch, qhm.approx_m, desc, 48)
-    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted)
-    monkeypatch.setattr(qhm.classify, "jacobi_eigh", counted)
+    full = desc.sample_space(48)
+    ref = [_eigenvector_route(full.subspace(range(n)))[0].m_value for n in range(2, 49)]
+    calls = _counted_eigensolvers(monkeypatch)
     trace = qhm.approx_m(desc, 48)
     assert calls == []
-    assert trace.sizes == ref.sizes and trace.monotone_ok == ref.monotone_ok
-    assert np.allclose(trace.m_values, ref.m_values, rtol=1e-13, atol=0.0)
+    assert trace.sizes == list(range(2, 49)) and trace.monotone_ok
+    assert np.allclose(trace.m_values, ref, rtol=1e-13, atol=0.0)

@@ -18,7 +18,7 @@ from qhm.errors import (
     ShapeError,
     TriangleViolationError,
 )
-from test_mconstant import _seeded_spaces
+from conftest import seeded_spaces
 
 
 def test_valid_construction(assouad):
@@ -343,7 +343,7 @@ def test_subspace_is_the_validated_block_bit_for_bit(monkeypatch):
     monkeypatch.setattr(
         qhm.metric, "validate_distance_matrix", lambda *a: validations.append(1) or validate(*a)
     )
-    for space in _seeded_spaces(88, 2):
+    for space in seeded_spaces(88, 2):
         labels = tuple(f"p{i}" for i in range(space.n))
         parent = qhm.MetricSpace(space.dist, labels=labels)
         choices = [range(m) for m in range(1, space.n + 1)]

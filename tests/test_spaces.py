@@ -241,8 +241,22 @@ def test_approx_m_traces_match_the_per_prefix_route(monkeypatch):
         ]
         values = [r.m_value for r in ref]
         assert np.array(trace.m_values).tobytes() == np.array(values).tobytes()
-        rising = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+        slack = [qhm.DEFAULT_TOLERANCES.inv_tol(n, full.max()) for n in range(3, max_n + 1)]
+        rising = all(b >= a - s for a, b, s in zip(values, values[1:], slack))
         assert trace.monotone_ok == rising
+
+
+def test_approx_m_monotone_slack_is_inv_tol(monkeypatch):
+    """A fall in M by less than inv_tol, the accuracy each M is certified to,
+    keeps the trace monotone; ``invariant`` moves that slack."""
+    desc = qhm.CompactSpaceDescriptor(kind="interval", length=2.0)
+    fall = 0.5 * qhm.DEFAULT_TOLERANCES.inv_tol(3, 2.0)
+    m_at = {2: 1.0, 3: 1.0 - fall}
+    monkeypatch.setattr(
+        qhm.spaces, "compute_m", lambda space, tol: qhm.mconstant.MReport(m_at[space.n], *[None] * 4, ())
+    )
+    assert qhm.approx_m(desc, 3).monotone_ok
+    assert not qhm.approx_m(desc, 3, tol=qhm.Tolerances(invariant=1e-9)).monotone_ok
 
 
 def test_approx_m_validates_one_sample_per_trace(monkeypatch):
