@@ -51,13 +51,11 @@ class Analysis:
     """What a run learns of one space, each piece made when first read:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
     ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
-    positive definite; ``eig_d``, the Jacobi pair of d, eigenvalues
-    ascending, read only by ``classify_space`` (rank and nullspace);
-    ``kernel_eig``, that of the centred kernel -1/2 P d P, eigenvalues
-    descending, read by the centred verdicts and ``s_embed``; and
-    ``kernel_coords``, the same spectrum with the principal coordinates by
-    one-sided Jacobi, which ``s_embed`` reads in its place on every space
-    certified strictly quasihypermetric, unless it is None.
+    positive definite; ``kernel_eig``, the Jacobi pair of the centred kernel
+    -1/2 P d P, eigenvalues descending, read by the centred verdicts and
+    ``s_embed``; and ``kernel_coords``, the same spectrum with the principal
+    coordinates by one-sided Jacobi, which ``s_embed`` reads in its place on
+    every space certified strictly quasihypermetric, unless it is None.
     ``build_report`` passes one per report to the entry points that take
     ``analysis=``; called alone, each makes its own, so none outlives one call.
     """
@@ -83,10 +81,6 @@ class Analysis:
         ptol > rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
         t = self.tol
         return self.space.n > 1 and t.pos >= max(t.neg, t.rank) and self.strict is not None
-
-    @cached_property
-    def eig_d(self):
-        return jacobi_eigh(self.space.dist)
 
     @cached_property
     def kernel_eig(self):
@@ -167,14 +161,13 @@ def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
     if int(near.sum()) <= 1:
         return Verdict(True), Verdict(True)
     # the near-kernel mixes the constants direction with the degenerate
-    # directions; project it off and keep the largest remainder
+    # directions; project it off and keep the largest remainder, signed by
+    # the rule that signs every eigenvector column
     cand = v[:, near]
     proj = cand - cand.mean(axis=0, keepdims=True)
     norms = np.linalg.norm(proj, axis=0)
     best = int(np.argmax(norms))
-    alpha = proj[:, best] / norms[best]
-    if alpha[int(np.argmax(np.abs(alpha)))] < 0:
-        alpha = -alpha
+    alpha = _sign_columns(proj[:, best : best + 1] / norms[best])[:, 0]
     return Verdict(True), Verdict(False, witness=SignedMeasure(space, alpha))
 
 
@@ -347,7 +340,7 @@ def classify_space(
         qh = strict = Verdict(True)
         rank, basis = space.n, np.empty((space.n, 0))
     else:
-        rank, basis = symmetric_rank_and_nullspace(space.dist, a.tol.rank, eig=a.eig_d)
+        rank, basis = distance_matrix_nullspace(space, a.tol)
         qh, strict = _centred_verdicts(a)
     return Classification(
         quasihypermetric=qh,

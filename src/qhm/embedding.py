@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import Analysis
+from .classify import Analysis, _centred_verdicts
 from .errors import ContradictionError, ConvergenceWarning, NotQuasihypermetricError, PreconditionError
 from .linalg import RANK_REL, lstsq_minnorm
-from .metric import MetricSpace, SignedMeasure
+from .metric import MetricSpace
 from .minnorm import min_norm_point_in_hull
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from . import mconstant
@@ -73,23 +73,21 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
     the scaled eigenpairs ``kernel_eig``: equal up to rounding and a rotation
     within repeated eigenvalues.
 
-    Raises ``NotQuasihypermetricError`` (with the offending mass-zero vector)
-    if the centred kernel has a significantly negative eigenvalue.
+    Raises ``NotQuasihypermetricError``, with the witness of the
+    classification's quasihypermetric verdict, where that verdict fails.
     """
     a = analysis or Analysis(space, tol)
     space, t, n = a.space, a.tol, a.space.n
     if n == 1:
         return SEmbedding(space, np.zeros((1, 0)), 0, np.zeros(1))
+    if not a.certified_strict and not (qh := _centred_verdicts(a)[0]):
+        raise NotQuasihypermetricError(
+            f"centred kernel has negative eigenvalue {a.kernel_eig[0][-1]:.3e}; "
+            "no Schoenberg embedding",
+            witness=qh.witness,
+        )
     coords = a.kernel_coords if a.certified_strict else None
     w, v = a.kernel_eig if coords is None else coords
-    if w[-1] < -t.pos_tol(n, space.diameter):
-        low = int(np.argmin(w))  # the first of tied lowest, as in ascending order
-        alpha = v[:, low] - v[:, low].mean()
-        alpha /= np.linalg.norm(alpha)
-        raise NotQuasihypermetricError(
-            f"centred kernel has negative eigenvalue {w[-1]:.3e}; no Schoenberg embedding",
-            witness=SignedMeasure(space, alpha),
-        )
     keep = w >= t.rank * max(w[0], 0.0)
     keep &= w > 0.0
     dim = int(np.count_nonzero(keep))

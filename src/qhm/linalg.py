@@ -59,7 +59,7 @@ SWEEP_TOL = 1e-14
 MAX_SWEEPS = 64
 
 
-def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
+def jacobi_eigh(a):
     """Eigendecomposition of a real symmetric matrix by round-robin Jacobi rotations.
 
     A sweep is n - 1 rounds (n for odd n) of floor(n/2) disjoint rotations J,
@@ -69,8 +69,8 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
     other rotating round, so J'AJ is held as itself or as its transpose in
     turn, bit for bit as two row updates around a transpose copy make it.
     Sweeps repeat until the off-diagonal Frobenius norm drops below
-    ``sweep_tol`` times the norm of the input, or emit ``ConvergenceWarning``
-    when ``max_sweeps`` runs out first.
+    ``SWEEP_TOL`` times the norm of the input, or emit ``ConvergenceWarning``
+    when ``MAX_SWEEPS`` runs out first.
 
     Returns
     -------
@@ -89,13 +89,13 @@ def jacobi_eigh(a, sweep_tol: float = SWEEP_TOL, max_sweeps: int = MAX_SWEEPS):
     scale = float(np.linalg.norm(a))
     if n > 1 and scale > 0.0:
         # rotations with |a_pq| below this move the off-norm negligibly
-        skip = sweep_tol * scale / (n * n)
-        for sweep in range(max_sweeps + 1):
+        skip = SWEEP_TOL * scale / (n * n)
+        for sweep in range(MAX_SWEEPS + 1):
             off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-            if off <= sweep_tol * scale:
+            if off <= SWEEP_TOL * scale:
                 break
-            if sweep == max_sweeps:
-                msg = f"Jacobi hit the cap of {max_sweeps} sweeps (off-norm {off:.3e})"
+            if sweep == MAX_SWEEPS:
+                msg = f"Jacobi hit the cap of {MAX_SWEEPS} sweeps (off-norm {off:.3e})"
                 warnings.warn(ConvergenceWarning(msg), stacklevel=2)
                 break
             for p, q, pq, qp in _round_robin(n):
@@ -186,6 +186,13 @@ def one_sided_jacobi(a) -> np.ndarray:
 RANK_REL = 1e-10
 
 
+def _nonzero(w, rank_rel):
+    """The mask of the eigenvalues ``w`` that count as nonzero: those of
+    magnitude above ``rank_rel`` times the largest."""
+    largest = float(np.max(np.abs(w))) if w.size else 0.0
+    return np.abs(w) > rank_rel * largest
+
+
 def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL):
     """Minimum-norm least-squares solution of a symmetric system ``a x = b``.
 
@@ -198,8 +205,7 @@ def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     w, v = jacobi_eigh(a)
-    largest = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) > rank_rel * largest
+    keep = _nonzero(w, rank_rel)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     x = v @ (inv * (v.T @ b))
@@ -260,12 +266,10 @@ def definite_solve(a, b, shift=None):
     return low, x
 
 
-def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL, eig=None):
-    """Rank of a symmetric matrix and an orthonormal basis of its nullspace
-    (from ``eig``, the ``jacobi_eigh`` pair of ``a``, when already made)."""
-    w, v = jacobi_eigh(np.asarray(a, dtype=float)) if eig is None else eig
-    largest = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) > rank_rel * largest
+def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL):
+    """Rank of a symmetric matrix and an orthonormal basis of its nullspace."""
+    w, v = jacobi_eigh(np.asarray(a, dtype=float))
+    keep = _nonzero(w, rank_rel)
     return int(np.count_nonzero(keep)), v[:, ~keep]
 
 
@@ -273,12 +277,12 @@ def gram_rank(a, rank_rel: float = RANK_REL) -> int:
     """Rank of a rectangular matrix, decided on the eigenvalues of its Gram matrix.
 
     The effective singular-value cutoff is ``sqrt(rank_rel)`` relative, which
-    is ample for the structural rank questions asked here.
+    is ample for the structural rank questions asked here; a negative
+    eigenvalue, which only rounding makes, never counts.
     """
     a = np.asarray(a, dtype=float)
     w, _ = jacobi_eigh(a.T @ a)
-    largest = float(np.max(np.abs(w))) if w.size else 0.0
-    return int(np.count_nonzero(w > rank_rel * largest))
+    return int(np.count_nonzero(_nonzero(w, rank_rel) & (w > 0.0)))
 
 
 def lstsq_minnorm(a, b, rank_rel: float = RANK_REL):

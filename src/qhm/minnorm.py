@@ -85,9 +85,9 @@ def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = No
     toward the lowest index, making the run deterministic.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
     if pts.ndim != 2:
         raise ValueError("expected an (n, k) array of points")
+    n = pts.shape[0]
     if pts.shape[1] == 0:
         # zero-dimensional hull: everything sits at the origin
         w = np.zeros(n)

@@ -8,8 +8,9 @@ absolute thresholds.
 
 Overrides: ``Tolerances.from_overrides`` merges, in order, the defaults,
 ``QHM_TOL_<NAME>`` environment variables, and explicit ``key=value`` pairs.
-Every value must be a finite non-negative number; any other raises
-``ValueError`` naming the key when the record is built.
+Every value must be a finite non-negative number, and that of an int field
+an integral one (``1e5`` included, stored as an int); any other raises
+``ValueError`` naming the key when the record is built, however it is built.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class Tolerances:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if type(f.default) is int and isinstance(value, numbers.Real):
+                if not float(value).is_integer():
+                    raise ValueError(f"tolerance {f.name!r} expects int, got {value!r}")
+                object.__setattr__(self, f.name, value := int(value))
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"tolerance {f.name!r} must be a finite non-negative number, got {value!r}"
@@ -122,17 +127,13 @@ class Tolerances:
         return cls(**{k: cls._cast(k, v) for k, v in values.items()})
 
     @classmethod
-    def _cast(cls, name: str, raw) -> float | int:
-        """The one casting rule: a value takes the type of its field's default;
-        an int field takes any integral number, ``1e5`` included."""
-        kind = type(getattr(cls, name))
+    def _cast(cls, name: str, raw) -> float:
+        """``raw`` parsed as a number; ``__post_init__`` applies the field's rule."""
         try:
-            value = float(raw)
-            if kind is float or value.is_integer():
-                return kind(value)
+            return float(raw)
         except (TypeError, ValueError):
-            pass
-        raise ValueError(f"tolerance {name!r} expects {kind.__name__}, got {raw!r}")
+            kind = type(getattr(cls, name)).__name__
+            raise ValueError(f"tolerance {name!r} expects {kind}, got {raw!r}") from None
 
 
 DEFAULT_TOLERANCES = Tolerances()

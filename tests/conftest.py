@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qhm
+from qhm.tolerances import DEFAULT_TOLERANCES
 
 
 @pytest.fixture
@@ -58,6 +59,24 @@ def euclidean_corpus(count, seed, max_n=8, max_dim=4):
         dim = int(rng.integers(1, max_dim + 1))
         spaces.append(qhm.from_euclidean(rng.normal(size=(n, dim))))
     return spaces
+
+
+def near_threshold_space():
+    """A 6-point space that is not quasihypermetric by 1.2-1.5 ptol: the
+    bisection of the segment from a Euclidean space to the first
+    ``random_metric(6, seed)`` that is not quasihypermetric (convex
+    combinations of metrics are metrics)."""
+    lo = qhm.from_euclidean(np.random.default_rng(0).normal(size=(6, 3))).dist
+    seed = next(s for s in range(1000) if not qhm.check_quasihypermetric(qhm.random_metric(6, s)))
+    hi, a, b = qhm.random_metric(6, seed).dist, 0.0, 1.0
+    for _ in range(100):
+        t = 0.5 * (a + b)
+        space = qhm.MetricSpace((1.0 - t) * lo + t * hi)
+        excess = restricted_top(space) / DEFAULT_TOLERANCES.pos_tol(6, space.diameter)
+        if 1.2 < excess <= 1.5:
+            return space
+        a, b = (t, b) if excess <= 1.2 else (a, t)
+    raise AssertionError("the bisection found no space in the window")
 
 
 def restricted_top(space):

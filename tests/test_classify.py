@@ -13,7 +13,7 @@ from qhm.errors import BudgetExceededError
 from qhm.linalg import double_center, jacobi_eigh
 from qhm.tolerances import DEFAULT_TOLERANCES
 
-from conftest import NON_QH_SEED, euclidean_corpus, restricted_top
+from conftest import NON_QH_SEED, circle_sample, euclidean_corpus, restricted_top
 
 
 def collinear(u, v):
@@ -53,6 +53,18 @@ def test_strictness_witness_has_zero_energy(assouad):
     w = qhm.check_strictly_quasihypermetric(assouad).witness.weights
     assert abs(w.sum()) < 1e-9
     assert abs(w @ assouad.dist @ w) < 1e-9
+
+
+def test_strictness_witness_follows_the_eigenvector_sign_rule():
+    """On circle samples the witness is +-1/2 on the quarter points, ties its
+    last bits decide; like every eigenvector column, it is positive at its
+    first entry within a relative 1e-12 of its largest magnitude."""
+    for n in range(4, 21):
+        verdict = qhm.check_strictly_quasihypermetric(circle_sample(n, circumference=5.0))
+        w = verdict.witness.weights
+        assert not verdict.holds and np.allclose(np.abs(w[:4]), 0.5, atol=1e-12)
+        lead = np.flatnonzero(np.abs(w) >= (1.0 - 1e-12) * np.abs(w).max())[0]
+        assert w[lead] > 0.0, n
 
 
 def test_hypermetric_fixtures(assouad, one_point):

@@ -8,10 +8,11 @@ import pytest
 
 import qhm
 from qhm import classify
+from qhm.cli import main
 from qhm.errors import ContradictionError, NotQuasihypermetricError, PreconditionError
 from qhm.linalg import cholesky, gram_rank, lstsq_minnorm, one_sided_jacobi
 
-from conftest import euclidean_corpus
+from conftest import euclidean_corpus, near_threshold_space
 
 
 def test_equilateral_embedding(equilateral):
@@ -46,6 +47,21 @@ def test_embed_rejects_non_quasihypermetric(non_quasihypermetric):
         qhm.s_embed(non_quasihypermetric)
     w = exc.value.witness.weights
     assert w @ non_quasihypermetric.dist @ w > 0
+
+
+def test_embedding_refuses_by_the_classification_verdict(tmp_path, capsys):
+    """Not quasihypermetric by less than 2 ptol: classification, embedding
+    and ``qhm embed`` all refuse, with one witness."""
+    space = near_threshold_space()
+    verdict = qhm.check_quasihypermetric(space)
+    assert not verdict.holds
+    with pytest.raises(NotQuasihypermetricError) as exc:
+        qhm.s_embed(space)
+    assert np.array_equal(exc.value.witness.weights, verdict.witness.weights)
+    path = tmp_path / "near.csv"
+    qhm.dump(space, path)
+    assert main(["embed", str(path)]) == 13
+    assert capsys.readouterr().out == ""
 
 
 def test_circumsphere_equilateral(equilateral):

@@ -75,23 +75,26 @@ def test_repeated_eigenvalues(name):
     assert np.allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-14)
 
 
-def test_tiny_off_diagonal_rotates_without_overflow():
+def test_tiny_off_diagonal_rotates_without_overflow(monkeypatch):
     # the tiny-angle regime: theta = (a_qq - a_pp) / (2 a_pq) is 5e169 and 1e308, and
-    # |theta| + hypot(theta, 1) overflows at the second; sweep_tol=0 keeps the rotation
+    # |theta| + hypot(theta, 1) overflows at the second; SWEEP_TOL = 0 keeps the rotation
+    monkeypatch.setattr(qhm.linalg, "SWEEP_TOL", 0.0)
     for a in ([[0.0, 1e-200], [1e-200, 1e-30]], [[0.0, 5e-159], [5e-159, 1e150]]):
         a = np.array(a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, v = jacobi_eigh(a, sweep_tol=0.0)
+            w, v = jacobi_eigh(a)
         assert np.allclose(w, np.linalg.eigvalsh(a), rtol=1e-15, atol=1e-300)
         assert w[1] == a[1, 1] and v[0, 0] == 1.0 and v[1, 1] == 1.0
         assert abs(v[1, 0]) == pytest.approx(a[0, 1] / a[1, 1])
 
 
-def test_sweep_cap_warns():
+def test_sweep_cap_warns(monkeypatch):
     a = random_symmetric(8, np.random.default_rng(7))
-    with pytest.warns(ConvergenceWarning, match="cap of 1 sweeps"):
-        w, _ = jacobi_eigh(a, max_sweeps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(qhm.linalg, "MAX_SWEEPS", 1)
+        with pytest.warns(ConvergenceWarning, match="cap of 1 sweeps"):
+            w, _ = jacobi_eigh(a)
     assert w.shape == (8,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -414,9 +417,15 @@ def _symmetric_corpus():
 
 
 def _assert_same_eigh(a, **kw):
-    with warnings.catch_warnings(record=True) as got:
-        warnings.simplefilter("always")
-        w, v = jacobi_eigh(a, **kw)
+    """``jacobi_eigh`` against the reference, bit for bit and warning for
+    warning, with ``SWEEP_TOL`` and ``MAX_SWEEPS`` set to the reference's
+    ``sweep_tol`` and ``max_sweeps`` in ``kw``."""
+    with pytest.MonkeyPatch.context() as patch:
+        for key, value in kw.items():
+            patch.setattr(qhm.linalg, key.upper(), value)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            w, v = jacobi_eigh(a)
     with warnings.catch_warnings(record=True) as ref:
         warnings.simplefilter("always")
         w0, v0 = _ref_jacobi_eigh(a, **kw)

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from qhm import minnorm
 from qhm.linalg import eigh_pinv_solve
@@ -63,6 +64,12 @@ def test_zero_dimensional_points():
     res = min_norm_point_in_hull(np.zeros((3, 0)))
     assert res.distance == 0.0
     assert res.weights.sum() == 1.0
+
+
+def test_input_that_is_not_a_matrix_is_a_value_error():
+    for points in (np.float64(1.0), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"\(n, k\) array"):
+            min_norm_point_in_hull(points)
 
 
 def test_weights_reconstruct_point():

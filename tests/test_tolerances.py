@@ -1,7 +1,10 @@
 """The tolerance record: overrides, serialization, scale helpers."""
 
+import math
+
 import pytest
 
+from qhm import compute_m_plus
 from qhm.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -65,3 +68,12 @@ def test_negative_nan_and_infinite_values_are_refused(key, raw):
         with pytest.raises(ValueError, match=key):
             build()
     assert Tolerances(**{key: 0}).to_dict()[key] == 0
+
+
+def test_int_field_takes_integral_values_however_built(star):
+    t = Tolerances(fw_max_iter=1e5)
+    assert type(t.fw_max_iter) is int and t == Tolerances.from_overrides(["fw_max_iter=1e5"], env={})
+    assert compute_m_plus(star, tol=Tolerances(fw_max_iter=2e3)) > 0
+    for value in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fw_max_iter"):
+            Tolerances(fw_max_iter=value)
