@@ -51,13 +51,14 @@ class Analysis:
     """What a run learns of one space, each piece made when first read:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
     ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
-    positive definite; ``kernel_eig``, the Jacobi pair of the centred kernel
-    -1/2 P d P, eigenvalues descending, read by the centred verdicts and
-    ``s_embed``; and ``kernel_coords``, the same spectrum with the principal
-    coordinates by one-sided Jacobi, which ``s_embed`` reads in its place on
-    every space certified strictly quasihypermetric, unless it is None.
-    ``build_report`` passes one per report to the entry points that take
-    ``analysis=``; called alone, each makes its own, so none outlives one call.
+    positive definite; ``kernel_eig``, ``jacobi_eigh``'s pair of the centred
+    kernel -1/2 P d P, eigenvalues descending, read by the centred verdicts;
+    and ``kernel_coords``, the spectrum with the principal coordinates, read
+    by ``s_embed``: on a space certified strictly quasihypermetric, by
+    one-sided Jacobi on the kernel's own deflated factor, and else
+    ``kernel_eig``'s. ``build_report`` passes one per report to the entry
+    points that take ``analysis=``; called alone, each makes its own, so none
+    outlives one call.
     """
 
     def __init__(self, space: MetricSpace, tol: Tolerances | None = None):
@@ -84,29 +85,34 @@ class Analysis:
 
     @cached_property
     def kernel_eig(self):
-        # s_embed's order; ties keep Jacobi's order, so -2 w is P d P's ascending spectrum
+        # s_embed's order; ties keep jacobi_eigh's order, so -2 w is P d P's ascending spectrum
         w, v = jacobi_eigh(-0.5 * double_center(self.space.dist))
         order = np.argsort(-w, kind="stable")
         return w[order], v[:, order]
 
     @cached_property
     def kernel_coords(self):
-        """``kernel_eig`` as (w, y), y = v sqrt(w) the principal coordinates,
-        by one-sided Jacobi on a Cholesky factor of the kernel with the
-        constants direction removed exactly; None if that is not positive
-        definite. A Householder H with H 1 = -sqrt(n) e_n gives H P H =
-        I - e_n e_n', so H G H is -1/2 H d H with its last row and column
-        zeroed; the rotated columns of the factor of its leading block, mapped
-        back through H, are y, and their squared norms are w. The last entry
-        of w and column of y, the constants direction, are zero."""
+        """``kernel_eig`` as (w, y), y = v sqrt(max(w, 0)) the principal
+        coordinates. On a space ``certified_strict`` they come from one-sided
+        Jacobi on a Cholesky factor of the kernel with the constants direction
+        removed exactly, unshifted, so that each eigenvalue is accurate
+        relative to itself; where that factor fails, and on every other space,
+        from ``kernel_eig``. A Householder H with H 1 = -sqrt(n) e_n gives
+        H P H = I - e_n e_n', so H G H is -1/2 H d H with its last row and
+        column zeroed; the rotated columns of the factor of its leading block,
+        mapped back through H, are y, and their squared norms are w. The last
+        entry of w and column of y, the constants direction, are zero."""
         d, n = self.space.dist, self.space.n
-        h = np.full(n, 1.0 / np.sqrt(n))
-        h[-1] += 1.0  # H = I - h h' / h_n, since h'h = 2 h_n
-        x = (d * h).sum(axis=1) / h[-1]
-        x -= (0.5 * (h * x).sum() / h[-1]) * h  # H d H = d - h x' - x h'
-        low = cholesky(-0.5 * (d - np.outer(h, x) - np.outer(x, h))[:-1, :-1])
+        low = None
+        if self.certified_strict:
+            h = np.full(n, 1.0 / np.sqrt(n))
+            h[-1] += 1.0  # H = I - h h' / h_n, since h'h = 2 h_n
+            x = (d * h).sum(axis=1) / h[-1]
+            x -= (0.5 * (h * x).sum() / h[-1]) * h  # H d H = d - h x' - x h'
+            low = cholesky(-0.5 * (d - np.outer(h, x) - np.outer(x, h))[:-1, :-1])
         if low is None:
-            return None
+            w, v = self.kernel_eig
+            return w, v * np.sqrt(np.maximum(w, 0.0))
         z = one_sided_jacobi(low.T)
         w = np.einsum("ij,ij->i", z, z)
         order = np.argsort(-w, kind="stable")

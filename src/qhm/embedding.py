@@ -67,11 +67,10 @@ class SEmbedding:
 def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:
     """Embed (X, sqrt(d)) in Euclidean space of minimal dimension.
 
-    Coordinates are the analysis' ``kernel_coords``, by one-sided Jacobi on a
-    Cholesky factor of the centred kernel re-derived from d, on a space
-    certified strictly quasihypermetric, and else, or where that factor fails,
-    the scaled eigenpairs ``kernel_eig``: equal up to rounding and a rotation
-    within repeated eigenvalues.
+    Coordinates are the analysis' ``kernel_coords``: by one-sided Jacobi on
+    a Cholesky factor of the centred kernel re-derived from d, on a space
+    certified strictly quasihypermetric, and else the scaled eigenpairs of
+    ``jacobi_eigh``, the same kernel on a shifted factor.
 
     Raises ``NotQuasihypermetricError``, with the witness of the
     classification's quasihypermetric verdict, where that verdict fails.
@@ -86,13 +85,10 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
             "no Schoenberg embedding",
             witness=qh.witness,
         )
-    coords = a.kernel_coords if a.certified_strict else None
-    w, v = a.kernel_eig if coords is None else coords
+    w, y = a.kernel_coords
     keep = w >= t.rank * max(w[0], 0.0)
     keep &= w > 0.0
-    dim = int(np.count_nonzero(keep))
-    points = v[:, keep] if coords is not None else v[:, keep] * np.sqrt(w[keep])[None, :]
-    emb = SEmbedding(space, points, dim, w)
+    emb = SEmbedding(space, y[:, keep], int(np.count_nonzero(keep)), w)
     err = float(np.max(np.abs(emb.squared_point_distances() - space.dist)))
     if err > t.emb_tol(space.diameter):
         raise ContradictionError(

@@ -1,17 +1,17 @@
 """Deterministic dense linear algebra for small symmetric problems.
 
-Three numpy kernels without LAPACK, so results are bit-reproducible from run
-to run. A Jacobi eigendecomposition in the Brent-Luk round-robin order gives
-eigenvalues, ranks and pseudoinverse solutions, and is exceptionally accurate
-on these matrices (Demmel & Veselic 1992). A Cholesky factorization decides
-positive definiteness and solves positive definite systems. One-sided Jacobi
-(Hestenes) on a Cholesky factor L of a positive definite A = L L' gives A's
-eigenvalues, each to a relative error of about eps times the condition number
-of A scaled to unit diagonal, not of A itself (Demmel & Veselic). Turning a
-round's pairs by one batched 2x2 correction (Rutishauser) until a sweep's worth
-of rounds in a row turns none, it embeds every certified strictly QH space; the
-two-sided kernel does every other decomposition, on one array [A | V'] of A
-and its eigenvector rows that holds A or A' in turn, never copying a transpose.
+Two numpy kernels without LAPACK, so results are bit-reproducible from run to
+run. A Cholesky factorization decides positive definiteness and solves
+positive definite systems. One-sided Jacobi (Hestenes) in the Brent-Luk
+round-robin order, on a Cholesky factor L of a positive definite A = L L',
+gives A's eigenvalues, each to a relative error of about eps times the
+condition number of A scaled to unit diagonal, not of A itself (Demmel &
+Veselic 1992). It turns a round's pairs by one batched 2x2 correction
+(Rutishauser) until a sweep's worth of rounds in a row turns none. It is the
+one eigensolver: it embeds every certified strictly QH space from a factor of
+the centred kernel itself, and ``jacobi_eigh`` runs it on a factor of
+A + sigma I, sigma a Gershgorin bound that makes any symmetric A definite, for
+every other eigendecomposition, rank and pseudoinverse solve.
 """
 
 from __future__ import annotations
@@ -27,16 +27,16 @@ from .errors import ConvergenceWarning
 
 @lru_cache(maxsize=128)
 def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Rounds ``(p, q, [p; q], [q; p])`` of disjoint pairs p < q that meet every
-    pair once: seat 0 stays, the others turn one seat a round, and for odd n
-    the pair with the padding index n sits the round out."""
+    """Rounds ``(p, q, [p; q])`` of disjoint pairs p < q that meet every pair
+    once: seat 0 stays, the others turn one seat a round, and for odd n the
+    pair with the padding index n sits the round out."""
     m = n + n % 2
     seats = list(range(m))
     rounds = []
     for _ in range(m - 1):
         pairs = sorted(tuple(sorted((seats[k], seats[m - 1 - k]))) for k in range(m // 2))
         p, q = np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).T.copy()
-        rounds.append((p, q, np.concatenate((p, q)), np.concatenate((q, p))))
+        rounds.append((p, q, np.concatenate((p, q))))
         for ix in rounds[-1]:
             ix.flags.writeable = False  # shared by every call through the cache
         seats.insert(1, seats.pop())
@@ -53,24 +53,23 @@ def _rotation(d, apq):
     return c, t * c
 
 
-# the Jacobi kernels' relative off-diagonal size below which a rotation is
-# skipped, and the sweeps they make before ConvergenceWarning
+# one_sided_jacobi's cosine of two rows below which the pair is not turned,
+# and the sweeps it makes before ConvergenceWarning
 SWEEP_TOL = 1e-14
 MAX_SWEEPS = 64
 
 
 def jacobi_eigh(a):
-    """Eigendecomposition of a real symmetric matrix by round-robin Jacobi rotations.
+    """Eigendecomposition of a real symmetric matrix by one-sided Jacobi on
+    the Cholesky factor of a shifted copy.
 
-    A sweep is n - 1 rounds (n for odd n) of floor(n/2) disjoint rotations J,
-    each round applied as whole-row numpy updates: O(n) Python steps a sweep.
-    One update of [A | V'] turns A's rows and the eigenvector rows V'; the
-    same update of the view A' turns A's columns. Rows go first on every
-    other rotating round, so J'AJ is held as itself or as its transpose in
-    turn, bit for bit as two row updates around a transpose copy make it.
-    Sweeps repeat until the off-diagonal Frobenius norm drops below
-    ``SWEEP_TOL`` times the norm of the input, or emit ``ConvergenceWarning``
-    when ``MAX_SWEEPS`` runs out first.
+    With sigma the largest absolute row sum of ``a`` times 1 + 1e-8, a + sigma I
+    is positive definite by Gershgorin. ``one_sided_jacobi`` turns the rows of
+    L', for its factor L L', to z: the squared row norms of z are the
+    eigenvalues of a + sigma I, and the normalized rows its eigenvectors. So
+    each eigenvalue is accurate to about eps sigma, absolutely; every caller
+    decides relative to the largest one or to a tolerance. The zero matrix
+    gives w = 0 and V = I.
 
     Returns
     -------
@@ -82,46 +81,16 @@ def jacobi_eigh(a):
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    av_vt = np.hstack((a, np.eye(n)))  # [A | V'], eigenvectors as rows
-    av = av_vt[:, :n]
-    flipped = False  # av holds A' rather than A
-    scale = float(np.linalg.norm(a))
-    if n > 1 and scale > 0.0:
-        # rotations with |a_pq| below this move the off-norm negligibly
-        skip = SWEEP_TOL * scale / (n * n)
-        for sweep in range(MAX_SWEEPS + 1):
-            off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-            if off <= SWEEP_TOL * scale:
-                break
-            if sweep == MAX_SWEEPS:
-                msg = f"Jacobi hit the cap of {MAX_SWEEPS} sweeps (off-norm {off:.3e})"
-                warnings.warn(ConvergenceWarning(msg), stacklevel=2)
-                break
-            for p, q, pq, qp in _round_robin(n):
-                apq = av[q, p] if flipped else av[p, q]
-                active = np.abs(apq) > skip
-                if (k := np.count_nonzero(active)) < len(p):
-                    if k == 0:
-                        continue
-                    p, q, apq = p[active], q[active], apq[active]
-                    pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-                c, s = _rotation(av[q, q] - av[p, p], apq)
-                cc, ss = np.concatenate((c, c))[:, None], np.concatenate((-s, s))[:, None]
-                # A <- J'AJ: rows [p; q] to [c m_p - s m_q; s m_p + c m_q], first of the
-                # view that holds A, then of its transpose, av's on [A | V'] to turn V' too
-                for m in (av.T, av_vt) if flipped else (av_vt, av.T):
-                    x, y = m[pq], m[qp]
-                    x *= cc
-                    y *= ss
-                    x += y
-                    m[pq] = x
-                av[pq, qp] = 0.0
-                flipped = not flipped
-            # A, in the input's memory order, fixes the order of the off-norm's sum
-            np.copyto(a, av.T if flipped else av)
-    order = np.argsort(np.diag(av), kind="stable")
-    return np.diag(av)[order], _sign_columns(av_vt[order, n:].T)
+    n = len(a)
+    shift = float(np.abs(a).sum(axis=1).max(initial=0.0)) * (1.0 + 1e-8)
+    if not math.isfinite(shift):
+        raise ValueError("expected a finite matrix")
+    if shift == 0.0:
+        return np.zeros(n), np.eye(n)
+    z = one_sided_jacobi(cholesky(a + shift * np.eye(n)).T)
+    sq = np.einsum("ij,ij->i", z, z)
+    order = np.argsort(sq, kind="stable")
+    return sq[order] - shift, _sign_columns((z[order] / np.sqrt(sq[order])[:, None]).T)
 
 
 def _sign_columns(v) -> np.ndarray:
@@ -139,16 +108,16 @@ def one_sided_jacobi(a) -> np.ndarray:
     is diagonal. The squared row norms of z are the eigenvalues of a'a, and its
     rows, normalized, the eigenvectors, with no rotation accumulated.
 
-    The rounds are ``jacobi_eigh``'s. Each pair turns by the angle that zeroes
-    z_p . z_q, ``jacobi_eigh``'s on the pair's Gram matrix, a round's pairs by
-    one batched 2x2 product in Rutishauser's correction form [z_p; z_q] +=
+    The rounds are ``_round_robin``'s. Each pair turns by the Jacobi angle
+    of its Gram matrix, the one that zeroes z_p . z_q, a round's pairs by one
+    batched 2x2 product in Rutishauser's correction form [z_p; z_q] +=
     [[-s tau, -s], [s, -s tau]] [z_p; z_q], tau = s / (1 + c), which keeps the
     row norms, the eigenvalues, from drifting with the rounding of c. A pair is
     skipped when the cosine of its rows is at most ``SWEEP_TOL``, or z_p . z_q
-    at most ``SWEEP_TOL`` |a|_F^2 / m^2 for m rows (``jacobi_eigh``'s skip on
-    z z', so that rows at rounding level of a rank-deficient a settle). Rounds
-    run until a sweep's worth in a row rotates nothing (whole sweeps would stop
-    with the same z), or emit ``ConvergenceWarning`` after ``MAX_SWEEPS`` sweeps.
+    at most ``SWEEP_TOL`` |a|_F^2 / m^2 for m rows, so that rows at rounding
+    level of a rank-deficient a settle. Rounds run until a sweep's worth in a
+    row rotates nothing (whole sweeps would stop with the same z), or emit
+    ``ConvergenceWarning`` after ``MAX_SWEEPS`` sweeps.
     """
     z = np.array(a, dtype=float)
     if z.ndim != 2:
@@ -159,7 +128,7 @@ def one_sided_jacobi(a) -> np.ndarray:
     for r in range(MAX_SWEEPS * len(rounds)):
         if quiet == len(rounds):
             break
-        p, q, pq, _ = rounds[r % len(rounds)]
+        p, q, pq = rounds[r % len(rounds)]
         y = z[pq].reshape(2, len(p), -1)  # rows [p; q]; y[:, i] is pair i's [z_p; z_q]
         g = np.einsum("aij,bij->abi", y, y)  # the pairs' Gram matrices
         xx, yy, xy = g[0, 0], g[1, 1], g[0, 1]
@@ -274,14 +243,16 @@ def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL):
 
 
 def gram_rank(a, rank_rel: float = RANK_REL) -> int:
-    """Rank of a rectangular matrix, decided on the eigenvalues of its Gram matrix.
+    """Rank of a rectangular matrix, decided on the eigenvalues of its Gram
+    matrix a'a: the squared row norms of a' turned by ``one_sided_jacobi``,
+    with no Gram matrix formed.
 
     The effective singular-value cutoff is ``sqrt(rank_rel)`` relative, which
-    is ample for the structural rank questions asked here; a negative
-    eigenvalue, which only rounding makes, never counts.
+    is ample for the structural rank questions asked here; an eigenvalue of
+    exactly zero never counts.
     """
-    a = np.asarray(a, dtype=float)
-    w, _ = jacobi_eigh(a.T @ a)
+    z = one_sided_jacobi(np.asarray(a, dtype=float).T)
+    w = np.einsum("ij,ij->i", z, z)
     return int(np.count_nonzero(_nonzero(w, rank_rel) & (w > 0.0)))
 
 

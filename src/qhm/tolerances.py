@@ -11,6 +11,8 @@ Overrides: ``Tolerances.from_overrides`` merges, in order, the defaults,
 Every value must be a finite non-negative number, and that of an int field
 an integral one (``1e5`` included, stored as an int); any other raises
 ``ValueError`` naming the key when the record is built, however it is built.
+A float field stores its value as a Python float, so ``pos=1``, ``pos=True``
+and numpy scalars serialize as ``--tol pos=1`` does.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ class Tolerances:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if type(f.default) is int and isinstance(value, numbers.Real):
-                if not float(value).is_integer():
+            if isinstance(value, numbers.Real):
+                if type(f.default) is int and not float(value).is_integer():
                     raise ValueError(f"tolerance {f.name!r} expects int, got {value!r}")
-                object.__setattr__(self, f.name, value := int(value))
+                object.__setattr__(self, f.name, value := type(f.default)(value))
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"tolerance {f.name!r} must be a finite non-negative number, got {value!r}"

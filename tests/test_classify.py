@@ -11,9 +11,10 @@ import qhm
 from qhm import classify
 from qhm.errors import BudgetExceededError
 from qhm.linalg import double_center, jacobi_eigh
+from qhm.spaces import FIXTURE_NAMES
 from qhm.tolerances import DEFAULT_TOLERANCES
 
-from conftest import NON_QH_SEED, circle_sample, euclidean_corpus, restricted_top
+from conftest import NON_QH_SEED, circle_sample, euclidean_corpus, restricted_top, seeded_spaces
 
 
 def collinear(u, v):
@@ -135,6 +136,32 @@ def test_schoenberg_consistency(equilateral, assouad, cycle4, star, non_quasihyp
         w, _ = jacobi_eigh(-0.5 * double_center(space.dist))
         psd = w[0] >= -DEFAULT_TOLERANCES.pos_tol(space.n, space.diameter)
         assert psd == qhm.check_quasihypermetric(space).holds
+
+
+def test_verdicts_and_rank_agree_with_lapack():
+    """On a seeded corpus of over 200 spaces (the fixtures, random metrics,
+    Euclidean points, and circle and interval samples), the quasihypermetric
+    and strict verdicts and rank(d) are those that the same thresholds read
+    off LAPACK's spectra of P d P and d."""
+    t = DEFAULT_TOLERANCES
+    spaces = [qhm.make_fixture(name) for name in FIXTURE_NAMES] + seeded_spaces(2110, 10)
+    interval = qhm.CompactSpaceDescriptor("interval", length=0.8)
+    spaces += [s for n in range(2, 25) for s in (interval.sample_space(n), circle_sample(n, 5.0))]
+    assert len(spaces) >= 200
+    seen = set()
+    for space in spaces:
+        ptol, ntol = t.pos_tol(space.n, space.diameter), t.neg_tol(space.n, space.diameter)
+        pdp = np.linalg.eigvalsh(double_center(space.dist))
+        qh = pdp[-1] <= ptol
+        strict = qh and np.count_nonzero((pdp >= -ntol) & (pdp <= ptol)) <= 1
+        lam = np.abs(np.linalg.eigvalsh(space.dist))
+        rank = int(np.count_nonzero(lam > t.rank * lam.max()))
+        assert qhm.check_quasihypermetric(space).holds == qh
+        assert qhm.check_strictly_quasihypermetric(space).holds == strict
+        assert classify.distance_matrix_nullspace(space)[0] == rank
+        seen.add((qh, strict, rank == space.n))
+    # every verdict, and singular d both within and outside the band
+    assert seen == {(False, False, True), (True, False, True), (True, False, False), (True, True, True)}
 
 
 def test_euclidean_subsets_are_strictly_quasihypermetric():

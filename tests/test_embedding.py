@@ -10,7 +10,7 @@ import qhm
 from qhm import classify
 from qhm.cli import main
 from qhm.errors import ContradictionError, NotQuasihypermetricError, PreconditionError
-from qhm.linalg import cholesky, gram_rank, lstsq_minnorm, one_sided_jacobi
+from qhm.linalg import _sign_columns, cholesky, gram_rank, lstsq_minnorm, one_sided_jacobi
 
 from conftest import euclidean_corpus, near_threshold_space
 
@@ -287,13 +287,20 @@ def _leads(y):
     return np.array([np.flatnonzero(m >= (1.0 - 1e-12) * m.max())[0] for m in mag.T])
 
 
-def test_one_sided_route_agrees_with_the_two_sided_kernel():
+def _lapack_kernel(space):
+    """The centred kernel's eigenpairs by LAPACK, eigenvalues descending and
+    columns signed by the package's rule."""
+    w, v = np.linalg.eigh(-0.5 * qhm.linalg.double_center(space.dist))
+    return w[::-1], _sign_columns(v[:, ::-1])
+
+
+def test_one_sided_route_agrees_with_lapack():
     tol = qhm.DEFAULT_TOLERANCES
     for space in _strict_spaces():
         n = space.n
         a = classify.Analysis(space)
         assert a.certified_strict
-        w, v = a.kernel_eig
+        w, v = _lapack_kernel(space)
         emb = qhm.s_embed(space, analysis=a)
         assert emb.dim == n - 1
         assert np.max(np.abs(emb.gram_eigenvalues - w)) <= 1e-13 * w[0]
@@ -305,7 +312,7 @@ def test_one_sided_route_agrees_with_the_two_sided_kernel():
         assert np.all(y[_leads(y), np.arange(n - 1)] > 0.0)  # the sign rule
         dev = np.max(np.abs(emb.squared_point_distances() - space.dist))
         assert dev <= tol.emb_tol(space.diameter)
-        # the same coordinates as the two-sided route, the eigenvalues being simple
+        # LAPACK's coordinates, the eigenvalues being simple
         assert np.min(-np.diff(w[:-1])) > 1e-6 * w[0]
         ref = v[:, : n - 1] * np.sqrt(w[: n - 1])
         assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -313,11 +320,11 @@ def test_one_sided_route_agrees_with_the_two_sided_kernel():
 
 def test_mirror_entries_sign_both_routes_alike():
     """The 17-point interval of length 0.8: columns whose two largest entries
-    are mirror images take the same sign from both routes, by position."""
+    are mirror images take the same sign from the one-sided route and from
+    LAPACK's eigenvectors, by position."""
     space = qhm.CompactSpaceDescriptor("interval", length=0.8).sample_space(17)
-    a = classify.Analysis(space)
-    w, v = a.kernel_eig
-    y = a.kernel_coords[1][:, :-1]
+    w, v = _lapack_kernel(space)
+    y = classify.Analysis(space).kernel_coords[1][:, :-1]
     mag = np.abs(y)
     top = np.sort(mag, axis=0)
     assert np.any(top[-2] >= (1.0 - 1e-12) * top[-1])  # some column has tied entries
@@ -364,14 +371,15 @@ def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
     for space in _strict_spaces()[:1] + _strict_spaces()[-2:]:
         monkeypatch.setattr(classify, "cholesky", lambda a: None)
         a = classify.Analysis(space)
-        assert a.certified_strict and a.kernel_coords is None
+        assert a.certified_strict
         fallback = qhm.s_embed(space, analysis=a)
         w, v = a.kernel_eig
+        assert np.array_equal(a.kernel_coords[1], v * np.sqrt(np.maximum(w, 0.0)))
         assert np.array_equal(fallback.gram_eigenvalues, w)
         assert fallback.dim == space.n - 1
         assert np.array_equal(fallback.points, v[:, : space.n - 1] * np.sqrt(w[: space.n - 1]))
         monkeypatch.undo()
-        assert classify.Analysis(space).kernel_coords is not None
+        assert classify.Analysis(space).kernel_coords[0][-1] == 0.0  # the deflated factor's
 
 
 def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypatch):

@@ -1,6 +1,5 @@
 """The Jacobi engine against numpy's LAPACK-backed reference."""
 
-import math
 import os
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import qhm
 from qhm.errors import ConvergenceWarning
 from qhm.linalg import (
     _round_robin,
+    _rotation,
     cholesky,
     cholesky_solve,
     double_center,
@@ -75,18 +75,16 @@ def test_repeated_eigenvalues(name):
     assert np.allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-14)
 
 
-def test_tiny_off_diagonal_rotates_without_overflow(monkeypatch):
+def test_tiny_off_diagonal_rotates_without_overflow():
     # the tiny-angle regime: theta = (a_qq - a_pp) / (2 a_pq) is 5e169 and 1e308, and
-    # |theta| + hypot(theta, 1) overflows at the second; SWEEP_TOL = 0 keeps the rotation
-    monkeypatch.setattr(qhm.linalg, "SWEEP_TOL", 0.0)
-    for a in ([[0.0, 1e-200], [1e-200, 1e-30]], [[0.0, 5e-159], [5e-159, 1e150]]):
-        a = np.array(a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w, v = jacobi_eigh(a)
-        assert np.allclose(w, np.linalg.eigvalsh(a), rtol=1e-15, atol=1e-300)
-        assert w[1] == a[1, 1] and v[0, 0] == 1.0 and v[1, 1] == 1.0
-        assert abs(v[1, 0]) == pytest.approx(a[0, 1] / a[1, 1])
+    # |theta| + hypot(theta, 1) overflows at the second; the tangent is a_pq / d
+    d = np.array([1e-30, 1e150])
+    apq = np.array([1e-200, 5e-159])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, s = _rotation(d, apq)
+    assert np.array_equal(c, [1.0, 1.0])
+    assert s == pytest.approx(apq / d, rel=1e-15)
 
 
 def test_sweep_cap_warns(monkeypatch):
@@ -106,6 +104,13 @@ def test_zero_and_diagonal_matrices():
     assert np.all(w == 0.0) and np.allclose(v, np.eye(3))
     w, _ = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
     assert np.allclose(w, [-1.0, 2.0, 3.0])
+
+
+def test_non_finite_input_is_a_value_error():
+    # no shift makes such a matrix definite
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh(np.array([[1.0, bad], [bad, 0.0]]))
 
 
 def test_pinv_solve_nonsingular():
@@ -260,42 +265,31 @@ def test_one_sided_jacobi_sweep_cap_warns(monkeypatch):
         one_sided_jacobi(a)
 
 
-def test_one_sided_route_is_as_accurate_as_two_sided_jacobi():
+def test_unshifted_route_is_as_accurate_as_the_shifted_one():
     """On the centred kernels of Gaussian point sets, n = 16..128, the
-    embedding's one-sided eigenvalues are no farther from LAPACK's than the
-    two-sided kernel's, at the worst of each size, relative to the largest,
-    and within 2e-15 of it from n = 64. Rounds turned by the plain
-    [[c, -s], [s, c]] product in place of the correction form drift to about
-    2.5e-14 at n = 128."""
+    embedding's unshifted one-sided eigenvalues are no farther from LAPACK's
+    than ``jacobi_eigh``'s on the shifted factor, at the worst of each size,
+    relative to the largest, and within 2e-15 of it from n = 64. Rounds
+    turned by the plain [[c, -s], [s, c]] product in place of the correction
+    form drift to about 2.5e-14 at n = 128."""
     rng = np.random.default_rng(41)
     for n, count in ((16, 3), (32, 3), (64, 2), (128, 1)):
-        worst_one, worst_two = 0.0, 0.0
+        worst_one, worst_shifted = 0.0, 0.0
         for _ in range(count):
             space = qhm.from_euclidean(rng.normal(size=(n, 3)))
             ref = np.linalg.eigvalsh(-0.5 * double_center(space.dist))[::-1]
             a = qhm.classify.Analysis(space)
             one = a.kernel_coords[0]
-            two = a.kernel_eig[0]
+            shifted = a.kernel_eig[0]
             worst_one = max(worst_one, float(np.max(np.abs(one - ref))) / ref[0])
-            worst_two = max(worst_two, float(np.max(np.abs(two - ref))) / ref[0])
-        assert worst_one <= worst_two, (n, worst_one, worst_two)
+            worst_shifted = max(worst_shifted, float(np.max(np.abs(shifted - ref))) / ref[0])
+        assert worst_one <= worst_shifted, (n, worst_one, worst_shifted)
         assert n < 64 or worst_one <= 2e-15, (n, worst_one)
 
 
-# Frozen references: the round loops of jacobi_eigh and one_sided_jacobi as
-# plain sweeps. jacobi_eigh's is its loop before [A | V'] and the alternating
-# orientation, with a transpose copy between two row rotations and each row
-# pair gathered twice. one_sided_jacobi's repeats whole sweeps until one
-# rotates no pair, with x'x, y'y and x'y each by its own einsum. The kernels
-# must match them bit for bit.
-
-
-def _ref_rotate_rows(m, pq, qp, cc, ss):
-    x, y = m[pq], m[qp]
-    x *= cc
-    y *= ss
-    x += y
-    m[pq] = x
+# Frozen reference: one_sided_jacobi's round loop as plain sweeps, repeated
+# until one rotates no pair, with x'x, y'y and x'y each by its own einsum. The
+# kernel must match it bit for bit.
 
 
 def _ref_rotation(d, apq):
@@ -303,47 +297,6 @@ def _ref_rotation(d, apq):
     t = np.concatenate((-t, t))[:, None]
     cc = 1.0 / np.sqrt(t * t + 1.0)
     return cc, t * cc
-
-
-def _ref_jacobi_eigh(a, sweep_tol=1e-14, max_sweeps=64):
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    vt = np.eye(n)
-    scale = float(np.linalg.norm(a))
-    if n > 1 and scale > 0.0:
-        skip = sweep_tol * scale / (n * n)
-        buf = np.empty_like(a)
-        for sweep in range(max_sweeps + 1):
-            off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-            if off <= sweep_tol * scale:
-                break
-            if sweep == max_sweeps:
-                msg = f"Jacobi hit the cap of {max_sweeps} sweeps (off-norm {off:.3e})"
-                warnings.warn(ConvergenceWarning(msg), stacklevel=2)
-                break
-            for p, q, pq, qp in _round_robin(n):
-                apq = a[p, q]
-                active = np.abs(apq) > skip
-                if not active.all():
-                    if not active.any():
-                        continue
-                    p, q, apq = p[active], q[active], apq[active]
-                    pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-                cc, ss = _ref_rotation(a[q, q] - a[p, p], apq)
-                _ref_rotate_rows(a, pq, qp, cc, ss)
-                np.copyto(buf, a.T)
-                a, buf = buf, a
-                _ref_rotate_rows(a, pq, qp, cc, ss)
-                a[pq, qp] = 0.0
-                _ref_rotate_rows(vt, pq, qp, cc, ss)
-    order = np.argsort(np.diag(a), kind="stable")
-    w = np.diag(a)[order]
-    v = vt[order].T
-    for j in range(n):  # the first entry within 1e-12 of the largest magnitude is positive
-        mag = np.abs(v[:, j])
-        if v[np.flatnonzero(mag >= (1.0 - 1e-12) * mag.max())[0], j] < 0.0:
-            v[:, j] = -v[:, j]
-    return w, v
 
 
 def _ref_correct_pairs(z, p, q, cc, ss):
@@ -377,7 +330,7 @@ def _ref_one_sided_jacobi(a, rotate=_ref_correct_pairs, max_sweeps=64, sweep_tol
             warnings.warn(ConvergenceWarning(msg), stacklevel=2)
             break
         rotated = False
-        for p, q, _, _ in _round_robin(len(z)):
+        for p, q, _ in _round_robin(len(z)):
             x, y = z[p], z[q]
             xx, yy = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
             xy = np.einsum("ij,ij->i", x, y)
@@ -416,34 +369,18 @@ def _symmetric_corpus():
         yield "block", block
 
 
-def _assert_same_eigh(a, **kw):
-    """``jacobi_eigh`` against the reference, bit for bit and warning for
-    warning, with ``SWEEP_TOL`` and ``MAX_SWEEPS`` set to the reference's
-    ``sweep_tol`` and ``max_sweeps`` in ``kw``."""
-    with pytest.MonkeyPatch.context() as patch:
-        for key, value in kw.items():
-            patch.setattr(qhm.linalg, key.upper(), value)
-        with warnings.catch_warnings(record=True) as got:
-            warnings.simplefilter("always")
-            w, v = jacobi_eigh(a)
-    with warnings.catch_warnings(record=True) as ref:
-        warnings.simplefilter("always")
-        w0, v0 = _ref_jacobi_eigh(a, **kw)
-    assert np.array_equal(w, w0) and np.array_equal(v, v0)
-    assert [str(x.message) for x in got] == [str(x.message) for x in ref]
-    return len(got)
-
-
-def test_jacobi_eigh_matches_the_frozen_reference_bit_for_bit():
-    kinds, capped = set(), 0
+def test_jacobi_eigh_eigenvalues_are_within_1e_14_sigma_of_lapack():
+    """On the corpus, each eigenvalue is within 1e-14 sigma of LAPACK's,
+    sigma the shift, the largest absolute row sum: the shifted factor's
+    accuracy is absolute. The worst seen is about 3e-15 sigma."""
+    kinds = set()
     for kind, a in _symmetric_corpus():
         kinds.add(kind)
-        _assert_same_eigh(a)
-        _assert_same_eigh(np.asfortranarray(a))
-        if len(a) in (2, 7, 16, 33):
-            _assert_same_eigh(a, sweep_tol=0.0)
-            capped += _assert_same_eigh(a, max_sweeps=1)
-    assert capped >= 20  # the cap and its message, compared above
+        w, v = jacobi_eigh(a)
+        sigma = float(np.abs(a).sum(axis=1).max())
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-14 * sigma, (kind, len(a))
+        assert np.max(np.abs(v.T @ v - np.eye(len(a)))) <= 1e-13
+    assert kinds == {"symmetric", "random_metric", "euclidean", "circle", "kernel", "diagonal", "sparse", "block"}
     # the corpus holds quasihypermetric d and d that is not
     verdicts = {qhm.check_quasihypermetric(qhm.random_metric(n, seed=500 + n)).holds for n in (3, 12)}
     assert verdicts == {True, False}

@@ -8,7 +8,7 @@ import pytest
 
 import qhm
 from qhm.errors import InconsistentSystemError, PreconditionError
-from qhm.linalg import eigh_pinv_solve, jacobi_eigh, lstsq_minnorm, semidefinite_cholesky
+from qhm.linalg import _nonzero, eigh_pinv_solve, jacobi_eigh, lstsq_minnorm, semidefinite_cholesky
 from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS, MReport, _certified
 from qhm.spaces import FIXTURE_NAMES
 
@@ -312,9 +312,14 @@ def _canonical_solution(w0, null_basis):
 
 def _eigenvector_route(space, t=qhm.DEFAULT_TOLERANCES):
     """compute_m's former route for a quasihypermetric space in the band, as
-    the reference: ``eigh_pinv_solve`` on d, then ``_canonical_solution``,
-    then the certificate checks. Returns the report and d's null basis."""
-    w0, residual, rank, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), t.rank)
+    the reference: ``eigh_pinv_solve``'s pseudoinverse solve of d w = 1 on
+    LAPACK's eigenpairs, then ``_canonical_solution``, then the certificate
+    checks. Returns the report and d's null basis."""
+    lam, v = np.linalg.eigh(space.dist)
+    keep = _nonzero(lam, t.rank)
+    w0 = v[:, keep] @ (v[:, keep].sum(axis=0) / lam[keep])
+    residual = float(np.linalg.norm(space.dist @ w0 - 1.0))
+    rank, null_basis = int(np.count_nonzero(keep)), v[:, ~keep]
     assert residual <= t.res_tol(space.n)
     w, how = _canonical_solution(w0, null_basis)
     mass = float(w.sum())

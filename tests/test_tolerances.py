@@ -1,10 +1,14 @@
 """The tolerance record: overrides, serialization, scale helpers."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
+import qhm
 from qhm import compute_m_plus
+from qhm.cli import main
 from qhm.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -77,3 +81,17 @@ def test_int_field_takes_integral_values_however_built(star):
     for value in (2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="fw_max_iter"):
             Tolerances(fw_max_iter=value)
+
+
+@pytest.mark.parametrize("value", [1, True, np.int64(1), np.float32(1e-9)])
+def test_float_field_stores_a_float_however_built(capsys, tmp_path, star, value):
+    """A float field given an int, a bool or a numpy scalar builds the same
+    report document, byte for byte, as ``--tol pos=`` with that number."""
+    t = Tolerances(pos=value)
+    assert type(t.pos) is float and t.pos == float(value)
+    path = str(tmp_path / "star.csv")
+    qhm.dump(star, path)
+    assert main(["report", path, "--tol", f"pos={float(value)!r}"]) == 0
+    doc = qhm.build_report(star, tol=t)
+    doc["input_path"] = path
+    assert json.dumps(doc, indent=2) + "\n" == capsys.readouterr().out
