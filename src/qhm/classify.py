@@ -4,9 +4,9 @@ Quasihypermetricity (the distance matrix is negative semidefinite on the
 mass-zero hyperplane) is read off the spectrum of the doubly centred matrix
 P d P, where P = I - J/n annihilates constants. Strictness asks the
 restricted form to be negative definite, which shows up as "exactly one
-near-zero eigenvalue of P d P" (the constants direction). ``classify_space``
-reads that spectrum only in the band around the threshold and on spaces that
-are not quasihypermetric: when K - ptol S is positive definite (``Analysis``)
+near-zero eigenvalue of P d P" (the constants direction). Both verdicts read
+that spectrum only in the band around the threshold and on spaces that are
+not quasihypermetric: when K - ptol S is positive definite (``Analysis``)
 the space is strictly quasihypermetric and rank(d) = n. The hypermetric
 property is only ever certified up to a coefficient bound B: it asks
 b'db <= 0 of every integer b with sum(b) = 1 and |b_i| <= B. On a strictly
@@ -153,7 +153,11 @@ def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None =
 
 
 def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
-    """The quasihypermetric and the strict verdict, from the spectrum of P d P."""
+    """The quasihypermetric and the strict verdict: both hold on a space
+    ``certified_strict``, with no eigensolver run; else from the spectrum of
+    P d P."""
+    if a.certified_strict:
+        return Verdict(True), Verdict(True)
     space, t = a.space, a.tol
     w, v = -2.0 * a.kernel_eig[0], a.kernel_eig[1]
     if w[-1] > t.pos_tol(space.n, space.diameter):
@@ -342,12 +346,11 @@ def classify_space(
     a = analysis or Analysis(space, tol)
     space = a.space
     hyper = check_hypermetric_bounded(space, hyper_bound, a.tol, analysis=a)
+    qh, strict = _centred_verdicts(a)
     if a.certified_strict:
-        qh = strict = Verdict(True)
         rank, basis = space.n, np.empty((space.n, 0))
     else:
         rank, basis = distance_matrix_nullspace(space, a.tol)
-        qh, strict = _centred_verdicts(a)
     return Classification(
         quasihypermetric=qh,
         strictly_quasihypermetric=strict,

@@ -79,7 +79,7 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
     space, t, n = a.space, a.tol, a.space.n
     if n == 1:
         return SEmbedding(space, np.zeros((1, 0)), 0, np.zeros(1))
-    if not a.certified_strict and not (qh := _centred_verdicts(a)[0]):
+    if not (qh := _centred_verdicts(a)[0]):
         raise NotQuasihypermetricError(
             f"centred kernel has negative eigenvalue {a.kernel_eig[0][-1]:.3e}; "
             "no Schoenberg embedding",
@@ -140,16 +140,19 @@ def with_circumsphere(emb: SEmbedding, tol: Tolerances | None = None) -> SEmbedd
     return replace(emb, sphere=circumsphere(emb, tol=tol))
 
 
-def hull_distance(emb: SEmbedding, tol: Tolerances | None = None) -> float:
+def hull_distance(emb: SEmbedding, tol: Tolerances | None = None, start=None) -> float:
     """Distance from the sphere centre to the convex hull of the points.
 
-    Computed by the min-norm-point method on the centred points. Requires the
-    circumsphere; warns if the solver hits its cap.
+    Computed by the min-norm-point method on the centred points, from the
+    corral ``start`` (point indices) when its affine minimizer lies strictly
+    inside its simplex. Requires the circumsphere; warns if the solver hits
+    its cap.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     if emb.sphere is None:
         raise PreconditionError("hull distance needs the circumsphere; attach it first")
-    result = min_norm_point_in_hull(emb.points - emb.sphere.centre[None, :], tol=t.minnorm)
+    centred = emb.points - emb.sphere.centre[None, :]
+    result = min_norm_point_in_hull(centred, tol=t.minnorm, start=start)
     if not result.converged:
         warnings.warn(
             ConvergenceWarning("min-norm-point hit its iteration cap; value may be loose"),
@@ -158,8 +161,8 @@ def hull_distance(emb: SEmbedding, tol: Tolerances | None = None) -> float:
     return result.distance
 
 
-def with_hull_distance(emb: SEmbedding, tol: Tolerances | None = None) -> SEmbedding:
-    return replace(emb, hull_distance=hull_distance(emb, tol=tol))
+def with_hull_distance(emb: SEmbedding, tol: Tolerances | None = None, start=None) -> SEmbedding:
+    return replace(emb, hull_distance=hull_distance(emb, tol=tol, start=start))
 
 
 def full_embedding(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:

@@ -1,12 +1,15 @@
 """Maximization of a quadratic over the probability simplex by an exact active set.
 
-The active set starts from the diametral pair, the lowest-index pair where q
-is largest (on a distance matrix its uniform measure has energy D/2, the
-lower bound for M+). It solves each face's stationarity system exactly, by
-Cholesky of the face's Schoenberg form, drops the most negative vertex while
-there is one, and grows the face by the best outside vertex until the gap
-criterion is met. If it stalls first, the result says so and carries the
-best point found.
+The active set starts from the support of a given point, or else from the
+diametral pair, the lowest-index pair where q is largest (on a distance
+matrix its uniform measure has energy D/2, the lower bound for M+). It solves
+each face's stationarity system exactly, by Cholesky of the face's Schoenberg
+form, drops every vertex of negative weight at once, and grows the face by the
+best outside vertex until the gap criterion is met. So a start that holds the
+optimal support and a few more vertices mostly costs one drop, not one face
+per extra vertex. The gap criterion decides the result whatever the start. If
+the active set stalls first, the result says so and carries the best point
+found.
 
 Ties in vertex selection break toward the lowest index, so runs are fully
 deterministic.
@@ -27,7 +30,7 @@ class SimplexMaxResult:
     weights: np.ndarray
     value: float
     gap: float
-    iterations: int
+    iterations: int  # face solves
     converged: bool
 
 
@@ -72,12 +75,14 @@ def maximize_quadratic_on_simplex(
     semidefinite on mass-zero vectors); then the gap ``max_i g_i - g.x`` of
     the gradient ``g = 2 q x`` upper-bounds the suboptimality and is the
     stopping criterion. The active set starts from the support of ``x0`` when
-    given, and solves at most ``min(2n, max_iter)`` faces. A face is accepted
-    only if it does not lose objective value, so when the active set stalls
-    (a face solve fails, the best vertex is already in the face, or the cap
-    is reached) the result is the best point found, with ``converged``
-    False. ``iterations`` is always 0, as the solver takes no iterative
-    steps; the field stays for callers that read it.
+    given, a probability vector, and else from the diametral pair. Each face
+    solve drops every vertex of weight below -1e-12 at once (the weights sum
+    to 1, so one at least stays), or else adds the vertex of largest gradient.
+    At most ``min(2n, max_iter)`` faces are solved, and ``iterations`` counts
+    them. A face is accepted only if it does not lose objective value, so
+    when the active set stalls (a face solve fails, the best vertex is
+    already in the face, or the cap is reached) the result is the best point
+    found, with ``converged`` False.
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
@@ -86,12 +91,13 @@ def maximize_quadratic_on_simplex(
     else:
         x = np.array(x0, dtype=float)
     support = np.flatnonzero(x > 0.0)
-    for _ in range(min(2 * n, max_iter)):
+    faces = 0
+    for faces in range(1, min(2 * n, max_iter) + 1):
         w = _face_stationary(q, support)
         if w is None:
             break
         if float(w.min()) < -1e-12:
-            support = np.delete(support, int(np.argmin(w)))
+            support = support[w >= -1e-12]
             continue
         candidate = np.zeros(n)
         candidate[support] = np.maximum(w, 0.0)
@@ -107,4 +113,4 @@ def maximize_quadratic_on_simplex(
         support = np.sort(np.append(support, j))
     g = 2.0 * (q @ x)
     gap = float(g.max()) - float(g @ x)
-    return SimplexMaxResult(x, float(x @ q @ x), gap, 0, gap <= gap_tol)
+    return SimplexMaxResult(x, float(x @ q @ x), gap, faces, gap <= gap_tol)

@@ -230,12 +230,14 @@ def uniqueness_of_maximal(space: MetricSpace, tol: Tolerances | None = None) -> 
 
 
 def maximize_energy_over_probability(
-    space: MetricSpace, tol: Tolerances | None = None
+    space: MetricSpace, tol: Tolerances | None = None, x0: np.ndarray | None = None
 ) -> SimplexMaxResult:
-    """Maximization of the energy over probability measures by the exact active set."""
+    """Maximization of the energy over probability measures by the exact active
+    set, from the support of the probability vector ``x0`` when given and else
+    from the diametral pair."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     return maximize_quadratic_on_simplex(
-        space.dist, gap_tol=t.fw_tol(space.diameter), max_iter=t.fw_max_iter
+        space.dist, gap_tol=t.fw_tol(space.diameter), max_iter=t.fw_max_iter, x0=x0
     )
 
 
@@ -253,12 +255,19 @@ def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
 
 def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> MReport:
     """``report`` with M+ and its certificate attached (``compute_m_plus`` for
-    a space whose ``compute_m`` report is in hand)."""
+    a space whose ``compute_m`` report is in hand). The active set starts from
+    the positive part of the maximal measure w*, normalized. A maximal
+    probability measure with support F has d_FF x_F = M+ 1: where w* >= 0
+    its face is the answer, M+ = M, and elsewhere F is most often w*'s
+    positive support or within it. The gap criterion decides either way."""
     if TAG_NOT_QUASIHYPERMETRIC in report.method_tags:
         raise PreconditionError("M+ is only computed for quasihypermetric spaces")
     if not report.is_finite:
         raise PreconditionError("M+ is only computed when M(X) is finite")
-    result = maximize_energy_over_probability(space, tol=t)
+    # weights within 1e-12 of zero count as zero, as in the active set's drop
+    w = report.maximal_measure.weights
+    positive = np.where(w > 1e-12, w, 0.0)
+    result = maximize_energy_over_probability(space, tol=t, x0=positive / positive.sum())
     if not result.converged:
         warnings.warn(
             ConvergenceWarning(

@@ -76,13 +76,19 @@ def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     return lam
 
 
-def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = None) -> MinNormResult:
+def min_norm_point_in_hull(
+    points, tol: float = 1e-12, max_iter: int | None = None, start=None
+) -> MinNormResult:
     """Nearest point of conv{rows of ``points``} to the origin.
 
     ``tol`` controls both the optimality slack (relative to the squared point
     scale, and at least 8 eps) and the weight cleanup inside corral updates.
-    The initial vertex is the input point nearest the origin; all ties break
-    toward the lowest index, making the run deterministic.
+    ``start``, a collection of point indices, is the first corral when its
+    affine minimizer has every weight above ``tol``; the weights are that
+    minimizer's, so any start is a valid corral or is not used. Otherwise the
+    first corral is the input point nearest the origin. All ties break toward
+    the lowest index, making the run deterministic, and only the optimality
+    test ends a run as converged, whatever its start.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -109,9 +115,13 @@ def min_norm_point_in_hull(points, tol: float = 1e-12, max_iter: int | None = No
     # point is at rounding level would fail the test forever
     stop_slack = max(tol, 8.0 * np.finfo(float).eps) * max(float(np.max(norms)), 1.0)
 
-    idx = [int(np.argmin(norms))]
-    lam = np.array([1.0])
-    x = pts[idx[0]].copy()
+    idx, lam = [int(np.argmin(norms))], np.array([1.0])
+    if start is not None and len(start) > 0:
+        corral = sorted({int(i) for i in start})
+        mu = _affine_minimizer(pts[corral])
+        if np.all(mu > tol):
+            idx, lam = corral, mu
+    x = lam @ pts[idx]
     it = 0
     converged = False
     for it in range(1, max_iter + 1):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classify import Analysis, Classification, Verdict, classify_space
-from .embedding import embedding_to_json, full_embedding
+from .embedding import embedding_to_json, s_embed, with_circumsphere, with_hull_distance
 from .errors import ContradictionError
 from .io import matrix_digest
 from .mconstant import MReport, _m_plus_from_report, compute_m
@@ -80,7 +80,9 @@ def build_report(
 ) -> dict:
     """Classify, compute the M numbers, embed, and cross-check, in one document.
     Every step reads one ``Analysis``; the embedding's kernel re-checks its
-    Cholesky verdict (n - 1 positive eigenvalues, or ``ContradictionError``)."""
+    Cholesky verdict (n - 1 positive eigenvalues, or ``ContradictionError``).
+    M+ is solved before the hull distance, whose min-norm run starts from
+    M+'s support."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     a = Analysis(space, t)
     classification = classify_space(space, hyper_bound=hyper_bound, tol=t, analysis=a)
@@ -89,12 +91,20 @@ def build_report(
     embedding = None
     cross: dict = {"m_vs_sphere": None, "m_plus_vs_hull": None}
     if classification.quasihypermetric.holds:
-        emb = full_embedding(space, tol=t, analysis=a)
+        emb = with_circumsphere(s_embed(space, tol=t, analysis=a), tol=t)
         if a.certified_strict and emb.dim < space.n - 1:
             raise ContradictionError(
                 "strictly quasihypermetric by Cholesky, but the embedding has "
                 f"dimension {emb.dim} < n - 1"
             )
+        if emb.sphere is not None:
+            # M+'s support is the hull's optimal corral on most spaces; Wolfe's
+            # method still certifies s by its own optimality test
+            start = None
+            if m_rep.is_finite:
+                m_rep = _m_plus_from_report(space, m_rep, t)
+                start = m_rep.m_plus_certificate["support"]
+            emb = with_hull_distance(emb, tol=t, start=start)
         embedding = embedding_to_json(emb)
         if m_rep.is_finite and emb.sphere is not None:
             two_r2 = 2.0 * emb.sphere.radius**2
@@ -103,14 +113,11 @@ def build_report(
                 "two_r_squared": two_r2,
                 "discrepancy": abs(m_rep.m_value - two_r2),
             }
-            m_rep = _m_plus_from_report(space, m_rep, t)
-            geo = emb.m_plus_geometric
-            if geo is not None:
-                cross["m_plus_vs_hull"] = {
-                    "m_plus": m_rep.m_plus,
-                    "two_r2_minus_s2": geo,
-                    "discrepancy": abs(m_rep.m_plus - geo),
-                }
+            cross["m_plus_vs_hull"] = {
+                "m_plus": m_rep.m_plus,
+                "two_r2_minus_s2": emb.m_plus_geometric,
+                "discrepancy": abs(m_rep.m_plus - emb.m_plus_geometric),
+            }
 
     return {
         "input_digest": matrix_digest(space),

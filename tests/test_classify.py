@@ -310,6 +310,36 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
         assert one_sided == [space.n - 1]
 
 
+def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):
+    """``check_quasihypermetric`` and ``check_strictly_quasihypermetric``,
+    called alone, decide a space certified strictly quasihypermetric by its
+    Cholesky test, with no Jacobi eigendecomposition of P d P, at n = 64 too.
+    On a seeded corpus their verdicts match the spectral route's."""
+    sizes = []
+
+    def counted_eigh(a):
+        sizes.append(len(a))
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
+    space = qhm.from_euclidean(np.random.default_rng(26).normal(size=(64, 3)))
+    assert qhm.check_quasihypermetric(space).holds
+    assert qhm.check_strictly_quasihypermetric(space).holds
+    assert sizes == []
+    spaces = seeded_spaces(27, 4)
+    certified = [classify.Analysis(s).certified_strict for s in spaces]
+    checks = [(qhm.check_quasihypermetric(s), qhm.check_strictly_quasihypermetric(s)) for s in spaces]
+    # one decomposition per check, of the spaces that are not certified only
+    assert sorted(sizes) == sorted(2 * [s.n for s, c in zip(spaces, certified) if not c])
+    monkeypatch.setattr(classify.Analysis, "certified_strict", False)
+    for space, cert, checked in zip(spaces, certified, checks):
+        for alone, spectral in zip(checked, classify._centred_verdicts(classify.Analysis(space))):
+            assert alone.holds == spectral.holds
+            if not cert and alone.witness is not None:
+                assert np.array_equal(alone.witness.weights, spectral.witness.weights)
+    assert sum(certified) >= 50 and len(spaces) - sum(certified) >= 15
+
+
 def test_hypermetric_budget_fails_before_any_decomposition(monkeypatch):
     """The budget n (2B+1)^n depends on n and B alone, so a 9-point space
     that is not strictly quasihypermetric fails before d or P d P is

@@ -225,3 +225,38 @@ def test_zero_tolerance_converges_with_the_origin_inside():
     for hull in (pts, np.vstack([pts, pts[:4]])):
         res = min_norm_point_in_hull(hull, tol=0.0)
         assert res.converged and res.distance < 1e-12
+
+
+def test_wrong_start_corrals_still_reach_the_cold_distance():
+    """A start corral missing a vertex of the optimal one is taken and grown.
+    One holding a far vertex as well is taken when its affine minimizer lies
+    inside its simplex, and else refused: the run is then the cold run, bit
+    for bit. Only the optimality test ends each run."""
+    rng = np.random.default_rng(25)
+    missing = refused = 0
+    cycles = np.zeros(2, dtype=int)  # from the start missing a vertex, cold
+    for trial in range(80):
+        n, k = int(rng.integers(4, 12)), int(rng.integers(2, 6))
+        pts = rng.normal(size=(n, k)) + 2.0 * rng.normal(size=k)
+        cold = min_norm_point_in_hull(pts)
+        slack = 1e-12 * max(1.0, float(np.abs(pts).max()))
+        corral = np.flatnonzero(cold.weights > 0.0).tolist()
+        if len(corral) >= 2:
+            missing += 1
+            res = min_norm_point_in_hull(pts, start=corral[1:])
+            assert res.converged and abs(res.distance - cold.distance) <= slack
+            cycles += res.iterations, cold.iterations
+        outside = [i for i in range(n) if i not in corral]
+        if outside and len(corral) <= k:
+            far = max(outside, key=lambda i: float(pts[i] @ cold.point))
+            start = sorted(corral + [far])
+            res = min_norm_point_in_hull(pts, start=start)
+            assert res.converged and abs(res.distance - cold.distance) <= slack
+            if not np.all(minnorm._affine_minimizer(pts[start]) > 1e-12):
+                refused += 1
+                assert np.array_equal(res.weights, cold.weights) and res.iterations == cold.iterations
+    assert missing >= 50 and refused >= 60, (missing, refused)
+    assert cycles[0] < cycles[1], cycles
+    # an empty start is no start
+    pts = rng.normal(size=(6, 3)) + 1.0
+    assert np.array_equal(min_norm_point_in_hull(pts, start=[]).weights, min_norm_point_in_hull(pts).weights)

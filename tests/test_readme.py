@@ -1,0 +1,36 @@
+"""The README's library quick tour, run as written."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick tour") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_quick_tour_gives_its_commented_values():
+    """Each statement of the block runs in order; each expression's value is
+    kept under its source text and checked against its comment."""
+    source = _quick_tour()
+    scope: dict = {}
+    values = {}
+    for node in ast.parse(source).body:
+        text = ast.get_source_segment(source, node)
+        if isinstance(node, ast.Expr):
+            values[text] = eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    assert values["qhm.compute_m(space)"].m_value == math.inf  # assouad5: M infinite
+    assert values["qhm.classify_space(space, hyper_bound=3)"].quasihypermetric.holds
+    assert values["qhm.compute_m(star).m_value"] == pytest.approx(1.5, rel=1e-12)
+    assert values["qhm.compute_m_plus(star)"] == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert values["emb.m_plus_geometric"] == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert values["qhm.approx_m(desc, max_n=64).final"] == pytest.approx(2.0, rel=1e-12)
