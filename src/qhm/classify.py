@@ -1,13 +1,14 @@
 """Metric-property verdicts for finite spaces, each with a checkable witness.
 
 Quasihypermetricity (the distance matrix is negative semidefinite on the
-mass-zero hyperplane) is read off the spectrum of the doubly centred matrix
-P d P, where P = I - J/n annihilates constants. Strictness asks the
-restricted form to be negative definite, which shows up as "exactly one
-near-zero eigenvalue of P d P" (the constants direction). Both verdicts read
-that spectrum only in the band around the threshold and on spaces that are
-not quasihypermetric: when K - ptol S is positive definite (``Analysis``)
-the space is strictly quasihypermetric and rank(d) = n. The hypermetric
+mass-zero hyperplane) is read off the n - 1 eigenvalues of d on that
+hyperplane: those of the centred kernel -1/2 P d P, P = I - J/n, with the
+constants direction removed exactly by a Householder reflection
+(``Analysis.kernel``). Strictness asks the restricted form to be negative
+definite, so that no eigenvalue lies near zero. Both verdicts read that
+spectrum only in the band around the threshold and on spaces that are not
+quasihypermetric: when K - ptol S is positive definite (``Analysis``) the
+space is strictly quasihypermetric and rank(d) = n. The hypermetric
 property is only ever certified up to a coefficient bound B: it asks
 b'db <= 0 of every integer b with sum(b) = 1 and |b_i| <= B. On a strictly
 quasihypermetric space with maximal measure w*, every mass-one b has
@@ -30,8 +31,8 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError
-from .linalg import _sign_columns, cholesky, definite_solve, double_center, jacobi_eigh
-from .linalg import one_sided_jacobi, symmetric_rank_and_nullspace
+from .linalg import _factor_eigh, _sign_columns, cholesky, definite_solve, jacobi_eigh
+from .linalg import symmetric_rank_and_nullspace
 from .metric import MetricSpace, SignedMeasure, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -51,12 +52,9 @@ class Analysis:
     """What a run learns of one space, each piece made when first read:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
     ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
-    positive definite; ``kernel_eig``, ``jacobi_eigh``'s pair of the centred
-    kernel -1/2 P d P, eigenvalues descending, read by the centred verdicts;
-    and ``kernel_coords``, the spectrum with the principal coordinates, read
-    by ``s_embed``: on a space certified strictly quasihypermetric, by
-    one-sided Jacobi on the kernel's own deflated factor, and else
-    ``kernel_eig``'s. ``build_report`` passes one per report to the entry
+    positive definite; and ``kernel``, the eigenpairs of the centred kernel
+    -1/2 P d P on the mass-zero hyperplane, read by the centred verdicts and
+    by ``s_embed``. ``build_report`` passes one per report to the entry
     points that take ``analysis=``; called alone, each makes its own, so none
     outlives one call.
     """
@@ -84,43 +82,30 @@ class Analysis:
         return self.space.n > 1 and t.pos >= max(t.neg, t.rank) and self.strict is not None
 
     @cached_property
-    def kernel_eig(self):
-        # s_embed's order; ties keep jacobi_eigh's order, so -2 w is P d P's ascending spectrum
-        w, v = jacobi_eigh(-0.5 * double_center(self.space.dist))
-        order = np.argsort(-w, kind="stable")
-        return w[order], v[:, order]
-
-    @cached_property
-    def kernel_coords(self):
-        """``kernel_eig`` as (w, y), y = v sqrt(max(w, 0)) the principal
-        coordinates. On a space ``certified_strict`` they come from one-sided
-        Jacobi on a Cholesky factor of the kernel with the constants direction
-        removed exactly, unshifted, so that each eigenvalue is accurate
-        relative to itself; where that factor fails, and on every other space,
-        from ``kernel_eig``. A Householder H with H 1 = -sqrt(n) e_n gives
-        H P H = I - e_n e_n', so H G H is -1/2 H d H with its last row and
-        column zeroed; the rotated columns of the factor of its leading block,
-        mapped back through H, are y, and their squared norms are w. The last
-        entry of w and column of y, the constants direction, are zero."""
+    def kernel(self):
+        """(w, v): the n - 1 eigenvalues of -1/2 d on the mass-zero hyperplane,
+        descending (ties in the solver's order), and their unit eigenvectors,
+        mass-zero, as the columns of v, signed by ``_sign_columns``. A
+        Householder H with H 1 = -sqrt(n) e_n gives H P H = I - e_n e_n', so
+        -1/2 H d H restricted to its leading (n - 1) block is the kernel with
+        the constants direction removed exactly; its eigenvectors, mapped back
+        through H, have mass zero. On a space ``certified_strict`` the block is
+        decomposed from its own Cholesky factor, unshifted, so that each
+        eigenvalue is accurate relative to itself; where that factor fails,
+        and on every other space, by ``jacobi_eigh``."""
         d, n = self.space.dist, self.space.n
-        low = None
-        if self.certified_strict:
-            h = np.full(n, 1.0 / np.sqrt(n))
-            h[-1] += 1.0  # H = I - h h' / h_n, since h'h = 2 h_n
-            x = (d * h).sum(axis=1) / h[-1]
-            x -= (0.5 * (h * x).sum() / h[-1]) * h  # H d H = d - h x' - x h'
-            low = cholesky(-0.5 * (d - np.outer(h, x) - np.outer(x, h))[:-1, :-1])
-        if low is None:
-            w, v = self.kernel_eig
-            return w, v * np.sqrt(np.maximum(w, 0.0))
-        z = one_sided_jacobi(low.T)
-        w = np.einsum("ij,ij->i", z, z)
+        h = np.full(n, 1.0 / np.sqrt(n))
+        h[-1] += 1.0  # H = I - h h' / h_n, since h'h = 2 h_n
+        x = (d * h).sum(axis=1) / h[-1]
+        x -= (0.5 * (h * x).sum() / h[-1]) * h  # H d H = d - h x' - x h'
+        g = -0.5 * (d - np.outer(h, x) - np.outer(x, h))[:-1, :-1]
+        low = cholesky(g) if self.certified_strict else None
+        w, u = jacobi_eigh(g) if low is None else _factor_eigh(low)
         order = np.argsort(-w, kind="stable")
-        z = z[order]
-        y = np.zeros((n, n))
-        y[:-1, :-1] = z.T
-        y[:, :-1] -= np.outer(h, (z * h[:-1]).sum(axis=1) / h[-1])
-        return np.append(w[order], 0.0), _sign_columns(y)  # jacobi_eigh's sign rule
+        v = np.zeros((n, n - 1))
+        v[:-1] = u[:, order]
+        v -= np.outer(h, h[:-1] @ v[:-1] / h[-1])
+        return w[order], _sign_columns(v)
 
 
 @dataclass(frozen=True)
@@ -136,8 +121,8 @@ class Classification:
 def check_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) -> Verdict:
     """Holds iff the distance matrix is negative semidefinite on mass-zero vectors.
 
-    On failure the witness is the eigenvector of the largest positive
-    eigenvalue of P d P, projected back onto the mass-zero hyperplane.
+    On failure the witness is the unit mass-zero eigenvector of the largest
+    eigenvalue of d on the mass-zero hyperplane.
     """
     return _centred_verdicts(Analysis(space, tol))[0]
 
@@ -145,40 +130,28 @@ def check_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) ->
 def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) -> Verdict:
     """Holds iff the energy form is negative definite on nonzero mass-zero vectors.
 
-    Judged by counting near-zero eigenvalues of P d P: the constants direction
-    always contributes one; any further one belongs to a nonzero mass-zero
-    vector of zero energy, which is returned as the witness.
+    Judged on the n - 1 eigenvalues of d on the mass-zero hyperplane: one in
+    [-ntol, ptol] belongs to a nonzero mass-zero vector of (near) zero
+    energy, and the first such eigenvector is returned as the witness.
     """
     return _centred_verdicts(Analysis(space, tol))[1]
 
 
 def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
     """The quasihypermetric and the strict verdict: both hold on a space
-    ``certified_strict``, with no eigensolver run; else from the spectrum of
-    P d P."""
+    ``certified_strict``, with no eigensolver run; else from ``kernel``, whose
+    -2 w is the spectrum of d on the mass-zero hyperplane, ascending."""
     if a.certified_strict:
         return Verdict(True), Verdict(True)
     space, t = a.space, a.tol
-    w, v = -2.0 * a.kernel_eig[0], a.kernel_eig[1]
-    if w[-1] > t.pos_tol(space.n, space.diameter):
-        alpha = v[:, -1] - v[:, -1].mean()
-        alpha /= np.linalg.norm(alpha)
-        fails = Verdict(False, witness=SignedMeasure(space, alpha))
+    w, v = -2.0 * a.kernel[0], a.kernel[1]
+    if w.size and w[-1] > t.pos_tol(space.n, space.diameter):
+        fails = Verdict(False, witness=SignedMeasure(space, v[:, -1]))
         return fails, fails
-    near = (w >= -t.neg_tol(space.n, space.diameter)) & (
-        w <= t.pos_tol(space.n, space.diameter)
-    )
-    if int(near.sum()) <= 1:
+    near = (w >= -t.neg_tol(space.n, space.diameter)) & (w <= t.pos_tol(space.n, space.diameter))
+    if not near.any():
         return Verdict(True), Verdict(True)
-    # the near-kernel mixes the constants direction with the degenerate
-    # directions; project it off and keep the largest remainder, signed by
-    # the rule that signs every eigenvector column
-    cand = v[:, near]
-    proj = cand - cand.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(proj, axis=0)
-    best = int(np.argmax(norms))
-    alpha = _sign_columns(proj[:, best : best + 1] / norms[best])[:, 0]
-    return Verdict(True), Verdict(False, witness=SignedMeasure(space, alpha))
+    return Verdict(True), Verdict(False, witness=SignedMeasure(space, v[:, np.argmax(near)]))
 
 
 # the most rows in one block of the box route, which keeps its memory
@@ -340,7 +313,8 @@ def classify_space(
 ) -> Classification:
     """Run all property checks and bundle the verdicts: from the Cholesky
     factorization on a strictly quasihypermetric space (``certified_strict``),
-    else from the decompositions of d and P d P, with eigenvector witnesses.
+    else from the decompositions of d and of the centred kernel, with
+    eigenvector witnesses.
     The hypermetric check runs first, so a space over its budget fails before
     anything is decomposed."""
     a = analysis or Analysis(space, tol)

@@ -50,7 +50,7 @@ def _tolerances(args) -> Tolerances:
 
 
 def cmd_validate(args) -> int:
-    space = load(args.path, fmt=args.format)
+    space = load(args.path, fmt=args.format, tol=_tolerances(args))
     print(f"OK: valid metric space with {space.n} points, diameter {space.diameter:g}")
     return 0
 
@@ -125,9 +125,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _add_common(p, with_format=True):
+def _add_common(p, with_format=True, with_out=True):
     p.add_argument("--tol", action="append", metavar="KEY=VALUE", help="tolerance override")
-    p.add_argument("--out", help="write output to this file instead of stdout")
+    if with_out:
+        p.add_argument("--out", help="write output to this file instead of stdout")
     if with_format:
         p.add_argument("--format", choices=("csv", "json"), help="input format (default: by extension)")
 
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a distance matrix against the metric axioms")
     p.add_argument("path")
-    p.add_argument("--format", choices=("csv", "json"))
+    _add_common(p, with_out=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="metric-property verdicts with witnesses")

@@ -41,7 +41,8 @@ class SEmbedding:
     ``points`` is an (n, dim) array whose rows satisfy
     |y_i - y_j|^2 = d(i, j); ``dim`` is the numerical rank of the centred
     kernel, i.e. the minimal embedding dimension. ``gram_eigenvalues`` keeps
-    the full kernel spectrum (descending) for diagnostics.
+    the full kernel spectrum for diagnostics: its n - 1 eigenvalues on the
+    mass-zero hyperplane, descending, then the constants direction's exact 0.
     """
 
     space: MetricSpace
@@ -67,28 +68,27 @@ class SEmbedding:
 def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:
     """Embed (X, sqrt(d)) in Euclidean space of minimal dimension.
 
-    Coordinates are the analysis' ``kernel_coords``: by one-sided Jacobi on
-    a Cholesky factor of the centred kernel re-derived from d, on a space
-    certified strictly quasihypermetric, and else the scaled eigenpairs of
-    ``jacobi_eigh``, the same kernel on a shifted factor.
+    The coordinates are the analysis' ``kernel`` eigenvectors scaled by the
+    square roots of their eigenvalues, those above ``rank`` times the
+    largest: on a space certified strictly quasihypermetric, from one-sided
+    Jacobi on an unshifted Cholesky factor of the deflated centred kernel,
+    and else from ``jacobi_eigh`` of that kernel.
 
     Raises ``NotQuasihypermetricError``, with the witness of the
     classification's quasihypermetric verdict, where that verdict fails.
     """
     a = analysis or Analysis(space, tol)
-    space, t, n = a.space, a.tol, a.space.n
-    if n == 1:
-        return SEmbedding(space, np.zeros((1, 0)), 0, np.zeros(1))
+    space, t = a.space, a.tol
     if not (qh := _centred_verdicts(a)[0]):
         raise NotQuasihypermetricError(
-            f"centred kernel has negative eigenvalue {a.kernel_eig[0][-1]:.3e}; "
+            f"centred kernel has negative eigenvalue {a.kernel[0][-1]:.3e}; "
             "no Schoenberg embedding",
             witness=qh.witness,
         )
-    w, y = a.kernel_coords
-    keep = w >= t.rank * max(w[0], 0.0)
-    keep &= w > 0.0
-    emb = SEmbedding(space, y[:, keep], int(np.count_nonzero(keep)), w)
+    w, v = a.kernel
+    keep = (w >= t.rank * w.max(initial=0.0)) & (w > 0.0)
+    points = v[:, keep] * np.sqrt(w[keep])
+    emb = SEmbedding(space, points, int(np.count_nonzero(keep)), np.append(w, 0.0))
     err = float(np.max(np.abs(emb.squared_point_distances() - space.dist)))
     if err > t.emb_tol(space.diameter):
         raise ContradictionError(

@@ -77,7 +77,9 @@ def maximize_quadratic_on_simplex(
     stopping criterion. The active set starts from the support of ``x0`` when
     given, a probability vector, and else from the diametral pair. Each face
     solve drops every vertex of weight below -1e-12 at once (the weights sum
-    to 1, so one at least stays), or else adds the vertex of largest gradient.
+    to 1, so one at least stays), or else adds the vertex of largest gradient;
+    an accepted face sheds its vertices of weight at most 1e-12, rounding of
+    zero, with no further solve.
     At most ``min(2n, max_iter)`` faces are solved, and ``iterations`` counts
     them. A face is accepted only if it does not lose objective value, so
     when the active set stalls (a face solve fails, the best vertex is
@@ -100,10 +102,10 @@ def maximize_quadratic_on_simplex(
             support = support[w >= -1e-12]
             continue
         candidate = np.zeros(n)
-        candidate[support] = np.maximum(w, 0.0)
+        candidate[support] = np.where(w > 1e-12, w, 0.0)
         candidate /= candidate.sum()
         if float(candidate @ q @ candidate) >= float(x @ q @ x):
-            x = candidate
+            x, support = candidate, support[w > 1e-12]
         g = 2.0 * (q @ x)
         if float(g.max()) - float(g @ x) <= gap_tol:
             break

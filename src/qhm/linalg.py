@@ -8,10 +8,11 @@ gives A's eigenvalues, each to a relative error of about eps times the
 condition number of A scaled to unit diagonal, not of A itself (Demmel &
 Veselic 1992). It turns a round's pairs by one batched 2x2 correction
 (Rutishauser) until a sweep's worth of rounds in a row turns none. It is the
-one eigensolver: it embeds every certified strictly QH space from a factor of
-the centred kernel itself, and ``jacobi_eigh`` runs it on a factor of
-A + sigma I, sigma a Gershgorin bound that makes any symmetric A definite, for
-every other eigendecomposition, rank and pseudoinverse solve.
+one eigensolver: ``_factor_eigh`` turns a given factor, which on a certified
+strictly QH space is that of the deflated centred kernel itself, and
+``jacobi_eigh`` a factor of A + sigma I, sigma a Gershgorin bound that makes
+any symmetric A definite, for every other eigendecomposition, rank and
+pseudoinverse solve.
 """
 
 from __future__ import annotations
@@ -64,12 +65,10 @@ def jacobi_eigh(a):
     the Cholesky factor of a shifted copy.
 
     With sigma the largest absolute row sum of ``a`` times 1 + 1e-8, a + sigma I
-    is positive definite by Gershgorin. ``one_sided_jacobi`` turns the rows of
-    L', for its factor L L', to z: the squared row norms of z are the
-    eigenvalues of a + sigma I, and the normalized rows its eigenvectors. So
-    each eigenvalue is accurate to about eps sigma, absolutely; every caller
-    decides relative to the largest one or to a tolerance. The zero matrix
-    gives w = 0 and V = I.
+    is positive definite by Gershgorin, and ``_factor_eigh`` of its Cholesky
+    factor, less sigma, is the decomposition. So each eigenvalue is accurate
+    to about eps sigma, absolutely; every caller decides relative to the
+    largest one or to a tolerance. The zero matrix gives w = 0 and V = I.
 
     Returns
     -------
@@ -87,7 +86,16 @@ def jacobi_eigh(a):
         raise ValueError("expected a finite matrix")
     if shift == 0.0:
         return np.zeros(n), np.eye(n)
-    z = one_sided_jacobi(cholesky(a + shift * np.eye(n)).T)
+    return _factor_eigh(cholesky(a + shift * np.eye(n)), shift)
+
+
+def _factor_eigh(low, shift=0.0):
+    """The eigenpairs of low low' - shift I, eigenvalues ascending, for a lower
+    factor ``low`` from ``cholesky``: ``one_sided_jacobi`` turns the rows of
+    low' to z, whose squared row norms are the eigenvalues of low low' and
+    whose normalized rows are its eigenvectors, signed by ``_sign_columns``.
+    Unshifted, each eigenvalue is accurate relative to itself."""
+    z = one_sided_jacobi(low.T)
     sq = np.einsum("ij,ij->i", z, z)
     order = np.argsort(sq, kind="stable")
     return sq[order] - shift, _sign_columns((z[order] / np.sqrt(sq[order])[:, None]).T)
@@ -266,9 +274,3 @@ def lstsq_minnorm(a, b, rank_rel: float = RANK_REL):
     x, _, _, _ = eigh_pinv_solve(a.T @ a, a.T @ b, rank_rel=rank_rel)
     return x, float(np.linalg.norm(a @ x - b))
 
-
-def double_center(a) -> np.ndarray:
-    """Conjugate a symmetric matrix by the centering projector ``I - J/n``."""
-    a = np.asarray(a, dtype=float)
-    row = a.mean(axis=0)
-    return a - row[None, :] - row[:, None] + row.mean()

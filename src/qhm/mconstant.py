@@ -111,7 +111,7 @@ def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
     S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0: QH.
     K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at point
     0, y on T, 0 elsewhere) if ``_certified`` accepts it. Else a skipped column
-    j with g0[j] - K0[j, T] y beyond ``res_tol`` is a zero-mass certificate:
+    j with g0[j] - K0[j, T] y beyond ``inv_tol`` is a zero-mass certificate:
     K0's null vector z on j (z_j = 1, z_T = -K0[T, T]^-1 K0[T, j]) is the
     mass-zero measure v = (-sum z, z), and d v is constant at g0'z, that
     residual; ``invariant_value`` checks it, and M = inf. Anything else
@@ -130,7 +130,7 @@ def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
         declined = _declined(space, t, str(refused))
     skipped = np.flatnonzero(~kept)
     gap = g[skipped] - k[np.ix_(skipped, kept)] @ y
-    if not np.any(np.abs(gap) > t.res_tol(space.n)):
+    if not np.any(np.abs(gap) > t.inv_tol(space.n, space.diameter)):
         raise declined
     j = skipped[np.argmax(np.abs(gap))]
     z = np.zeros(space.n - 1)
@@ -152,8 +152,9 @@ def _declined(space: MetricSpace, t: Tolerances, why: str) -> InconsistentSystem
 
 
 def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -> MReport:
-    """The report for a solution w of d w = 1, once its residual, its mass,
-    the potential of the maximal measure w / mass and M = 1 / mass >= D/2
+    """The report for a solution w of d w = 1, once its residual, its mass
+    (in units of 1 / diameter), the potential of the maximal measure w / mass
+    and M = 1 / mass >= D/2
     (the diametral pair's energy; a saddle of the energy can fall below it)
     have passed their checks."""
     mass = float(w.sum())
@@ -163,7 +164,7 @@ def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -
     slack = t.inv_tol(space.n, space.diameter)
     if (
         residual > t.res_tol(space.n)
-        or abs(mass) <= t.mass_tol(space.n)
+        or abs(mass) * space.diameter <= t.mass_tol(space.n)
         or deviation > slack
         or m < 0.5 * space.diameter - slack
     ):

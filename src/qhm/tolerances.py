@@ -36,7 +36,8 @@ class Tolerances:
     neg: float = 1e-9
     # relative cutoff for rank / nullspace decisions
     rank: float = 1e-10
-    # mass-zero threshold, x n
+    # mass-zero threshold on a dimensionless mass, x n: a measure's, or that
+    # of a solution of d w = 1 times the diameter
     mass: float = 1e-8
     # linear-system consistency residual, x n (the system d w = 1 has a
     # dimensionless residual, so no diameter factor)

@@ -79,6 +79,13 @@ def near_threshold_space():
     raise AssertionError("the bisection found no space in the window")
 
 
+def projector_centred(a):
+    """P a P with the projector P = I - J/n formed explicitly: a reference
+    for the centred kernel that shares no code with the package."""
+    p = np.eye(len(a)) - 1.0 / len(a)
+    return p @ np.asarray(a, dtype=float) @ p
+
+
 def restricted_top(space):
     """Largest eigenvalue of d on the mass-zero hyperplane (the top one of
     P d P there), by LAPACK as the reference."""

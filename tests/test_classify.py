@@ -10,11 +10,12 @@ import pytest
 import qhm
 from qhm import classify
 from qhm.errors import BudgetExceededError
-from qhm.linalg import double_center, jacobi_eigh
+from qhm.linalg import jacobi_eigh
 from qhm.spaces import FIXTURE_NAMES
 from qhm.tolerances import DEFAULT_TOLERANCES
 
-from conftest import NON_QH_SEED, circle_sample, euclidean_corpus, restricted_top, seeded_spaces
+from conftest import NON_QH_SEED, circle_sample, euclidean_corpus, projector_centred, restricted_top
+from conftest import near_threshold_space, seeded_spaces
 
 
 def collinear(u, v):
@@ -133,7 +134,7 @@ def test_schoenberg_consistency(equilateral, assouad, cycle4, star, non_quasihyp
     spaces = [equilateral, assouad, cycle4, star, non_quasihypermetric]
     spaces += [qhm.random_metric(n, seed=s) for n in (3, 4, 5) for s in range(5)]
     for space in spaces:
-        w, _ = jacobi_eigh(-0.5 * double_center(space.dist))
+        w, _ = jacobi_eigh(-0.5 * projector_centred(space.dist))
         psd = w[0] >= -DEFAULT_TOLERANCES.pos_tol(space.n, space.diameter)
         assert psd == qhm.check_quasihypermetric(space).holds
 
@@ -151,7 +152,7 @@ def test_verdicts_and_rank_agree_with_lapack():
     seen = set()
     for space in spaces:
         ptol, ntol = t.pos_tol(space.n, space.diameter), t.neg_tol(space.n, space.diameter)
-        pdp = np.linalg.eigvalsh(double_center(space.dist))
+        pdp = np.linalg.eigvalsh(projector_centred(space.dist))
         qh = pdp[-1] <= ptol
         strict = qh and np.count_nonzero((pdp >= -ntol) & (pdp <= ptol)) <= 1
         lam = np.abs(np.linalg.eigvalsh(space.dist))
@@ -162,6 +163,31 @@ def test_verdicts_and_rank_agree_with_lapack():
         seen.add((qh, strict, rank == space.n))
     # every verdict, and singular d both within and outside the band
     assert seen == {(False, False, True), (True, False, True), (True, False, False), (True, True, True)}
+
+
+def test_deflated_kernel_and_witnesses_agree_with_lapack():
+    """On the seeded corpus, band spaces and spaces that are not
+    quasihypermetric included, ``Analysis.kernel`` holds the eigenvalues of
+    -1/2 d on the mass-zero hyperplane, within 1e-13 of the largest of
+    LAPACK's on Q'(-1/2 d)Q, Q an orthonormal basis of that hyperplane; every
+    witness of a failed verdict has mass at most 1e-15 and unit norm."""
+    spaces = [qhm.make_fixture(name) for name in FIXTURE_NAMES] + seeded_spaces(2110, 6)
+    spaces += [circle_sample(n, 5.0) for n in (15, 20, 24)] + [near_threshold_space()]
+    seen = Counter()
+    for space in spaces:
+        q = np.linalg.qr(np.eye(space.n) - 1.0 / space.n)[0][:, : space.n - 1]
+        ref = np.linalg.eigvalsh(q.T @ (-0.5 * space.dist) @ q)[::-1]
+        a = classify.Analysis(space)
+        w, v = a.kernel
+        assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref)), space
+        assert np.allclose(v.T @ v, np.eye(space.n - 1), rtol=0.0, atol=1e-13)
+        qh, strict = classify._centred_verdicts(a)
+        seen[qh.holds, strict.holds] += 1
+        for verdict in (qh, strict):
+            if not verdict.holds:
+                alpha = verdict.witness.weights
+                assert abs(alpha.sum()) <= 1e-15 and abs(np.linalg.norm(alpha) - 1.0) <= 1e-15
+    assert seen[True, True] >= 50 and seen[True, False] >= 5 and seen[False, False] >= 5, seen
 
 
 def test_euclidean_subsets_are_strictly_quasihypermetric():
@@ -280,14 +306,14 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
         shifts.append(shift)
         return qhm.linalg.definite_solve(a, b, shift)
 
-    def counted_one_sided(a, *args, **kwargs):
-        one_sided.append(len(a))
-        return qhm.linalg.one_sided_jacobi(a, *args, **kwargs)
+    def counted_one_sided(low, *args, **kwargs):
+        one_sided.append(len(low))
+        return qhm.linalg._factor_eigh(low, *args, **kwargs)
 
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "definite_solve", counted_solve)
-    monkeypatch.setattr(classify, "one_sided_jacobi", counted_one_sided)
+    monkeypatch.setattr(classify, "_factor_eigh", counted_one_sided)
     monkeypatch.setattr(qhm.mconstant, "cholesky", None)  # the not-QH test never runs
     rng = np.random.default_rng(23)
     spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
@@ -330,7 +356,7 @@ def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):
     certified = [classify.Analysis(s).certified_strict for s in spaces]
     checks = [(qhm.check_quasihypermetric(s), qhm.check_strictly_quasihypermetric(s)) for s in spaces]
     # one decomposition per check, of the spaces that are not certified only
-    assert sorted(sizes) == sorted(2 * [s.n for s, c in zip(spaces, certified) if not c])
+    assert sorted(sizes) == sorted(2 * [s.n - 1 for s, c in zip(spaces, certified) if not c])
     monkeypatch.setattr(classify.Analysis, "certified_strict", False)
     for space, cert, checked in zip(spaces, certified, checks):
         for alone, spectral in zip(checked, classify._centred_verdicts(classify.Analysis(space))):

@@ -55,6 +55,21 @@ def test_validate_triangle_exit_3(capsys, tmp_path):
     assert "triangle" in err
 
 
+def test_validate_reads_the_tolerance_record(capsys, tmp_path, monkeypatch):
+    """A triangle excess of 1e-7, within triangle_rel = 1e-6 by flag or by
+    environment, passes ``validate`` as it passes ``m``; by default both
+    refuse it with exit 3."""
+    path = tmp_path / "tri.csv"
+    path.write_text("0,1,2.0000001\n1,0,1\n2.0000001,1,0\n")
+    assert run(capsys, "validate", str(path))[0] == 3
+    assert run(capsys, "m", str(path))[0] == 3
+    assert run(capsys, "validate", str(path), "--tol", "triangle_rel=1e-6")[0] == 0
+    monkeypatch.setenv("QHM_TOL_TRIANGLE_REL", "1e-6")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and out.startswith("OK: valid metric space with 3 points")
+    assert run(capsys, "m", str(path))[0] == 0
+
+
 def test_validate_parse_and_nonfinite_codes(capsys, tmp_path):
     path = tmp_path / "parse.csv"
     path.write_text("0,x\nx,0\n")

@@ -10,9 +10,9 @@ import qhm
 from qhm import classify
 from qhm.cli import main
 from qhm.errors import ContradictionError, NotQuasihypermetricError, PreconditionError
-from qhm.linalg import _sign_columns, cholesky, gram_rank, lstsq_minnorm, one_sided_jacobi
+from qhm.linalg import _factor_eigh, _sign_columns, cholesky, gram_rank, lstsq_minnorm
 
-from conftest import euclidean_corpus, near_threshold_space
+from conftest import euclidean_corpus, near_threshold_space, projector_centred
 
 
 def test_equilateral_embedding(equilateral):
@@ -290,7 +290,7 @@ def _leads(y):
 def _lapack_kernel(space):
     """The centred kernel's eigenpairs by LAPACK, eigenvalues descending and
     columns signed by the package's rule."""
-    w, v = np.linalg.eigh(-0.5 * qhm.linalg.double_center(space.dist))
+    w, v = np.linalg.eigh(-0.5 * projector_centred(space.dist))
     return w[::-1], _sign_columns(v[:, ::-1])
 
 
@@ -324,7 +324,7 @@ def test_mirror_entries_sign_both_routes_alike():
     LAPACK's eigenvectors, by position."""
     space = qhm.CompactSpaceDescriptor("interval", length=0.8).sample_space(17)
     w, v = _lapack_kernel(space)
-    y = classify.Analysis(space).kernel_coords[1][:, :-1]
+    y = qhm.s_embed(space).points
     mag = np.abs(y)
     top = np.sort(mag, axis=0)
     assert np.any(top[-2] >= (1.0 - 1e-12) * top[-1])  # some column has tied entries
@@ -343,12 +343,12 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
         factored.append(len(a))
         return cholesky(a)
 
-    def counted_jacobi(a, *args, **kwargs):
-        rotated.append(len(a))
-        return one_sided_jacobi(a, *args, **kwargs)
+    def counted_jacobi(low, *args, **kwargs):
+        rotated.append(len(low))
+        return _factor_eigh(low, *args, **kwargs)
 
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
-    monkeypatch.setattr(classify, "one_sided_jacobi", counted_jacobi)
+    monkeypatch.setattr(classify, "_factor_eigh", counted_jacobi)
     circle = qhm.CompactSpaceDescriptor("circle", circumference=5.0)
     for n in (4, 7, 16, 20, 33):
         band = circle.sample_space(n)
@@ -373,13 +373,13 @@ def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
         a = classify.Analysis(space)
         assert a.certified_strict
         fallback = qhm.s_embed(space, analysis=a)
-        w, v = a.kernel_eig
-        assert np.array_equal(a.kernel_coords[1], v * np.sqrt(np.maximum(w, 0.0)))
-        assert np.array_equal(fallback.gram_eigenvalues, w)
+        w, v = a.kernel
+        assert np.array_equal(fallback.gram_eigenvalues, np.append(w, 0.0))
         assert fallback.dim == space.n - 1
-        assert np.array_equal(fallback.points, v[:, : space.n - 1] * np.sqrt(w[: space.n - 1]))
+        assert np.array_equal(fallback.points, v * np.sqrt(w))
         monkeypatch.undo()
-        assert classify.Analysis(space).kernel_coords[0][-1] == 0.0  # the deflated factor's
+        factored = classify.Analysis(space).kernel[0]  # the deflated factor's
+        assert np.max(np.abs(factored - w)) <= 1e-13 * w[0]
 
 
 def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypatch):

@@ -307,6 +307,25 @@ def test_rounding_level_weights_stay_out_of_the_m_plus_support():
     assert noisy >= 10, noisy
 
 
+def test_an_accepted_face_sheds_its_rounding_level_weights(monkeypatch):
+    """From the uniform measure on the 13-point interval sample, the first
+    face is the whole space, and its weights off the endpoints are 7e-31 to
+    5e-16. They leave the support with that one face solve, so the result is
+    the cold run's: the endpoints, with weight 1/2 each."""
+    space = qhm.CompactSpaceDescriptor("interval", length=0.8).sample_space(13)
+    faces = []
+    solve = frankwolfe._face_stationary
+    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, s: faces.append(s) or solve(q, s))
+    warm = maximize_energy_over_probability(space, x0=np.full(13, 1.0 / 13.0))
+    assert len(faces) == 1 and len(faces[0]) == 13
+    assert warm.converged and warm.iterations == 1
+    assert np.flatnonzero(warm.weights).tolist() == [0, 1]
+    assert np.allclose(warm.weights[:2], 0.5, rtol=0.0, atol=1e-15)
+    cold = maximize_energy_over_probability(space)
+    assert np.flatnonzero(cold.weights).tolist() == [0, 1]
+    assert abs(warm.value - cold.value) <= 1e-15
+
+
 def test_report_inputs_halve_the_face_solves(monkeypatch):
     """The benchmark's report mix of inputs (the fixtures, and quasihypermetric
     random metrics and R^3 point sets at n = 5..8): a spy on the face solves

@@ -16,7 +16,6 @@ from qhm.linalg import (
     _rotation,
     cholesky,
     cholesky_solve,
-    double_center,
     eigh_pinv_solve,
     gram_rank,
     jacobi_eigh,
@@ -24,6 +23,8 @@ from qhm.linalg import (
     one_sided_jacobi,
     symmetric_rank_and_nullspace,
 )
+
+from conftest import projector_centred
 
 
 def random_symmetric(n, rng):
@@ -66,7 +67,7 @@ def test_deterministic_bitwise():
 @pytest.mark.parametrize("name", ["cycle4_arclength", "equilateral3_6"])
 def test_repeated_eigenvalues(name):
     # P d P of these spaces has multiple eigenvalues (and a zero one)
-    a = double_center(qhm.make_fixture(name).dist)
+    a = projector_centred(qhm.make_fixture(name).dist)
     w, v = jacobi_eigh(a)
     ref = np.linalg.eigvalsh(a)
     assert np.unique(np.round(ref, 9)).size < ref.size
@@ -159,13 +160,6 @@ def test_lstsq_minnorm_matches_numpy():
     ref = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.allclose(x, ref, atol=1e-10)
     assert abs(res - np.linalg.norm(a @ ref - b)) < 1e-10
-
-
-def test_double_center_equals_projector_conjugation():
-    rng = np.random.default_rng(6)
-    a = random_symmetric(5, rng)
-    p = np.eye(5) - np.ones((5, 5)) / 5
-    assert np.allclose(double_center(a), p @ a @ p, atol=1e-13)
 
 
 def test_symmetric_rank_and_nullspace():
@@ -265,22 +259,24 @@ def test_one_sided_jacobi_sweep_cap_warns(monkeypatch):
         one_sided_jacobi(a)
 
 
-def test_unshifted_route_is_as_accurate_as_the_shifted_one():
+def test_unshifted_route_is_as_accurate_as_the_shifted_one(monkeypatch):
     """On the centred kernels of Gaussian point sets, n = 16..128, the
-    embedding's unshifted one-sided eigenvalues are no farther from LAPACK's
-    than ``jacobi_eigh``'s on the shifted factor, at the worst of each size,
-    relative to the largest, and within 2e-15 of it from n = 64. Rounds
-    turned by the plain [[c, -s], [s, c]] product in place of the correction
-    form drift to about 2.5e-14 at n = 128."""
+    unshifted one-sided eigenvalues of a certified strict space are no
+    farther from LAPACK's than ``jacobi_eigh``'s on the shifted factor of the
+    same deflated kernel, at the worst of each size, relative to the largest,
+    and within 2e-15 of it from n = 64. Rounds turned by the plain
+    [[c, -s], [s, c]] product in place of the correction form drift to about
+    2.5e-14 at n = 128."""
     rng = np.random.default_rng(41)
     for n, count in ((16, 3), (32, 3), (64, 2), (128, 1)):
         worst_one, worst_shifted = 0.0, 0.0
         for _ in range(count):
             space = qhm.from_euclidean(rng.normal(size=(n, 3)))
-            ref = np.linalg.eigvalsh(-0.5 * double_center(space.dist))[::-1]
-            a = qhm.classify.Analysis(space)
-            one = a.kernel_coords[0]
-            shifted = a.kernel_eig[0]
+            ref = np.linalg.eigvalsh(-0.5 * projector_centred(space.dist))[:0:-1]
+            one = qhm.classify.Analysis(space).kernel[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(qhm.classify, "cholesky", lambda a: None)
+                shifted = qhm.classify.Analysis(space).kernel[0]
             worst_one = max(worst_one, float(np.max(np.abs(one - ref))) / ref[0])
             worst_shifted = max(worst_shifted, float(np.max(np.abs(shifted - ref))) / ref[0])
         assert worst_one <= worst_shifted, (n, worst_one, worst_shifted)
@@ -358,8 +354,8 @@ def _symmetric_corpus():
         euclid = qhm.from_euclidean(rng.normal(size=(n, 2)))
         yield "euclidean", euclid.dist
         yield "circle", circle.sample_space(n).dist
-        yield "kernel", -0.5 * double_center(qhm.random_metric(n, seed=900 + n).dist)
-        yield "kernel", -0.5 * double_center(euclid.dist)
+        yield "kernel", -0.5 * projector_centred(qhm.random_metric(n, seed=900 + n).dist)
+        yield "kernel", -0.5 * projector_centred(euclid.dist)
         yield "diagonal", np.diag(rng.normal(size=n))
         sparse = random_symmetric(n, rng)
         sparse[np.add.outer(np.arange(n), np.arange(n)) % 3 == 1] = 0.0
@@ -433,28 +429,28 @@ def test_one_sided_jacobi_agrees_with_the_elementwise_update():
 
 
 # The README's promise: embeddings bit-for-bit across runs and BLAS thread counts.
-_KERNEL_COORDS_DIGESTS = """
+_KERNEL_DIGESTS = """
 import hashlib
 import numpy as np
 import qhm
 rng = np.random.default_rng(47)
 digests = []
 for n in (16, 64, 128, 200):
-    w, y = qhm.classify.Analysis(qhm.from_euclidean(rng.normal(size=(n, 3)))).kernel_coords
-    digests.append(hashlib.sha256(w.tobytes() + y.tobytes()).hexdigest())
+    w, v = qhm.classify.Analysis(qhm.from_euclidean(rng.normal(size=(n, 3)))).kernel
+    digests.append(hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest())
 """
 
 
-def test_kernel_coords_are_the_same_bytes_with_two_blas_threads():
-    """A fresh process with two BLAS threads makes the same ``kernel_coords``
+def test_kernel_is_the_same_bytes_with_two_blas_threads():
+    """A fresh process with two BLAS threads makes the same ``Analysis.kernel``
     bytes at n = 16, 64, 128 and 200 as this one, with its own thread count."""
     here = {}
-    exec(_KERNEL_COORDS_DIGESTS, here)
+    exec(_KERNEL_DIGESTS, here)
     src = str(Path(qhm.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", _KERNEL_COORDS_DIGESTS + "print(' '.join(digests))"],
+        [sys.executable, "-c", _KERNEL_DIGESTS + "print(' '.join(digests))"],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     assert out.stdout.split() == here["digests"]

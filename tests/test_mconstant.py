@@ -152,6 +152,22 @@ def test_scale_covariance(star, cycle4):
             )
 
 
+@pytest.mark.parametrize("name", ["star_1_2", "cycle4_arclength", "equilateral3_6", "assouad5"])
+@pytest.mark.parametrize("k", [-150, -12, -9, 7, 8, 12, 150])
+def test_scale_covariance_across_magnitudes(name, k):
+    """M(cX) = c M(X) with the same path, c = 10^k, from 1e-150 to 1e150:
+    the mass and the zero-mass gap are judged in units of the diameter."""
+    space, c = qhm.make_fixture(name), 10.0**k
+    base, scaled = qhm.compute_m(space), qhm.compute_m(space.scaled(c))
+    assert scaled.method_tags == base.method_tags
+    if base.is_finite:
+        assert abs(scaled.m_value / c - base.m_value) <= 1e-12 * base.m_value
+        assert np.allclose(scaled.maximal_measure.weights, base.maximal_measure.weights, atol=1e-12)
+    else:
+        assert not scaled.is_finite
+    assert qhm.build_report(space.scaled(c))["m_report"]["method_tags"] == list(base.method_tags)
+
+
 def test_monotone_under_point_addition():
     rng = np.random.default_rng(77)
     pts = rng.normal(size=(8, 3))
