@@ -4,12 +4,12 @@ The active set starts from the support of a given point, or else from the
 diametral pair, the lowest-index pair where q is largest (on a distance
 matrix its uniform measure has energy D/2, the lower bound for M+). It solves
 each face's stationarity system exactly, by Cholesky of the face's Schoenberg
-form, drops every vertex of negative weight at once, and grows the face by the
-best outside vertex until the gap criterion is met. So a start that holds the
-optimal support and a few more vertices mostly costs one drop, not one face
-per extra vertex. The gap criterion decides the result whatever the start. If
-the active set stalls first, the result says so and carries the best point
-found.
+form or, where it is singular, its elimination, drops every vertex of negative
+weight at once, and grows the face by the best outside vertex until the gap
+criterion is met. So a start that holds the optimal support and a few more
+vertices mostly costs one drop, not one face per extra vertex. The gap
+criterion decides the result whatever the start. If the active set stalls
+first, the result says so and carries the best point found.
 
 Ties in vertex selection break toward the lowest index, so runs are fully
 deterministic.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import definite_solve, eigh_pinv_solve
+from .linalg import RANK_REL, cholesky_solve, definite_solve, semidefinite_cholesky
 from .metric import schoenberg_form
 
 
@@ -39,28 +39,23 @@ def _face_stationary(q: np.ndarray, support: np.ndarray) -> np.ndarray | None:
 
     With c the face's last diagonal entry, x = [y; 1 - sum y] has
     x'qx = c + 2 g'y - y'Ky for (K, g) Schoenberg's form of q - c, and
-    K = -B'qB. Cholesky solves K y = g when K is positive definite; otherwise
-    the bordered system, its Gram block normalized so the constraint row is
-    not drowned at large distance scales, goes through the eigendecomposition
-    pseudoinverse. Returns the raw face weights (possibly negative), or None
-    when the bordered system is inconsistent.
+    K = -B'qB. Cholesky solves K y = g when K is positive definite. Otherwise
+    the semidefinite elimination of K, skipping pivots at most ``RANK_REL``
+    times its largest diagonal entry, solves the kept block, with y = 0 on
+    the skipped columns, as ``compute_m``'s band does. Returns the raw face
+    weights (possibly negative), or None when K y = g is inconsistent: the
+    skipped rows' residual exceeds 1e-9 max|q|.
     """
     face = q[np.ix_(support, support)]
     k, g, _ = schoenberg_form(face - face[-1, -1])
     if (solved := definite_solve(k, g)) is not None:
         return np.append(solved[1], 1.0 - solved[1].sum())
-    m = support.size
-    scale = float(np.max(np.abs(q))) if q.size else 0.0
-    system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = 2.0 * face / max(scale, 1e-300)
-    system[:m, m] = 1.0
-    system[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    sol, residual, _, _ = eigh_pinv_solve(system, rhs)
-    if not (residual <= 1e-9 and abs(sol[:m].sum() - 1.0) <= 1e-9):
+    kept, low, _ = semidefinite_cholesky(k, RANK_REL * float(k.diagonal().max()))
+    y = np.zeros(len(k))
+    y[kept] = cholesky_solve(low, g[kept])
+    if np.linalg.norm(k[~kept] @ y - g[~kept]) > 1e-9 * float(np.max(np.abs(q))):
         return None
-    return sol[:m]
+    return np.append(y, 1.0 - y.sum())
 
 
 def maximize_quadratic_on_simplex(
@@ -75,11 +70,12 @@ def maximize_quadratic_on_simplex(
     semidefinite on mass-zero vectors); then the gap ``max_i g_i - g.x`` of
     the gradient ``g = 2 q x`` upper-bounds the suboptimality and is the
     stopping criterion. The active set starts from the support of ``x0`` when
-    given, a probability vector, and else from the diametral pair. Each face
-    solve drops every vertex of weight below -1e-12 at once (the weights sum
-    to 1, so one at least stays), or else adds the vertex of largest gradient;
-    an accepted face sheds its vertices of weight at most 1e-12, rounding of
-    zero, with no further solve.
+    given, n nonnegative weights summing to 1 within rounding (else
+    ``ValueError``), and else from the diametral pair. Each face solve drops
+    every vertex of weight below -1e-12 at once (the weights sum to 1, so one
+    at least stays), or else adds the vertex of largest gradient; an accepted
+    face sheds its vertices of weight at most 1e-12, rounding of zero, with no
+    further solve.
     At most ``min(2n, max_iter)`` faces are solved, and ``iterations`` counts
     them. A face is accepted only if it does not lose objective value, so
     when the active set stalls (a face solve fails, the best vertex is
@@ -92,6 +88,11 @@ def maximize_quadratic_on_simplex(
         x = np.bincount(np.unravel_index(int(np.argmax(q)), q.shape), minlength=n) / 2.0
     else:
         x = np.array(x0, dtype=float)
+        # NaN fails both tests, and +inf the sum's
+        if x.shape != (n,) or not (
+            np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 4.0 * n * np.finfo(float).eps
+        ):
+            raise ValueError(f"x0 must be {n} nonnegative weights summing to 1, got {x0!r}")
     support = np.flatnonzero(x > 0.0)
     faces = 0
     for faces in range(1, min(2 * n, max_iter) + 1):

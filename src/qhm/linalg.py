@@ -11,8 +11,8 @@ Veselic 1992). It turns a round's pairs by one batched 2x2 correction
 one eigensolver: ``_factor_eigh`` turns a given factor, which on a certified
 strictly QH space is that of the deflated centred kernel itself, and
 ``jacobi_eigh`` a factor of A + sigma I, sigma a Gershgorin bound that makes
-any symmetric A definite, for every other eigendecomposition, rank and
-pseudoinverse solve.
+any symmetric A definite, for every other eigendecomposition, rank and the
+pseudoinverse of ``lstsq_minnorm``; semidefinite systems are eliminated.
 """
 
 from __future__ import annotations

@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import Analysis
+from .classify import Analysis, distance_matrix_nullspace
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import cholesky, cholesky_solve, eigh_pinv_solve, gram_rank, semidefinite_cholesky
+from .linalg import cholesky, cholesky_solve, gram_rank, semidefinite_cholesky
 from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -95,7 +95,7 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
         y = a.strict[1]
         w = np.append(y, 1.0 - y.sum()) / float(g @ y)
         try:
-            return _certified(space, w, True, t)
+            return _certified(space, w, True, t, "cholesky")
         except InconsistentSystemError:
             pass  # the elimination decides, and raises if it declines too
     elif cholesky(k + shift) is None:
@@ -125,7 +125,7 @@ def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
     w = np.zeros(space.n)
     w[0], w[1:][kept] = 1.0 - y.sum(), y
     try:
-        return _certified(space, w / float(g[kept] @ y), bool(kept.all()), t)
+        return _certified(space, w / float(g[kept] @ y), bool(kept.all()), t, "elimination")
     except InconsistentSystemError as refused:
         declined = _declined(space, t, str(refused))
     skipped = np.flatnonzero(~kept)
@@ -151,12 +151,12 @@ def _declined(space: MetricSpace, t: Tolerances, why: str) -> InconsistentSystem
     )
 
 
-def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -> MReport:
+def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances, route: str) -> MReport:
     """The report for a solution w of d w = 1, once its residual, its mass
     (in units of 1 / diameter), the potential of the maximal measure w / mass
     and M = 1 / mass >= D/2
     (the diametral pair's energy; a saddle of the energy can fall below it)
-    have passed their checks."""
+    have passed their checks. Tagged ``m:<route>``, the solve that gave w."""
     mass = float(w.sum())
     residual = float(np.linalg.norm(space.dist @ w - 1.0))
     measure, m = SignedMeasure(space, w / mass), 1.0 / mass
@@ -174,7 +174,7 @@ def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -
             f"deviates from M = {m:.6g} by up to {deviation:.3e}; M is at least D/2 = "
             f"{0.5 * space.diameter:.6g}"
         )
-    tags = ("m:linear-system-pseudoinverse", f"m:{'unique' if unique else 'basic'}-solution")
+    tags = (f"m:{route}", f"m:{'unique' if unique else 'basic'}-solution")
     return MReport(m, measure, None, unique, m, tags, mass, residual)
 
 
@@ -183,21 +183,22 @@ def mass_of_solution_is_canonical(space: MetricSpace, tol: Tolerances | None = N
 
     Verifies that every nullspace basis vector has total mass ~0, which makes
     the total mass of solutions of d w = 1 solution-independent. Requires a
-    singular matrix. If the system turns out inconsistent (e.g. the one-point
+    singular matrix. d is symmetric, so the residual of d w = 1 is the norm
+    of those masses. If the system turns out inconsistent (e.g. the one-point
     space, whose matrix is the 1x1 zero), the claim is vacuous: a warning is
     emitted and True returned.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
-    _, residual, _, null_basis = eigh_pinv_solve(space.dist, np.ones(space.n), rank_rel=t.rank)
+    _, null_basis = distance_matrix_nullspace(space, t)
     if null_basis.shape[1] == 0:
         raise PreconditionError("the distance matrix is nonsingular")
-    if residual > t.res_tol(space.n):
+    masses = np.abs(null_basis.sum(axis=0))
+    if float(np.linalg.norm(masses)) > t.res_tol(space.n):
         warnings.warn(
             "the system d w = 1 is inconsistent; the canonical-mass claim is vacuous",
             stacklevel=2,
         )
         return True
-    masses = np.abs(null_basis.sum(axis=0))
     return bool(np.all(masses <= t.mass_tol(space.n)))
 
 

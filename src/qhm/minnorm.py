@@ -10,18 +10,17 @@ floating-point version.
 
 The affine subproblem min |P λ| s.t. sum λ = 1 is solved on the corral's
 differences q_i = p_i - p_last: affine independence makes their Gram matrix
-Q Q' positive definite, so a Cholesky factorization solves (Q Q') μ = -Q p_last
-and λ = (μ, 1 - sum μ). Only when Q Q' is singular or within ``RANK_REL`` of
-its trace of being so (nearly affinely dependent rows, where an unguarded
-factorization would accept a tiny pivot) is the symmetric bordered system
-[[P P', 1], [1', 0]] solved, by the deterministic eigendecomposition
-pseudoinverse. Its near-null vector is then an affine dependency of the
-corral, along which every weight vector gives the same point; the weights are
-moved along it (Caratheodory) until a point other than the newest has weight
-zero, so that the minor cycle drops that point and the corral is independent
-again. The pseudoinverse's own weights would keep the dependent corral, whose
-point misses the newest direction, and the next major cycle would pick a
-vertex already in it.
+Q Q' (half the corral's Schoenberg form) positive definite, so a Cholesky
+factorization solves (Q Q') μ = -Q p_last and λ = (μ, 1 - sum μ). Only when
+Q Q' is singular or within ``RANK_REL`` of its trace of being so (nearly
+affinely dependent rows, where an unguarded factorization would accept a tiny
+pivot) is it eliminated as ``compute_m``'s band is. A skipped column's null
+vector is then an affine dependency of the corral, along which every weight
+vector gives the same point; the weights are moved along it (Caratheodory)
+until a point other than the newest has weight zero, so that the minor cycle
+drops that point and the corral is independent again. Without the move the
+dependent corral would be kept, its point missing the newest direction, and
+the next major cycle would pick a vertex already in it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_REL, definite_solve, eigh_pinv_solve
+from .linalg import RANK_REL, cholesky_solve, definite_solve, semidefinite_cholesky
 
 
 @dataclass(frozen=True)
@@ -45,25 +44,25 @@ class MinNormResult:
 def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     diff = pts[:-1] - pts[-1]
     qq = diff @ diff.T
+    rhs = -(diff @ pts[-1])
     floor = RANK_REL * np.trace(qq) * np.eye(len(qq))
-    if (solved := definite_solve(qq, -(diff @ pts[-1]), floor)) is not None:
+    if (solved := definite_solve(qq, rhs, floor)) is not None:
         return np.append(solved[1], 1.0 - solved[1].sum())
-    m = pts.shape[0]
-    gram = pts @ pts.T
-    system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = gram
-    system[:m, m] = 1.0
-    system[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    sol, _, _, null = eigh_pinv_solve(system, rhs)
-    lam = sol[:m]
-    if null.shape[1] == 0:
+    kept, low, _ = semidefinite_cholesky(qq, RANK_REL * float(qq.diagonal().max()))
+    mu = np.zeros(len(qq))
+    mu[kept] = cholesky_solve(low, rhs[kept])
+    lam = np.append(mu, 1.0 - mu.sum())
+    if kept.all():
         return lam
-    # an affine dependency through the newest point, scaled to weight 1 there:
-    # from the weights with the newest point at zero, the outgoing point is the
-    # first whose weight reaches zero as the newest one's grows
-    alpha = null[:m, int(np.argmax(np.abs(null[m - 1])))]
+    # each skipped column j's null vector z of qq (z_j = 1) gives the affine
+    # dependency (z, -sum z); of these, the one of largest weight on the newest
+    # point, scaled to 1 there. From the weights with the newest point at zero,
+    # the outgoing point is the first whose weight reaches zero as the newest
+    # one's grows
+    z = np.eye(len(qq))[:, ~kept]
+    z[kept] = -cholesky_solve(low, qq[np.ix_(kept, ~kept)])
+    alpha = np.vstack([z, -z.sum(axis=0)])
+    alpha = alpha[:, int(np.argmax(np.abs(alpha[-1])))]
     out = np.flatnonzero(alpha[:-1] * alpha[-1] < 0.0)
     if abs(alpha[-1]) <= RANK_REL * float(np.max(np.abs(alpha))) or out.size == 0:
         return lam
@@ -88,12 +87,18 @@ def min_norm_point_in_hull(
     minimizer's, so any start is a valid corral or is not used. Otherwise the
     first corral is the input point nearest the origin. All ties break toward
     the lowest index, making the run deterministic, and only the optimality
-    test ends a run as converged, whatever its start.
+    test ends a run as converged, whatever its start. No points, a point that
+    is not finite, or a start index outside [0, n) raises ``ValueError``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected an (n, k) array of points")
     n = pts.shape[0]
+    if n == 0 or not np.all(np.isfinite(pts)):
+        raise ValueError("expected one or more points, all of them finite")
+    corral = sorted({int(i) for i in start}) if start is not None else []
+    if corral and (corral[0] < 0 or corral[-1] >= n):
+        raise ValueError(f"start indices must lie in [0, {n}), got {list(start)!r}")
     if pts.shape[1] == 0:
         # zero-dimensional hull: everything sits at the origin
         w = np.zeros(n)
@@ -116,8 +121,7 @@ def min_norm_point_in_hull(
     stop_slack = max(tol, 8.0 * np.finfo(float).eps) * max(float(np.max(norms)), 1.0)
 
     idx, lam = [int(np.argmin(norms))], np.array([1.0])
-    if start is not None and len(start) > 0:
-        corral = sorted({int(i) for i in start})
+    if corral:
         mu = _affine_minimizer(pts[corral])
         if np.all(mu > tol):
             idx, lam = corral, mu

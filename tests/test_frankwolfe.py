@@ -40,6 +40,20 @@ def test_star_drops_the_hub():
     assert np.allclose(res.weights[1:], 1.0 / 3.0, atol=1e-6)
 
 
+def test_a_start_that_is_not_a_probability_vector_is_a_value_error():
+    star = qhm.make_fixture("star_1_2")
+    bad = [np.full(4, 10.0), np.zeros(4), -np.ones(4), np.full(3, 1.0 / 3.0), np.full((2, 2), 0.25)]
+    bad += [[0.5, 0.5, np.nan, 0.0], [0.5, np.inf, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25 + 1e-9]]
+    for x0 in bad:
+        with pytest.raises(ValueError, match="x0 must"):
+            maximize_energy_over_probability(star, x0=x0)
+    # a sum within rounding of 1, as that of a start normalized by its sum
+    x0 = np.array([0.3, 0.3, 0.3, 0.1])
+    assert x0.sum() != 1.0
+    res = maximize_energy_over_probability(star, x0=x0)
+    assert res.converged and res.value == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
 def test_iterates_stay_on_simplex():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(6, 2))
@@ -87,31 +101,79 @@ def _finite_m_corpus():
     return spaces
 
 
+def _bordered_face(q, support):
+    """The face weights from the bordered system [[2 q_F, 1], [1', 0]], its
+    Gram block normalized to unit scale, by LAPACK least squares as the
+    reference."""
+    m = support.size
+    system = np.zeros((m + 1, m + 1))
+    system[:m, :m] = 2.0 * q[np.ix_(support, support)] / np.max(np.abs(q))
+    system[:m, m] = system[m, :m] = 1.0
+    return np.linalg.lstsq(system, np.eye(m + 1)[m], rcond=None)[0][:m]
+
+
 def test_active_set_matches_bordered_faces_and_the_hull(monkeypatch):
     spaces = _finite_m_corpus()
     assert len(spaces) >= 100
-    bordered = []
-    solve = frankwolfe.eigh_pinv_solve
+    faces, eliminated = [], []
+    solve, eliminate = frankwolfe._face_stationary, frankwolfe.semidefinite_cholesky
 
-    def counted(*args, **kwargs):
-        bordered.append(1)
-        return solve(*args, **kwargs)
+    def recorded(q, support):
+        w = solve(q, support)
+        faces.append((q, support, w))
+        return w
 
-    monkeypatch.setattr(frankwolfe, "eigh_pinv_solve", counted)
+    monkeypatch.setattr(frankwolfe, "_face_stationary", recorded)
+    monkeypatch.setattr(
+        frankwolfe, "semidefinite_cholesky", lambda *a: eliminated.append(1) or eliminate(*a)
+    )
     active = [maximize_energy_over_probability(s) for s in spaces]
-    assert not bordered  # every face solve was a Cholesky solve
+    assert not eliminated  # every face solve was a Cholesky solve
     stalled = sum(not r.converged for r in active)
     assert stalled == 0
 
-    # the same faces solved by the bordered pseudoinverse, and M+ by the
-    # independent route 2(r^2 - s^2) through the embedding's hull distance
+    # the same faces solved by the elimination, and M+ by the independent
+    # route 2(r^2 - s^2) through the embedding's hull distance
     monkeypatch.setattr(frankwolfe, "definite_solve", lambda *args: None)
     for space, res in zip(spaces, active):
         ref = maximize_energy_over_probability(space)
         assert ref.converged
         assert abs(res.value - ref.value) <= 1e-12 * ref.value
         assert res.value == pytest.approx(qhm.full_embedding(space).m_plus_geometric, rel=1e-9)
-    assert len(bordered) >= len(spaces)
+    assert len(eliminated) >= len(spaces)
+    # every face of both runs against its bordered system
+    assert len(faces) >= 4 * len(spaces)
+    for q, support, w in faces:
+        ref = _bordered_face(q, support)
+        assert np.allclose(w, ref, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(ref).max())))
+
+
+def test_singular_faces_are_eliminated_without_an_eigensolver(monkeypatch):
+    """From the uniform measure, the first face of cycle4_arclength, assouad5
+    and the circle samples is the whole space, whose Schoenberg form is
+    singular or has a pivot at rounding level: Cholesky declines, and the
+    semidefinite elimination solves it with no eigendecomposition. Every run
+    converges to the diametral start's M+."""
+    spaces = [qhm.make_fixture("cycle4_arclength"), qhm.make_fixture("assouad5")]
+    for c in (1.0, 2.0, 5.0):
+        circle = qhm.CompactSpaceDescriptor("circle", circumference=c)
+        spaces += [circle.sample_space(n) for n in range(4, 25)]
+    eliminated = []
+    eliminate = frankwolfe.semidefinite_cholesky
+    monkeypatch.setattr(
+        frankwolfe, "semidefinite_cholesky", lambda *a: eliminated.append(1) or eliminate(*a)
+    )
+
+    def refused(a):
+        raise AssertionError("a face solve ran an eigensolver")
+
+    monkeypatch.setattr(qhm.linalg, "jacobi_eigh", refused)
+    for space in spaces:
+        warm = maximize_energy_over_probability(space, x0=np.full(space.n, 1.0 / space.n))
+        cold = maximize_energy_over_probability(space)
+        assert warm.converged and cold.converged
+        assert abs(warm.value - cold.value) <= 1e-12 * cold.value
+    assert len(eliminated) >= 30, len(eliminated)
 
 
 def _warm_start(space):

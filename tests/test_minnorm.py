@@ -72,6 +72,17 @@ def test_input_that_is_not_a_matrix_is_a_value_error():
             min_norm_point_in_hull(points)
 
 
+def test_malformed_points_and_starts_are_value_errors():
+    pts = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for start in ([5], [2], [-1], [0, -2]):
+        with pytest.raises(ValueError, match=r"start indices must lie in \[0, 2\)"):
+            min_norm_point_in_hull(pts, start=start)
+    for points in (np.zeros((0, 2)), np.zeros((0, 0)), [[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="one or more points, all of them finite"):
+            min_norm_point_in_hull(points)
+    assert min_norm_point_in_hull(pts, start=[1, 0]).converged
+
+
 def test_weights_reconstruct_point():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(6, 3)) + 1.0
@@ -109,9 +120,9 @@ def bordered_affine_minimizer(pts):
 
 def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
     def refused(*args, **kwargs):
-        raise AssertionError("an affinely independent corral took the bordered fallback")
+        raise AssertionError("an affinely independent corral took the elimination")
 
-    monkeypatch.setattr(minnorm, "eigh_pinv_solve", refused)
+    monkeypatch.setattr(minnorm, "semidefinite_cholesky", refused)
     rng = np.random.default_rng(23)
     for _ in range(200):
         k = int(rng.integers(1, 7))
@@ -126,13 +137,13 @@ def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
 
 def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
     calls = []
-    solve = minnorm.eigh_pinv_solve
+    eliminate = minnorm.semidefinite_cholesky
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(minnorm, "eigh_pinv_solve", counted)
+    monkeypatch.setattr(minnorm, "semidefinite_cholesky", counted)
     # a duplicate of the last row, and three collinear lattice points: the
     # Cholesky factor meets an exactly zero pivot
     duplicate = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0]])
@@ -146,7 +157,7 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         # the weights are moved along the dependency until an older point's is zero
         assert np.any(lam[:-1] == 0.0)
     # nearly collinear: a positive pivot far below the Gram matrix's scale is
-    # refused too, and the pseudoinverse treats the corral as a segment
+    # refused too, and the elimination treats the corral as a segment
     nearly = collinear + [[0.0, 0.0], [0.0, 1e-7], [0.0, 0.0]]
     before = len(calls)
     lam = minnorm._affine_minimizer(nearly)
