@@ -24,6 +24,7 @@ violation, so every "fails" is machine-checkable downstream.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -51,7 +52,7 @@ class Verdict:
 class Analysis:
     """What a run learns of one space, each piece made when first read:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
-    ``strict``, ``definite_solve(K, g, ptol S)``, None unless K - ptol S is
+    ``strict``, ``definite_solve(K, g)``, None unless K - ptol S is
     positive definite; and ``kernel``, the eigenpairs of the centred kernel
     -1/2 P d P on the mass-zero hyperplane, read by the centred verdicts and
     by ``s_embed``. ``build_report`` passes one per report to the entry
@@ -70,7 +71,8 @@ class Analysis:
 
     @cached_property
     def strict(self):
-        return definite_solve(*self.form)
+        k, g, shift = self.form
+        return None if cholesky(k - shift) is None else definite_solve(k, g)
 
     @cached_property
     def certified_strict(self) -> bool:
@@ -278,8 +280,12 @@ def check_hypermetric_bounded(
     lexicographic blocks of at most ``_CHUNK_ROWS`` rows, up to the first
     violation, in O(``_CHUNK_ROWS`` n) memory for any B and n. Neither route
     holds the box, so the work budget n (2B+1)^n, enforced on both, limits
-    time only.
+    time only. A ``bound`` that is not an integer raises ``TypeError``.
     """
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise TypeError(f"bound must be an integer, got {bound!r}") from None
     if bound < 1:
         raise ValueError("bound must be at least 1")
     a = analysis or Analysis(space, tol)

@@ -1,18 +1,17 @@
-"""Maximization of a quadratic over the probability simplex by an exact active set.
+"""Maximization of the energy x'qx of a distance matrix q over the probability
+simplex by an exact active set.
 
 The active set starts from the support of a given point, or else from the
-diametral pair, the lowest-index pair where q is largest (on a distance
-matrix its uniform measure has energy D/2, the lower bound for M+). It solves
-each face's stationarity system exactly, by Cholesky of the face's Schoenberg
-form or, where it is singular, its elimination, drops every vertex of negative
-weight at once, and grows the face by the best outside vertex until the gap
-criterion is met. So a start that holds the optimal support and a few more
-vertices mostly costs one drop, not one face per extra vertex. The gap
-criterion decides the result whatever the start. If the active set stalls
-first, the result says so and carries the best point found.
-
-Ties in vertex selection break toward the lowest index, so runs are fully
-deterministic.
+diametral pair, the lowest-index pair where q is largest (energy D/2, the
+lower bound for M+). The paper gives M+ = M(F) for F the support of a
+maximal probability measure, so each face is solved as ``compute_m`` solves
+a space, by Cholesky of its Schoenberg form or the shared elimination at the
+same pivot cut. An unbounded face (M(F) = inf) takes a ray step to its first
+zero weight; a bounded one drops every vertex of negative weight at once, or
+else the face grows by the best outside vertex until the gap criterion is
+met, whatever the start. If the active set stalls first, the result says so
+and carries the best point found. Ties break toward the lowest index, so runs
+are fully deterministic.
 """
 
 from __future__ import annotations
@@ -21,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_REL, cholesky_solve, definite_solve, semidefinite_cholesky
+from .linalg import definite_solve, ratio_step, semidefinite_solve
 from .metric import schoenberg_form
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass(frozen=True)
@@ -34,79 +34,81 @@ class SimplexMaxResult:
     converged: bool
 
 
-def _face_stationary(q: np.ndarray, support: np.ndarray) -> np.ndarray | None:
-    """Weights solving 2 q x = nu 1, sumable to 1, on one face of the simplex.
+def _face_stationary(q: np.ndarray, support: np.ndarray, t: Tolerances):
+    """``(w, None)``, w the raw weights summing to 1 that solve 2 q x = nu 1 on
+    one face of the simplex, or ``(None, v)``, v a ray of an unbounded face.
 
-    With c the face's last diagonal entry, x = [y; 1 - sum y] has
-    x'qx = c + 2 g'y - y'Ky for (K, g) Schoenberg's form of q - c, and
-    K = -B'qB. Cholesky solves K y = g when K is positive definite. Otherwise
-    the semidefinite elimination of K, skipping pivots at most ``RANK_REL``
-    times its largest diagonal entry, solves the kept block, with y = 0 on
-    the skipped columns, as ``compute_m``'s band does. Returns the raw face
-    weights (possibly negative), or None when K y = g is inconsistent: the
-    skipped rows' residual exceeds 1e-9 max|q|.
+    With x = [y; 1 - sum y], x'qx = 2 g'y - y'Ky for (K, g) Schoenberg's form
+    of the face. As in ``compute_m``, Cholesky solves K y = g when every pivot
+    exceeds ``rank`` times 2 max g, and else ``semidefinite_solve`` at that
+    cut does, with y = 0 on the skipped columns. Where a skipped row's
+    residual exceeds ``inv_tol(m, D_F)`` (m points, diameter D_F), its null
+    vector z gives v = (z, -sum z), signed so that g'z > 0: v'qv = 0 and q v
+    is constant at g'z, so the energy rises linearly along v.
     """
     face = q[np.ix_(support, support)]
-    k, g, _ = schoenberg_form(face - face[-1, -1])
-    if (solved := definite_solve(k, g)) is not None:
-        return np.append(solved[1], 1.0 - solved[1].sum())
-    kept, low, _ = semidefinite_cholesky(k, RANK_REL * float(k.diagonal().max()))
-    y = np.zeros(len(k))
-    y[kept] = cholesky_solve(low, g[kept])
-    if np.linalg.norm(k[~kept] @ y - g[~kept]) > 1e-9 * float(np.max(np.abs(q))):
-        return None
-    return np.append(y, 1.0 - y.sum())
+    k, g, _ = schoenberg_form(face)
+    cut = t.rank * 2.0 * float(g.max(initial=0.0))
+    solved = definite_solve(k, g, cut)
+    level = t.inv_tol(len(support), float(face.max()))
+    y, z = (solved[1], None) if solved else semidefinite_solve(k, g, cut, level)[2:]
+    if z is not None:
+        return None, np.append(z, -z.sum()) * np.sign(g @ z)
+    return np.append(y, 1.0 - y.sum()), None
 
 
 def maximize_quadratic_on_simplex(
-    q: np.ndarray,
-    gap_tol: float,
-    max_iter: int = 100000,
-    x0: np.ndarray | None = None,
+    q: np.ndarray, tol: Tolerances | None = None, x0: np.ndarray | None = None
 ) -> SimplexMaxResult:
-    """Maximize ``x' q x`` over the probability simplex.
+    """Maximize ``x' q x`` over the probability simplex for a distance matrix
+    ``q``, reading ``fw_gap`` (times q's diameter), ``fw_max_iter``, ``rank``
+    and ``invariant`` from ``tol``.
 
-    ``q`` must be symmetric and concave along simplex directions (negative
-    semidefinite on mass-zero vectors); then the gap ``max_i g_i - g.x`` of
-    the gradient ``g = 2 q x`` upper-bounds the suboptimality and is the
-    stopping criterion. The active set starts from the support of ``x0`` when
-    given, n nonnegative weights summing to 1 within rounding (else
-    ``ValueError``), and else from the diametral pair. Each face solve drops
-    every vertex of weight below -1e-12 at once (the weights sum to 1, so one
-    at least stays), or else adds the vertex of largest gradient; an accepted
-    face sheds its vertices of weight at most 1e-12, rounding of zero, with no
-    further solve.
-    At most ``min(2n, max_iter)`` faces are solved, and ``iterations`` counts
-    them. A face is accepted only if it does not lose objective value, so
-    when the active set stalls (a face solve fails, the best vertex is
-    already in the face, or the cap is reached) the result is the best point
-    found, with ``converged`` False.
+    On a quasihypermetric q the energy is concave along simplex directions,
+    so the gap ``max_i g_i - g.x`` of the gradient ``g = 2 q x`` bounds the
+    suboptimality and is the stopping criterion. The active set starts from
+    the support of ``x0`` when given, n nonnegative weights summing to 1
+    within rounding (else ``ValueError``), and else from the diametral pair.
+    A face with weights below -1e-12 drops all those vertices at once (the
+    weights sum to 1, so one at least stays). An unbounded face steps from
+    x's part on it, normalized, along its ray to the first zero weight. That
+    point, or else the face's weights, is a candidate for x, accepted if it
+    loses no objective value, and the face sheds its weights of at most
+    1e-12, rounding of zero; a ray step's face is solved next, and any other
+    grows by the vertex of largest gradient. At most ``min(2n, fw_max_iter)``
+    faces are solved, and ``iterations`` counts them. When the active set
+    stalls (the best vertex is already in the face, or the cap is reached)
+    the result is the best point found, with ``converged`` False.
     """
+    t = tol if tol is not None else DEFAULT_TOLERANCES
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
+    gap_tol = t.fw_tol(float(q.max()))
     if x0 is None:
         x = np.bincount(np.unravel_index(int(np.argmax(q)), q.shape), minlength=n) / 2.0
     else:
         x = np.array(x0, dtype=float)
-        # NaN fails both tests, and +inf the sum's
-        if x.shape != (n,) or not (
-            np.all(x >= 0.0) and abs(x.sum() - 1.0) <= 4.0 * n * np.finfo(float).eps
-        ):
+        # NaN fails both tests, and +inf the sum's; n additions round the sum
+        rounding = 4.0 * n * np.finfo(float).eps
+        if x.shape != (n,) or not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= rounding):
             raise ValueError(f"x0 must be {n} nonnegative weights summing to 1, got {x0!r}")
     support = np.flatnonzero(x > 0.0)
     faces = 0
-    for faces in range(1, min(2 * n, max_iter) + 1):
-        w = _face_stationary(q, support)
-        if w is None:
-            break
-        if float(w.min()) < -1e-12:
+    for faces in range(1, min(2 * n, t.fw_max_iter) + 1):
+        w, ray = _face_stationary(q, support, t)
+        if ray is not None:
+            w = ratio_step(x[support] / x[support].sum(), ray)
+        elif float(w.min()) < -1e-12:
             support = support[w >= -1e-12]
             continue
         candidate = np.zeros(n)
         candidate[support] = np.where(w > 1e-12, w, 0.0)
         candidate /= candidate.sum()
         if float(candidate @ q @ candidate) >= float(x @ q @ x):
-            x, support = candidate, support[w > 1e-12]
+            x = candidate
+        support = support[w > 1e-12]
+        if ray is not None:
+            continue
         g = 2.0 * (q @ x)
         if float(g.max()) - float(g @ x) <= gap_tol:
             break

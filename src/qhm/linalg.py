@@ -1,18 +1,20 @@
 """Deterministic dense linear algebra for small symmetric problems.
 
 Two numpy kernels without LAPACK, so results are bit-reproducible from run to
-run. A Cholesky factorization decides positive definiteness and solves
-positive definite systems. One-sided Jacobi (Hestenes) in the Brent-Luk
-round-robin order, on a Cholesky factor L of a positive definite A = L L',
-gives A's eigenvalues, each to a relative error of about eps times the
-condition number of A scaled to unit diagonal, not of A itself (Demmel &
-Veselic 1992). It turns a round's pairs by one batched 2x2 correction
-(Rutishauser) until a sweep's worth of rounds in a row turns none. It is the
-one eigensolver: ``_factor_eigh`` turns a given factor, which on a certified
-strictly QH space is that of the deflated centred kernel itself, and
-``jacobi_eigh`` a factor of A + sigma I, sigma a Gershgorin bound that makes
-any symmetric A definite, for every other eigendecomposition, rank and the
-pseudoinverse of ``lstsq_minnorm``; semidefinite systems are eliminated.
+run. A Cholesky factorization, refusing a pivot at or below its cut, decides
+positive definiteness and solves positive definite systems, and
+``semidefinite_solve``, skipping such pivots, eliminates the semidefinite ones
+and gives the null vector of an inconsistent one. One-sided Jacobi (Hestenes)
+in the Brent-Luk round-robin order, on a Cholesky factor L of a positive
+definite A = L L', gives A's eigenvalues, each to a relative error of about
+eps times the condition number of A scaled to unit diagonal, not of A itself
+(Demmel & Veselic 1992). It turns a round's pairs by one batched 2x2
+correction (Rutishauser) until a sweep's worth of rounds in a row turns none.
+It is the one eigensolver: ``_factor_eigh`` turns a given factor, which on a
+certified strictly QH space is that of the deflated centred kernel itself,
+and ``jacobi_eigh`` a factor of A + sigma I, sigma a Gershgorin bound that
+makes any symmetric A definite, for every other eigendecomposition, rank and
+the pseudoinverse of ``lstsq_minnorm``.
 """
 
 from __future__ import annotations
@@ -190,35 +192,18 @@ def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL):
     return x, residual, int(np.count_nonzero(keep)), v[:, ~keep]
 
 
-def cholesky(a):
+def cholesky(a, cut=0.0):
     """Lower Cholesky factor of a symmetric matrix, or None at the first pivot
-    that is not positive. One numpy step per row of the upper factor."""
+    at most ``cut`` (``semidefinite_solve`` skips such a pivot). One numpy
+    step per row of the upper factor."""
     a = np.asarray(a, dtype=float)
     up = np.zeros_like(a)
     for k in range(len(a)):
         row = a[k, k:] - up[:k, k] @ up[:k, k:]
-        if not row[0] > 0.0:
+        if not row[0] > cut:
             return None
         up[k, k:] = row / math.sqrt(row[0])
     return up.T
-
-
-def semidefinite_cholesky(a, cut):
-    """``cholesky`` skipping each column whose pivot is at most ``cut``:
-    ``(kept, low, schur)``, the mask of the columns kept, the lower factor of
-    a[kept, kept] and its Schur complement on the skipped columns, each step
-    eliminating a column from every row. On a positive semidefinite matrix
-    the kept columns are its lowest-index column basis."""
-    a = np.asarray(a, dtype=float)
-    up = np.zeros_like(a)
-    kept = np.zeros(len(a), dtype=bool)
-    for k in range(len(a)):
-        row = a[k] - up[:k, k] @ up[:k]
-        if row[k] > cut:
-            up[k] = row / math.sqrt(row[k])
-            kept[k] = True
-    u, skip = up[kept], ~kept
-    return kept, np.triu(u[:, kept]).T, a[np.ix_(skip, skip)] - u[:, skip].T @ u[:, skip]
 
 
 def cholesky_solve(low, b) -> np.ndarray:
@@ -231,16 +216,60 @@ def cholesky_solve(low, b) -> np.ndarray:
     return x
 
 
-def definite_solve(a, b, shift=None):
+def definite_solve(a, b, cut=0.0):
     """``(low, x)`` with ``low`` the Cholesky factor of ``a`` and ``x`` the
-    solution of ``a x = b`` after one step of iterative refinement, when
-    ``a - shift`` (``a`` when no shift is given) is positive definite; None
-    otherwise."""
-    if (shift is not None and cholesky(a - shift) is None) or (low := cholesky(a)) is None:
+    solution of ``a x = b`` after one step of iterative refinement, when every
+    pivot exceeds ``cut``; None otherwise."""
+    if (low := cholesky(a, cut)) is None:
         return None
     x = cholesky_solve(low, b)
     x += cholesky_solve(low, b - a @ x)
     return low, x
+
+
+def semidefinite_solve(a, b, cut, level):
+    """``(kept, schur, y, z)`` for a positive semidefinite ``a``, eliminated as
+    ``cholesky`` factors it but skipping each column whose pivot is at most
+    ``cut``, each step eliminating a column from every row: the mask of the
+    kept columns (a's lowest-index column basis), the Schur complement on the
+    skipped ones, y solving a[kept, kept] y = b[kept] with 0 on the skipped
+    columns, and z, None unless a skipped row's residual b_j - a[j, kept] y
+    exceeds ``level``; then the null vector of the worst such column j
+    (z_j = 1, z_kept = -a[kept, kept]^-1 a[kept, j]), along which b'z is that
+    residual. A ``b`` of several columns counts a row's largest residual."""
+    a = np.asarray(a, dtype=float)
+    up = np.zeros_like(a)
+    kept = np.zeros(len(a), dtype=bool)
+    for k in range(len(a)):
+        row = a[k] - up[:k, k] @ up[:k]
+        if row[k] > cut:
+            up[k] = row / math.sqrt(row[k])
+            kept[k] = True
+    u, skip = up[kept], ~kept
+    low = np.triu(u[:, kept]).T
+    schur = a[np.ix_(skip, skip)] - u[:, skip].T @ u[:, skip]
+    y = np.zeros(b.shape)
+    y[kept] = cholesky_solve(low, b[kept])
+    residual = np.abs(b[skip] - a[skip] @ y)
+    if residual.ndim > 1:
+        residual = residual.max(axis=1)
+    if not (residual > level).any():
+        return kept, schur, y, None
+    z = np.zeros(len(a))
+    j = np.flatnonzero(skip)[int(np.argmax(residual))]
+    z[j], z[kept] = 1.0, -cholesky_solve(low, a[kept, j])
+    return kept, schur, y, z
+
+
+def ratio_step(x, v):
+    """x + t v for the largest t >= 0 that keeps the weights ``x`` nonnegative,
+    the first weight it zeroes (ties to the lowest) set to exactly 0."""
+    out = np.flatnonzero(v < 0.0)
+    ratios = np.maximum(x[out], 0.0) / -v[out]
+    k = int(np.argmin(ratios))
+    x = x + ratios[k] * v
+    x[out[k]] = 0.0
+    return x
 
 
 def symmetric_rank_and_nullspace(a, rank_rel: float = RANK_REL):

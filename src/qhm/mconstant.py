@@ -11,7 +11,7 @@ and near it a semidefinite elimination of that form does: no eigensolver runs.
 
 M+(X), the same supremum over probability measures, is generally smaller: it
 is M(F) for the support F of a maximal probability measure, found by an active
-set of such Cholesky solves.
+set whose faces are solved the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .classify import Analysis, distance_matrix_nullspace
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
-from .linalg import cholesky, cholesky_solve, gram_rank, semidefinite_cholesky
+from .linalg import cholesky, gram_rank, semidefinite_solve
 from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -104,41 +104,34 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
 
 
 def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
-    """``compute_m`` by elimination. K0, the form at point 0 (moved last), is
-    eliminated skipping pivots at most ``rank`` times its largest diagonal
-    entry; point 0 and the kept columns T are d's lowest-index column basis.
-    For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I and
-    S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0: QH.
-    K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at point
-    0, y on T, 0 elsewhere) if ``_certified`` accepts it. Else a skipped column
-    j with g0[j] - K0[j, T] y beyond ``inv_tol`` is a zero-mass certificate:
-    K0's null vector z on j (z_j = 1, z_T = -K0[T, T]^-1 K0[T, j]) is the
-    mass-zero measure v = (-sum z, z), and d v is constant at g0'z, that
+    """``compute_m`` by ``semidefinite_solve``. K0, the form at point 0 (moved
+    last), is eliminated skipping pivots at most ``rank`` times its largest
+    diagonal entry; point 0 and the kept columns T are d's lowest-index column
+    basis. For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I
+    and S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0:
+    QH. K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at
+    point 0, y on T, 0 elsewhere) if ``_certified`` accepts it. Else the null
+    vector z of a skipped column whose residual is beyond ``inv_tol`` is a
+    zero-mass certificate: v = (-sum z, z) has d v constant at g0'z, that
     residual; ``invariant_value`` checks it, and M = inf. Anything else
     raises ``InconsistentSystemError``."""
     k, g, _ = schoenberg_form(np.roll(space.dist, -1, axis=(0, 1)))
-    kept, low, c = semidefinite_cholesky(k, t.rank * 2.0 * float(g.max()))
+    level = t.inv_tol(space.n, space.diameter)
+    kept, c, y, z = semidefinite_solve(k, g, t.rank * 2.0 * float(g.max()), level)
     gershgorin = c.diagonal() + np.abs(c.diagonal()) - np.abs(c).sum(axis=1)
     if (bound := gershgorin.min(initial=0.0)) < -t.pos_tol(space.n, space.diameter):
         raise _declined(space, t, f"a Gershgorin bound of {bound:.3e} on its Schur complement")
-    y = cholesky_solve(low, g[kept])
-    w = np.zeros(space.n)
-    w[0], w[1:][kept] = 1.0 - y.sum(), y
+    w = np.concatenate(([1.0 - y[kept].sum()], y))
     try:
-        return _certified(space, w / float(g[kept] @ y), bool(kept.all()), t, "elimination")
+        return _certified(space, w / float(g[kept] @ y[kept]), bool(kept.all()), t, "elimination")
     except InconsistentSystemError as refused:
         declined = _declined(space, t, str(refused))
-    skipped = np.flatnonzero(~kept)
-    gap = g[skipped] - k[np.ix_(skipped, kept)] @ y
-    if not np.any(np.abs(gap) > t.inv_tol(space.n, space.diameter)):
+    if z is None:
         raise declined
-    j = skipped[np.argmax(np.abs(gap))]
-    z = np.zeros(space.n - 1)
-    z[j], z[kept] = 1.0, -cholesky_solve(low, k[kept, j])
     v = SignedMeasure(space, np.append(-z.sum(), z))
-    if (level := invariant_value(v, t)) is None or abs(level) <= t.inv_tol(space.n, space.diameter):
+    if (constant := invariant_value(v, t)) is None or abs(constant) <= level:
         raise declined
-    w = v.weights / level
+    w = v.weights / constant
     residual = float(np.linalg.norm(space.dist @ w - 1.0))
     return MReport._infinite((TAG_ZERO_MASS, "m:elimination-null-vector"), float(w.sum()), residual)
 
@@ -237,10 +230,7 @@ def maximize_energy_over_probability(
     """Maximization of the energy over probability measures by the exact active
     set, from the support of the probability vector ``x0`` when given and else
     from the diametral pair."""
-    t = tol if tol is not None else DEFAULT_TOLERANCES
-    return maximize_quadratic_on_simplex(
-        space.dist, gap_tol=t.fw_tol(space.diameter), max_iter=t.fw_max_iter, x0=x0
-    )
+    return maximize_quadratic_on_simplex(space.dist, tol, x0)
 
 
 def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:

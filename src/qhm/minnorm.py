@@ -11,25 +11,23 @@ floating-point version.
 The affine subproblem min |P λ| s.t. sum λ = 1 is solved on the corral's
 differences q_i = p_i - p_last: affine independence makes their Gram matrix
 Q Q' (half the corral's Schoenberg form) positive definite, so a Cholesky
-factorization solves (Q Q') μ = -Q p_last and λ = (μ, 1 - sum μ). Only when
-Q Q' is singular or within ``RANK_REL`` of its trace of being so (nearly
-affinely dependent rows, where an unguarded factorization would accept a tiny
-pivot) is it eliminated as ``compute_m``'s band is. A skipped column's null
-vector is then an affine dependency of the corral, along which every weight
-vector gives the same point; the weights are moved along it (Caratheodory)
-until a point other than the newest has weight zero, so that the minor cycle
-drops that point and the corral is independent again. Without the move the
-dependent corral would be kept, its point missing the newest direction, and
-the next major cycle would pick a vertex already in it.
+factorization solves (Q Q') μ = -Q p_last and λ = (μ, 1 - sum μ). A pivot at
+most ``RANK_REL`` times the largest diagonal entry (nearly affinely dependent
+rows) sends Q Q' to the elimination that ``compute_m``'s band uses, at the
+same cut. Its null vector is an affine dependency of the corral, along which
+every weight vector gives the same point; the weights are moved along it
+(Caratheodory) until a point other than the newest has weight zero, so that
+the minor cycle drops that point and the corral is independent again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_REL, cholesky_solve, definite_solve, semidefinite_cholesky
+from .linalg import RANK_REL, definite_solve, ratio_step, semidefinite_solve
 
 
 @dataclass(frozen=True)
@@ -45,34 +43,20 @@ def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     diff = pts[:-1] - pts[-1]
     qq = diff @ diff.T
     rhs = -(diff @ pts[-1])
-    floor = RANK_REL * np.trace(qq) * np.eye(len(qq))
-    if (solved := definite_solve(qq, rhs, floor)) is not None:
+    cut = RANK_REL * float(qq.diagonal().max(initial=0.0))
+    if (solved := definite_solve(qq, rhs, cut)) is not None:
         return np.append(solved[1], 1.0 - solved[1].sum())
-    kept, low, _ = semidefinite_cholesky(qq, RANK_REL * float(qq.diagonal().max()))
-    mu = np.zeros(len(qq))
-    mu[kept] = cholesky_solve(low, rhs[kept])
-    lam = np.append(mu, 1.0 - mu.sum())
-    if kept.all():
+    # a null vector z of qq is the dependency alpha = (z, -sum z), and sum z is
+    # the residual of qq mu = 1 on z's column: the ones column picks the
+    # dependency of largest weight on the newest point
+    _, _, mu, z = semidefinite_solve(qq, np.column_stack((rhs, np.ones(len(qq)))), cut, 0.0)
+    lam = np.append(mu[:, 0], 1.0 - mu[:, 0].sum())
+    if z is None or abs(z.sum()) <= RANK_REL * float(np.abs(z).max()):
         return lam
-    # each skipped column j's null vector z of qq (z_j = 1) gives the affine
-    # dependency (z, -sum z); of these, the one of largest weight on the newest
-    # point, scaled to 1 there. From the weights with the newest point at zero,
-    # the outgoing point is the first whose weight reaches zero as the newest
-    # one's grows
-    z = np.eye(len(qq))[:, ~kept]
-    z[kept] = -cholesky_solve(low, qq[np.ix_(kept, ~kept)])
-    alpha = np.vstack([z, -z.sum(axis=0)])
-    alpha = alpha[:, int(np.argmax(np.abs(alpha[-1])))]
-    out = np.flatnonzero(alpha[:-1] * alpha[-1] < 0.0)
-    if abs(alpha[-1]) <= RANK_REL * float(np.max(np.abs(alpha))) or out.size == 0:
-        return lam
-    alpha = alpha / alpha[-1]
-    lam = lam - lam[-1] * alpha
-    ratios = np.maximum(lam[out], 0.0) / -alpha[out]
-    k = int(np.argmin(ratios))
-    lam += ratios[k] * alpha
-    lam[out[k]] = 0.0
-    return lam
+    # from the weights with the newest point at zero, the outgoing point is the
+    # first whose weight reaches zero as the newest one's grows
+    alpha = np.append(z, -z.sum()) / -z.sum()
+    return lam if np.all(alpha >= 0.0) else ratio_step(lam - lam[-1] * alpha, alpha)
 
 
 def min_norm_point_in_hull(
@@ -88,7 +72,8 @@ def min_norm_point_in_hull(
     first corral is the input point nearest the origin. All ties break toward
     the lowest index, making the run deterministic, and only the optimality
     test ends a run as converged, whatever its start. No points, a point that
-    is not finite, or a start index outside [0, n) raises ``ValueError``.
+    is not finite, or a start index outside [0, n) raises ``ValueError``, and
+    a start index that is not an integer ``TypeError``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -96,21 +81,20 @@ def min_norm_point_in_hull(
     n = pts.shape[0]
     if n == 0 or not np.all(np.isfinite(pts)):
         raise ValueError("expected one or more points, all of them finite")
-    corral = sorted({int(i) for i in start}) if start is not None else []
+    try:
+        corral = sorted({operator.index(i) for i in start}) if start is not None else []
+    except TypeError:
+        raise TypeError(f"start must hold integer indices, got {start!r}") from None
     if corral and (corral[0] < 0 or corral[-1] >= n):
         raise ValueError(f"start indices must lie in [0, {n}), got {list(start)!r}")
-    if pts.shape[1] == 0:
-        # zero-dimensional hull: everything sits at the origin
-        w = np.zeros(n)
-        w[0] = 1.0
-        return MinNormResult(np.zeros(0), w, 0.0, 0, True)
     if max_iter is None:
         max_iter = 16 * n * n + 64
 
     # work on unit-scale points so the affine subproblem's Gram block and its
     # constraint row stay comparable and all tolerances are scale-free; the
-    # answer is rescaled at the end
-    unit = float(np.max(np.abs(pts)))
+    # answer is rescaled at the end. A zero-dimensional hull, or one of points
+    # at the origin only, is the origin
+    unit = float(np.max(np.abs(pts), initial=0.0))
     if unit == 0.0:
         return MinNormResult(np.zeros(pts.shape[1]), np.eye(n)[0], 0.0, 0, True)
     pts = pts / unit
@@ -161,7 +145,6 @@ def min_norm_point_in_hull(
         x = lam @ pts[idx]
 
     weights = np.zeros(n)
-    for i, l in zip(idx, lam):
-        weights[i] = l
+    weights[idx] = lam
     x = unit * x
     return MinNormResult(x, weights, float(np.linalg.norm(x)), it, converged)

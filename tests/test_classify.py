@@ -96,6 +96,18 @@ def test_hypermetric_budget_and_validation(assouad):
         qhm.check_hypermetric_bounded(assouad, bound=0)
 
 
+def test_a_bound_that_is_not_an_integer_is_a_type_error(star):
+    """A bound of 1.5 once put half-integer points through the ellipsoid route,
+    truncated them, and gave ``star_1_2`` the false witness (-1, 1, 1, 0),
+    whose b'db is 0; a bound of 2.0 failed inside ``range``."""
+    for bound in (1.5, 2.0):
+        with pytest.raises(TypeError, match=f"bound must be an integer, got {bound}"):
+            qhm.check_hypermetric_bounded(star, bound=bound)
+    with pytest.raises(TypeError, match="bound must be an integer, got 1.5"):
+        qhm.build_report(star, hyper_bound=1.5)
+    assert qhm.check_hypermetric_bounded(star, bound=np.int64(2)).holds
+
+
 def test_nullspace_fixtures(equilateral, assouad, cycle4, one_point):
     rank, basis = qhm.distance_matrix_nullspace(equilateral)
     assert rank == 3 and basis.shape == (3, 0)
@@ -296,15 +308,19 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     """A strictly quasihypermetric report makes one strict-margin Cholesky
     test and one decomposition of the centred kernel, one-sided Jacobi on its
     deflated factor, at every n, and no Jacobi eigendecomposition."""
-    sizes, shifts, one_sided = [], [], []
+    sizes, solves, factored, one_sided = [], [], [], []
 
     def counted_eigh(a, *args, **kwargs):
         sizes.append(len(a))
         return jacobi_eigh(a, *args, **kwargs)
 
-    def counted_solve(a, b, shift=None):
-        shifts.append(shift)
-        return qhm.linalg.definite_solve(a, b, shift)
+    def counted_solve(a, b, cut=0.0):
+        solves.append(cut)
+        return qhm.linalg.definite_solve(a, b, cut)
+
+    def counted_cholesky(a, cut=0.0):
+        factored.append(a)
+        return qhm.linalg.cholesky(a, cut)
 
     def counted_one_sided(low, *args, **kwargs):
         one_sided.append(len(low))
@@ -313,6 +329,7 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "definite_solve", counted_solve)
+    monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify, "_factor_eigh", counted_one_sided)
     monkeypatch.setattr(qhm.mconstant, "cholesky", None)  # the not-QH test never runs
     rng = np.random.default_rng(23)
@@ -323,7 +340,8 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     wide = qhm.Tolerances(hyper_budget=1e14)
     for space in spaces:
         sizes.clear()
-        shifts.clear()
+        solves.clear()
+        factored.clear()
         one_sided.clear()
         if space.n < 16:
             doc = qhm.build_report(space)
@@ -331,7 +349,9 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
             doc = qhm.build_report(space, hyper_bound=1, tol=wide)
         assert doc["classification"]["strictly_quasihypermetric"]["holds"]
         assert doc["classification"]["matrix_rank"] == space.n
-        assert len(shifts) == 1 and shifts[0] is not None
+        # the strict margin, K - ptol S, factored once and then K itself solved
+        k, _, shift = classify.Analysis(space).form
+        assert len(solves) == 1 and np.array_equal(factored[0], k - shift)
         assert sizes == []
         assert one_sided == [space.n - 1]
 

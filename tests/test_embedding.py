@@ -1,6 +1,7 @@
 """Schoenberg embeddings, circumspheres, hull distances, recentring."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -334,14 +335,22 @@ def test_mirror_entries_sign_both_routes_alike():
     assert np.array_equal(np.sign(np.sum(y * ref, axis=0)), np.ones(16))
 
 
+def _by_kernel() -> bool:
+    """Whether the caller's caller is ``Analysis.kernel``: a spy on
+    ``classify.cholesky`` that asks this counts the deflated kernel's factor,
+    not the strict margin test of K - ptol S."""
+    return sys._getframe(2).f_code.co_name == "kernel"
+
+
 def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
     """Band spaces and spaces that are not quasihypermetric never try the
     route; every certified strict space, from n = 2 up, takes it once."""
     factored, rotated = [], []
 
-    def counted_cholesky(a):
-        factored.append(len(a))
-        return cholesky(a)
+    def counted_cholesky(a, cut=0.0):
+        if _by_kernel():
+            factored.append(len(a))
+        return cholesky(a, cut)
 
     def counted_jacobi(low, *args, **kwargs):
         rotated.append(len(low))
@@ -369,7 +378,9 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
 
 def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
     for space in _strict_spaces()[:1] + _strict_spaces()[-2:]:
-        monkeypatch.setattr(classify, "cholesky", lambda a: None)
+        monkeypatch.setattr(
+            classify, "cholesky", lambda a, cut=0.0: None if _by_kernel() else cholesky(a, cut)
+        )
         a = classify.Analysis(space)
         assert a.certified_strict
         fallback = qhm.s_embed(space, analysis=a)
@@ -389,9 +400,10 @@ def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypa
     space = qhm.CompactSpaceDescriptor("circle", circumference=5.0).sample_space(16)
     factored = []
 
-    def counted_cholesky(a):
-        factored.append(len(a))
-        return cholesky(a)
+    def counted_cholesky(a, cut=0.0):
+        if _by_kernel():
+            factored.append(len(a))
+        return cholesky(a, cut)
 
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify.Analysis, "certified_strict", True)

@@ -1,6 +1,7 @@
 """The simplex maximizer (exact active set) on closed-form and seeded problems."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from qhm.frankwolfe import maximize_quadratic_on_simplex
 from qhm.mconstant import maximize_energy_over_probability
 
 
+def _gap(q, gap):
+    """The tolerances whose gap threshold on the distance matrix q is ``gap``."""
+    return qhm.Tolerances(fw_gap=gap / np.max(q))
+
+
 def test_uniform_is_optimal_for_equilateral():
     q = 6.0 * (np.ones((3, 3)) - np.eye(3))
-    res = maximize_quadratic_on_simplex(q, gap_tol=1e-12)
+    res = maximize_quadratic_on_simplex(q, _gap(q, 1e-12))
     assert res.converged
     assert res.iterations == 2  # the diametral pair, then the whole face
     assert abs(res.value - 4.0) < 1e-12
@@ -22,7 +28,7 @@ def test_uniform_is_optimal_for_equilateral():
 
 def test_two_point():
     q = np.array([[0.0, 3.0], [3.0, 0.0]])
-    res = maximize_quadratic_on_simplex(q, gap_tol=1e-12)
+    res = maximize_quadratic_on_simplex(q, _gap(q, 1e-12))
     assert res.converged
     assert abs(res.value - 1.5) < 1e-12
     assert np.allclose(res.weights, [0.5, 0.5], atol=1e-9)
@@ -33,7 +39,7 @@ def test_star_drops_the_hub():
     q = np.array(
         [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], dtype=float
     )
-    res = maximize_quadratic_on_simplex(q, gap_tol=1e-12)
+    res = maximize_quadratic_on_simplex(q, _gap(q, 1e-12))
     assert res.converged
     assert abs(res.value - 4.0 / 3.0) < 1e-9
     assert res.weights[0] < 1e-12  # away steps removed the hub entirely
@@ -59,7 +65,7 @@ def test_iterates_stay_on_simplex():
     pts = rng.normal(size=(6, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     q = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    res = maximize_quadratic_on_simplex(q, gap_tol=1e-10)
+    res = maximize_quadratic_on_simplex(q, _gap(q, 1e-10))
     assert res.converged
     assert res.gap <= 1e-10
     assert np.all(res.weights >= 0.0)
@@ -79,7 +85,7 @@ def test_matches_coarse_grid_on_random_instances():
         pts = rng.normal(size=(3, 2))
         diff = pts[:, None, :] - pts[None, :, :]
         q = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        res = maximize_quadratic_on_simplex(q, gap_tol=1e-12)
+        res = maximize_quadratic_on_simplex(q, _gap(q, 1e-12))
         brute = float(((grid @ q) * grid).sum(axis=1).max())
         assert res.value >= brute - 1e-12
         assert res.value - brute < 5e-3  # grid resolution error only
@@ -116,16 +122,16 @@ def test_active_set_matches_bordered_faces_and_the_hull(monkeypatch):
     spaces = _finite_m_corpus()
     assert len(spaces) >= 100
     faces, eliminated = [], []
-    solve, eliminate = frankwolfe._face_stationary, frankwolfe.semidefinite_cholesky
+    solve, eliminate = frankwolfe._face_stationary, frankwolfe.semidefinite_solve
 
-    def recorded(q, support):
-        w = solve(q, support)
+    def recorded(q, support, t):
+        w, ray = solve(q, support, t)
         faces.append((q, support, w))
-        return w
+        return w, ray
 
     monkeypatch.setattr(frankwolfe, "_face_stationary", recorded)
     monkeypatch.setattr(
-        frankwolfe, "semidefinite_cholesky", lambda *a: eliminated.append(1) or eliminate(*a)
+        frankwolfe, "semidefinite_solve", lambda *a: eliminated.append(1) or eliminate(*a)
     )
     active = [maximize_energy_over_probability(s) for s in spaces]
     assert not eliminated  # every face solve was a Cholesky solve
@@ -159,9 +165,9 @@ def test_singular_faces_are_eliminated_without_an_eigensolver(monkeypatch):
         circle = qhm.CompactSpaceDescriptor("circle", circumference=c)
         spaces += [circle.sample_space(n) for n in range(4, 25)]
     eliminated = []
-    eliminate = frankwolfe.semidefinite_cholesky
+    eliminate = frankwolfe.semidefinite_solve
     monkeypatch.setattr(
-        frankwolfe, "semidefinite_cholesky", lambda *a: eliminated.append(1) or eliminate(*a)
+        frankwolfe, "semidefinite_solve", lambda *a: eliminated.append(1) or eliminate(*a)
     )
 
     def refused(a):
@@ -184,29 +190,20 @@ def _warm_start(space):
     return positive / positive.sum()
 
 
-def test_stalled_active_set_warns_with_the_best_point_found(monkeypatch):
+def test_stalled_active_set_warns_with_the_best_point_found():
     rng = np.random.default_rng(43)
     spaces = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (6, 9, 12)]
     for space in spaces:
         # the first warm face has a negative weight, so M+ needs two or more
         # faces here, and at one the best point found is the start itself
         x0 = _warm_start(space)
-        first = frankwolfe._face_stationary(space.dist, np.flatnonzero(x0))
+        first, _ = frankwolfe._face_stationary(space.dist, np.flatnonzero(x0), qhm.Tolerances())
         assert first.min() < -1e-12
         capped = qhm.Tolerances(fw_max_iter=1)
         with pytest.warns(ConvergenceWarning, match="stalled"):
             value = qhm.compute_m_plus(space, tol=capped)
         assert value == pytest.approx(x0 @ space.dist @ x0, rel=1e-15)
         assert value < qhm.compute_m_plus(space)
-    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, support: None)
-    for space in spaces:
-        gap_tol = qhm.Tolerances().fw_tol(space.diameter)
-        res = maximize_quadratic_on_simplex(space.dist, gap_tol=gap_tol)
-        assert not res.converged and res.gap > gap_tol and res.iterations == 1
-        assert res.value == space.diameter / 2.0  # the diametral pair, kept
-        x0 = _warm_start(space)
-        with pytest.warns(ConvergenceWarning):
-            assert qhm.compute_m_plus(space) == pytest.approx(x0 @ space.dist @ x0, rel=1e-15)
 
 
 def test_collinear_points_stop_at_the_diametral_pair(monkeypatch):
@@ -214,14 +211,14 @@ def test_collinear_points_stop_at_the_diametral_pair(monkeypatch):
     faces = []
     solve = frankwolfe._face_stationary
     monkeypatch.setattr(
-        frankwolfe, "_face_stationary", lambda q, s: faces.append(s.size) or solve(q, s)
+        frankwolfe, "_face_stationary", lambda q, s, t: faces.append(s.size) or solve(q, s, t)
     )
     rng = np.random.default_rng(33)
     for n in (3, 8, 20):
         x = rng.normal(size=(n, 1))
         space = qhm.from_euclidean(x)
         faces.clear()
-        res = maximize_quadratic_on_simplex(space.dist, gap_tol=1e-12)
+        res = maximize_quadratic_on_simplex(space.dist, _gap(space.dist, 1e-12))
         assert faces == [2] and res.iterations == 1
         ends = sorted((int(np.argmin(x)), int(np.argmax(x))))
         assert np.flatnonzero(res.weights).tolist() == ends
@@ -233,20 +230,19 @@ def test_each_drop_removes_every_negative_vertex(monkeypatch):
     faces = []
     solve = frankwolfe._face_stationary
 
-    def recorded(q, support):
-        w = solve(q, support)
+    def recorded(q, support, t):
+        w, ray = solve(q, support, t)
         faces.append((support.copy(), w))
-        return w
+        return w, ray
 
     monkeypatch.setattr(frankwolfe, "_face_stationary", recorded)
     drops = several = 0
     rng = np.random.default_rng(34)
     for n in range(4, 16):
         space = qhm.from_euclidean(rng.normal(size=(n, 2)))
-        gap_tol = qhm.Tolerances().fw_tol(space.diameter)
-        paired = maximize_quadratic_on_simplex(space.dist, gap_tol)
+        paired = maximize_quadratic_on_simplex(space.dist)
         faces.clear()
-        res = maximize_quadratic_on_simplex(space.dist, gap_tol, x0=np.full(n, 1.0 / n))
+        res = maximize_quadratic_on_simplex(space.dist, x0=np.full(n, 1.0 / n))
         assert res.iterations == len(faces) and res.value == pytest.approx(paired.value, rel=1e-12)
         for (support, w), (after, _) in zip(faces, faces[1:]):
             if w.min() < -1e-12:
@@ -256,17 +252,18 @@ def test_each_drop_removes_every_negative_vertex(monkeypatch):
     assert drops >= 15 and several >= 10, (drops, several)
 
 
-def _one_at_a_time(q, gap_tol):
+def _one_at_a_time(q, t):
     """The cold active set that the warm start replaced: from the diametral
     pair, dropping only the most negative vertex of each face, through the
-    same face solves. Returns (value, converged, face solves)."""
-    n = q.shape[0]
+    same face solves, stalling at an unbounded face. Returns (value,
+    converged, face solves)."""
+    n, gap_tol = q.shape[0], t.fw_tol(np.max(q))
     x = np.bincount(np.unravel_index(int(np.argmax(q)), q.shape), minlength=n) / 2.0
     support = np.flatnonzero(x)
     faces = 0
     for faces in range(1, 2 * n + 1):
-        w = frankwolfe._face_stationary(q, support)
-        if w is None:
+        w, ray = frankwolfe._face_stationary(q, support, t)
+        if ray is not None:
             break
         if w.min() < -1e-12:
             support = np.delete(support, np.argmin(w))
@@ -311,10 +308,9 @@ def test_warm_starts_agree_with_the_cold_runs():
     t = qhm.Tolerances()
     counts = np.zeros(4, dtype=int)  # warm faces, cold faces, warm cycles, cold cycles
     for space in spaces:
-        gap_tol = t.fw_tol(space.diameter)
-        value, converged, faces = _one_at_a_time(space.dist, gap_tol)
+        value, converged, faces = _one_at_a_time(space.dist, t)
         report = qhm.mconstant._m_plus_from_report(space, qhm.compute_m(space), t)
-        warm = maximize_quadratic_on_simplex(space.dist, gap_tol, x0=_warm_start(space))
+        warm = maximize_quadratic_on_simplex(space.dist, t, x0=_warm_start(space))
         assert converged and warm.converged
         assert report.m_plus == min(warm.value, report.m_value)
         assert abs(report.m_plus - value) <= 1e-12 * value
@@ -341,7 +337,7 @@ def test_single_vertex_start_gives_the_cold_m_plus():
     rng = np.random.default_rng(36)
     for n in (3, 5, 8):
         space = qhm.from_euclidean(rng.normal(size=(n, 2)))
-        value, _, _ = _one_at_a_time(space.dist, t.fw_tol(space.diameter))
+        value, _, _ = _one_at_a_time(space.dist, t)
         for vertex in range(n):
             weights = -np.full(n, 1.0 / n)
             weights[vertex] += 2.0
@@ -377,7 +373,9 @@ def test_an_accepted_face_sheds_its_rounding_level_weights(monkeypatch):
     space = qhm.CompactSpaceDescriptor("interval", length=0.8).sample_space(13)
     faces = []
     solve = frankwolfe._face_stationary
-    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, s: faces.append(s) or solve(q, s))
+    monkeypatch.setattr(
+        frankwolfe, "_face_stationary", lambda q, s, t: faces.append(s) or solve(q, s, t)
+    )
     warm = maximize_energy_over_probability(space, x0=np.full(13, 1.0 / 13.0))
     assert len(faces) == 1 and len(faces[0]) == 13
     assert warm.converged and warm.iterations == 1
@@ -401,11 +399,76 @@ def test_report_inputs_halve_the_face_solves(monkeypatch):
         spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for _ in range(count)]
     faces = []
     solve = frankwolfe._face_stationary
-    monkeypatch.setattr(frankwolfe, "_face_stationary", lambda q, s: faces.append(1) or solve(q, s))
+    monkeypatch.setattr(
+        frankwolfe, "_face_stationary", lambda q, s, t: faces.append(1) or solve(q, s, t)
+    )
     cold = 0
     for space in spaces:
         doc = qhm.build_report(space, hyper_bound=1)
         if doc["m_report"]["m_plus"] is not None:
-            cold += _one_at_a_time(space.dist, qhm.Tolerances().fw_tol(space.diameter))[2]
+            cold += _one_at_a_time(space.dist, qhm.Tolerances())[2]
     warm = len(faces) - cold
     assert cold >= 40 and 2 * warm <= cold, (warm, cold)
+
+
+def test_an_unbounded_face_steps_along_its_ray(monkeypatch):
+    """From the uniform measure on assouad5 the first face is the whole space,
+    whose Schoenberg form has a last pivot of 6.2e-15 and M = inf. No face
+    solve returns a weight above 1e3 in magnitude (an unguarded Cholesky gave
+    1.45e15); the face is unbounded, its ray is compute_m's zero-mass
+    certificate (2, -2, -2, 1, 1) up to scale, and the active set steps along
+    it to M+ = 3.125. A stall at the unbounded face would leave the uniform
+    measure, of energy 2.72."""
+    space = qhm.make_fixture("assouad5")
+    report = qhm.compute_m(space)
+    assert report.method_tags == (qhm.mconstant.TAG_ZERO_MASS, "m:elimination-null-vector")
+    certificate = np.array([2.0, -2.0, -2.0, 1.0, 1.0])
+    assert qhm.invariant_value(qhm.SignedMeasure(space, certificate)) == pytest.approx(2.0)
+    weights, rays = [], []
+    solve = frankwolfe._face_stationary
+
+    def recorded(q, support, t):
+        w, ray = solve(q, support, t)
+        weights.extend([] if w is None else np.abs(w))
+        rays.append(ray)
+        return w, ray
+
+    monkeypatch.setattr(frankwolfe, "_face_stationary", recorded)
+    res = maximize_energy_over_probability(space, x0=np.full(5, 0.2))
+    assert res.converged and res.value == pytest.approx(3.125, rel=1e-15)
+    assert max(weights) <= 1e3
+    taken = [ray for ray in rays if ray is not None]
+    assert len(taken) == 1
+    ray = taken[0]
+    parallel = np.linalg.norm(ray) * np.linalg.norm(certificate)
+    assert abs(ray @ certificate) == pytest.approx(parallel, rel=1e-12)
+
+
+def test_every_ray_step_keeps_x_on_the_simplex_and_raises_the_energy(monkeypatch):
+    """From random full-support starts on every vertex order of assouad5, the
+    first face is unbounded. Each ray step starts from a point of the simplex
+    and ends on it, at an energy no lower, and every run converges to 3.125."""
+    q0 = qhm.make_fixture("assouad5").dist
+    faces, steps = [], []
+    solve, step = frankwolfe._face_stationary, frankwolfe.ratio_step
+
+    def stepped(x, v):
+        q, support = faces[-1]
+        steps.append((q[np.ix_(support, support)], x, step(x, v)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(
+        frankwolfe, "_face_stationary", lambda q, s, t: faces.append((q, s)) or solve(q, s, t)
+    )
+    monkeypatch.setattr(frankwolfe, "ratio_step", stepped)
+    rng = np.random.default_rng(38)
+    for order in itertools.permutations(range(5)):
+        q = q0[np.ix_(order, order)]
+        res = maximize_quadratic_on_simplex(q, x0=rng.dirichlet(np.ones(5)))
+        assert res.converged and res.value == pytest.approx(3.125, rel=1e-14)
+    assert len(steps) >= 120
+    for face, x, out in steps:
+        for point in (x, out):
+            assert np.all(point >= 0.0) and abs(point.sum() - 1.0) <= 1e-14
+        assert np.count_nonzero(out == 0.0) >= 1
+        assert out @ face @ out >= x @ face @ x

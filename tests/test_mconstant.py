@@ -8,7 +8,7 @@ import pytest
 
 import qhm
 from qhm.errors import InconsistentSystemError, PreconditionError
-from qhm.linalg import _nonzero, eigh_pinv_solve, jacobi_eigh, lstsq_minnorm, semidefinite_cholesky
+from qhm.linalg import _nonzero, eigh_pinv_solve, jacobi_eigh, lstsq_minnorm, semidefinite_solve
 from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS, MReport, _certified
 from qhm.spaces import FIXTURE_NAMES
 
@@ -502,7 +502,7 @@ def test_band_route_agrees_with_the_eigenvector_route(monkeypatch):
             zeros = np.flatnonzero(_canonical_solution(start, null_basis)[0] == 0.0)
             g = space.dist[1:, 0]
             k0 = g[:, None] + g[None, :] - space.dist[1:, 1:]
-            kept = semidefinite_cholesky(k0, t.rank * k0.diagonal().max())[0]
+            kept = semidefinite_solve(k0, g, t.rank * k0.diagonal().max(), np.inf)[0]
             zeroed = np.flatnonzero(~np.append(True, kept))
             assert np.array_equal(zeroed, zeros)
             assert np.all(rep.maximal_measure.weights[zeroed] == 0.0)

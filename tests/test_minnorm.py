@@ -83,6 +83,14 @@ def test_malformed_points_and_starts_are_value_errors():
     assert min_norm_point_in_hull(pts, start=[1, 0]).converged
 
 
+def test_a_start_index_that_is_not_an_integer_is_a_type_error():
+    """A start of [1.9] was once truncated to point 1 without a word."""
+    pts = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(TypeError, match=r"start must hold integer indices, got \[1.9\]"):
+        min_norm_point_in_hull(pts, start=[1.9])
+    assert min_norm_point_in_hull(pts, start=np.array([1, 0])).converged
+
+
 def test_weights_reconstruct_point():
     rng = np.random.default_rng(21)
     pts = rng.normal(size=(6, 3)) + 1.0
@@ -122,7 +130,7 @@ def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("an affinely independent corral took the elimination")
 
-    monkeypatch.setattr(minnorm, "semidefinite_cholesky", refused)
+    monkeypatch.setattr(minnorm, "semidefinite_solve", refused)
     rng = np.random.default_rng(23)
     for _ in range(200):
         k = int(rng.integers(1, 7))
@@ -137,13 +145,13 @@ def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
 
 def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
     calls = []
-    eliminate = minnorm.semidefinite_cholesky
+    eliminate = minnorm.semidefinite_solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(minnorm, "semidefinite_cholesky", counted)
+    monkeypatch.setattr(minnorm, "semidefinite_solve", counted)
     # a duplicate of the last row, and three collinear lattice points: the
     # Cholesky factor meets an exactly zero pivot
     duplicate = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0]])
