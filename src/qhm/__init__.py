@@ -39,7 +39,6 @@ from .mconstant import (
     compute_m_plus,
     invariant_value,
     mass_of_solution_is_canonical,
-    maximize_energy_over_probability,
     uniqueness_of_maximal,
 )
 from .metric import MetricSpace, SignedMeasure, energy, mutual_energy, potential, seminorm
@@ -92,7 +91,6 @@ __all__ = [
     "make_fixture",
     "mass_of_solution_is_canonical",
     "matrix_digest",
-    "maximize_energy_over_probability",
     "mutual_energy",
     "potential",
     "random_metric",

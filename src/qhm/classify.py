@@ -7,15 +7,15 @@ constants direction removed exactly by a Householder reflection
 (``Analysis.kernel``). Strictness asks the restricted form to be negative
 definite, so that no eigenvalue lies near zero. Both verdicts read that
 spectrum only in the band around the threshold and on spaces that are not
-quasihypermetric: when K - ptol S is positive definite (``Analysis``) the
-space is strictly quasihypermetric and rank(d) = n. The hypermetric
-property is only ever certified up to a coefficient bound B: it asks
-b'db <= 0 of every integer b with sum(b) = 1 and |b_i| <= B. On a strictly
-quasihypermetric space with maximal measure w*, every mass-one b has
-b'db = M - ||b - w*||^2_{-d}, so the violators are the integer points of an
-ellipsoid around w*, and only those are enumerated; on any other space the
-mass-one points of the (2B+1)^n box are streamed in lexicographic order, in
-blocks of at most ``_CHUNK_ROWS`` rows, up to the first violation, in
+quasihypermetric: where ``Analysis.strict`` holds (K - ptol S positive
+definite) the space is strictly quasihypermetric and rank(d) = n. The
+hypermetric property is only ever certified up to a coefficient bound B: it
+asks b'db <= 0 of every integer b with sum(b) = 1 and |b_i| <= B. On a
+strictly quasihypermetric space with maximal measure w*, every mass-one b
+has b'db = M - ||b - w*||^2_{-d}, so the violators are the integer points of
+an ellipsoid around w*, and only those are enumerated; on any other space
+the mass-one points of the (2B+1)^n box are streamed in lexicographic order,
+in blocks of at most ``_CHUNK_ROWS`` rows, up to the first violation, in
 O(``_CHUNK_ROWS`` n) memory for any B and n.
 
 Failed verdicts carry a witness vector whose energy re-evaluates to a
@@ -52,12 +52,10 @@ class Verdict:
 class Analysis:
     """What a run learns of one space, each piece made when first read:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
-    ``strict``, ``definite_solve(K, g)``, None unless K - ptol S is
-    positive definite; and ``kernel``, the eigenpairs of the centred kernel
-    -1/2 P d P on the mass-zero hyperplane, read by the centred verdicts and
-    by ``s_embed``. ``build_report`` passes one per report to the entry
-    points that take ``analysis=``; called alone, each makes its own, so none
-    outlives one call.
+    ``strict``, the strictness test of every verdict, of ``compute_m`` and of
+    the hypermetric check; and ``kernel``, the centred kernel's eigenpairs.
+    ``build_report`` passes one per report to the entry points that take
+    ``analysis=``; called alone, each makes its own, so none outlives a call.
     """
 
     def __init__(self, space: MetricSpace, tol: Tolerances | None = None):
@@ -71,17 +69,16 @@ class Analysis:
 
     @cached_property
     def strict(self):
-        k, g, shift = self.form
-        return None if cholesky(k - shift) is None else definite_solve(k, g)
-
-    @cached_property
-    def certified_strict(self) -> bool:
-        """``strict`` with n > 1 and pos >= max(neg, rank). Then d is below
+        """``definite_solve(K, g)`` when n > 1, pos >= max(neg, rank) (checked
+        first) and K - ptol S is positive definite, else None. Then d is below
         -ptol <= -ntol on the mass-zero hyperplane, so both QH verdicts hold,
         and by Cauchy interlacing and trace d = 0 each eigenvalue of d exceeds
         ptol > rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
         t = self.tol
-        return self.space.n > 1 and t.pos >= max(t.neg, t.rank) and self.strict is not None
+        if self.space.n < 2 or t.pos < max(t.neg, t.rank):
+            return None
+        k, g, shift = self.form
+        return None if cholesky(k - shift) is None else definite_solve(k, g)
 
     @cached_property
     def kernel(self):
@@ -91,7 +88,7 @@ class Analysis:
         Householder H with H 1 = -sqrt(n) e_n gives H P H = I - e_n e_n', so
         -1/2 H d H restricted to its leading (n - 1) block is the kernel with
         the constants direction removed exactly; its eigenvectors, mapped back
-        through H, have mass zero. On a space ``certified_strict`` the block is
+        through H, have mass zero. Where ``strict`` holds the block is
         decomposed from its own Cholesky factor, unshifted, so that each
         eigenvalue is accurate relative to itself; where that factor fails,
         and on every other space, by ``jacobi_eigh``."""
@@ -101,7 +98,7 @@ class Analysis:
         x = (d * h).sum(axis=1) / h[-1]
         x -= (0.5 * (h * x).sum() / h[-1]) * h  # H d H = d - h x' - x h'
         g = -0.5 * (d - np.outer(h, x) - np.outer(x, h))[:-1, :-1]
-        low = cholesky(g) if self.certified_strict else None
+        low = cholesky(g) if self.strict is not None else None
         w, u = jacobi_eigh(g) if low is None else _factor_eigh(low)
         order = np.argsort(-w, kind="stable")
         v = np.zeros((n, n - 1))
@@ -140,10 +137,10 @@ def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None =
 
 
 def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
-    """The quasihypermetric and the strict verdict: both hold on a space
-    ``certified_strict``, with no eigensolver run; else from ``kernel``, whose
+    """The quasihypermetric and the strict verdict: both hold where
+    ``strict`` does, with no eigensolver run; else from ``kernel``, whose
     -2 w is the spectrum of d on the mass-zero hyperplane, ascending."""
-    if a.certified_strict:
+    if a.strict is not None:
         return Verdict(True), Verdict(True)
     space, t = a.space, a.tol
     w, v = -2.0 * a.kernel[0], a.kernel[1]
@@ -271,16 +268,16 @@ def check_hypermetric_bounded(
     lexicographically first violating vector, which is a genuine
     counterexample to full hypermetricity.
 
-    Two routes give the same verdict and witness. If Schoenberg's form K
-    minus ptol S is positive definite (strictly quasihypermetric, as in
-    ``compute_m``), then b = (y, 1 - sum y) has b'db = M - (y - y*)'K(y - y*)
-    = M - ||b - w*||^2_{-d}, with w* the maximal measure, and only the
-    integer points of that ellipsoid around w* are enumerated and checked.
-    Otherwise the mass-one points of the (2B+1)^n box are streamed in
-    lexicographic blocks of at most ``_CHUNK_ROWS`` rows, up to the first
-    violation, in O(``_CHUNK_ROWS`` n) memory for any B and n. Neither route
-    holds the box, so the work budget n (2B+1)^n, enforced on both, limits
-    time only. A ``bound`` that is not an integer raises ``TypeError``.
+    Two routes give the same verdict and witness. Where ``Analysis.strict``,
+    the strictness test of ``compute_m``, holds, b = (y, 1 - sum y) has b'db =
+    M - (y - y*)'K(y - y*) = M - ||b - w*||^2_{-d}, with K Schoenberg's form
+    and w* the maximal measure, and only the integer points of that ellipsoid
+    around w* are enumerated and checked. Otherwise the mass-one points of the
+    (2B+1)^n box are streamed in lexicographic blocks of at most
+    ``_CHUNK_ROWS`` rows, up to the first violation, in O(``_CHUNK_ROWS`` n)
+    memory for any B and n. Neither route holds the box, so the work budget n
+    (2B+1)^n, enforced on both, limits time only. A ``bound`` that is not an
+    integer raises ``TypeError``.
     """
     try:
         bound = operator.index(bound)
@@ -318,7 +315,7 @@ def classify_space(
     space: MetricSpace, hyper_bound: int = 3, tol: Tolerances | None = None, *, analysis=None
 ) -> Classification:
     """Run all property checks and bundle the verdicts: from the Cholesky
-    factorization on a strictly quasihypermetric space (``certified_strict``),
+    factorization on a strictly quasihypermetric space (``Analysis.strict``),
     else from the decompositions of d and of the centred kernel, with
     eigenvector witnesses.
     The hypermetric check runs first, so a space over its budget fails before
@@ -327,7 +324,7 @@ def classify_space(
     space = a.space
     hyper = check_hypermetric_bounded(space, hyper_bound, a.tol, analysis=a)
     qh, strict = _centred_verdicts(a)
-    if a.certified_strict:
+    if a.strict is not None:
         rank, basis = space.n, np.empty((space.n, 0))
     else:
         rank, basis = distance_matrix_nullspace(space, a.tol)

@@ -70,8 +70,8 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
 
     The coordinates are the analysis' ``kernel`` eigenvectors scaled by the
     square roots of their eigenvalues, those above ``rank`` times the
-    largest: on a space certified strictly quasihypermetric, from one-sided
-    Jacobi on an unshifted Cholesky factor of the deflated centred kernel,
+    largest: where ``Analysis.strict`` holds, from one-sided Jacobi on an
+    unshifted Cholesky factor of the deflated centred kernel,
     and else from ``jacobi_eigh`` of that kernel.
 
     Raises ``NotQuasihypermetricError``, with the witness of the
@@ -148,11 +148,10 @@ def hull_distance(emb: SEmbedding, tol: Tolerances | None = None, start=None) ->
     inside its simplex. Requires the circumsphere; warns if the solver hits
     its cap.
     """
-    t = tol if tol is not None else DEFAULT_TOLERANCES
     if emb.sphere is None:
         raise PreconditionError("hull distance needs the circumsphere; attach it first")
     centred = emb.points - emb.sphere.centre[None, :]
-    result = min_norm_point_in_hull(centred, tol=t.minnorm, start=start)
+    result = min_norm_point_in_hull(centred, tol=tol, start=start)
     if not result.converged:
         warnings.warn(
             ConvergenceWarning("min-norm-point hit its iteration cap; value may be loose"),

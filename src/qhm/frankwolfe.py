@@ -24,6 +24,8 @@ from .linalg import definite_solve, ratio_step, semidefinite_solve
 from .metric import schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
+ZERO_WEIGHT = 1e-12  # rounding of zero in an M+ weight: the drop, the shed and the warm start
+
 
 @dataclass(frozen=True)
 class SimplexMaxResult:
@@ -64,21 +66,22 @@ def maximize_quadratic_on_simplex(
     ``q``, reading ``fw_gap`` (times q's diameter), ``fw_max_iter``, ``rank``
     and ``invariant`` from ``tol``.
 
-    On a quasihypermetric q the energy is concave along simplex directions,
-    so the gap ``max_i g_i - g.x`` of the gradient ``g = 2 q x`` bounds the
-    suboptimality and is the stopping criterion. The active set starts from
-    the support of ``x0`` when given, n nonnegative weights summing to 1
-    within rounding (else ``ValueError``), and else from the diametral pair.
-    A face with weights below -1e-12 drops all those vertices at once (the
-    weights sum to 1, so one at least stays). An unbounded face steps from
-    x's part on it, normalized, along its ray to the first zero weight. That
-    point, or else the face's weights, is a candidate for x, accepted if it
-    loses no objective value, and the face sheds its weights of at most
-    1e-12, rounding of zero; a ray step's face is solved next, and any other
-    grows by the vertex of largest gradient. At most ``min(2n, fw_max_iter)``
-    faces are solved, and ``iterations`` counts them. When the active set
-    stalls (the best vertex is already in the face, or the cap is reached)
-    the result is the best point found, with ``converged`` False.
+    q must be quasihypermetric: then the energy is concave along simplex
+    directions, so the gap ``max_i g_i - g.x`` of the gradient ``g = 2 q x``
+    bounds the suboptimality and is the stopping criterion. Off QH nothing is
+    refused and ``converged`` certifies only a KKT point. The active set
+    starts from the support of ``x0`` when given, n nonnegative weights
+    summing to 1 within rounding (else ``ValueError``), and else from the
+    diametral pair. A face with weights below -``ZERO_WEIGHT`` (1e-12) drops
+    all those vertices at once (one at least stays). An unbounded face steps
+    from x's part on it, normalized, along its ray to the first zero weight.
+    That point, or else the face's weights, is a candidate for x, accepted if
+    it loses no objective value, and the face sheds its weights of at most
+    ``ZERO_WEIGHT``; a ray step's face is solved next, and any other grows by
+    the vertex of largest gradient. At most ``min(2n, fw_max_iter)`` faces
+    are solved, and ``iterations`` counts them. When the active set stalls
+    (the best vertex is already in the face, or the cap is reached) the
+    result is the best point found, with ``converged`` False.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     q = np.asarray(q, dtype=float)
@@ -98,15 +101,15 @@ def maximize_quadratic_on_simplex(
         w, ray = _face_stationary(q, support, t)
         if ray is not None:
             w = ratio_step(x[support] / x[support].sum(), ray)
-        elif float(w.min()) < -1e-12:
-            support = support[w >= -1e-12]
+        elif float(w.min()) < -ZERO_WEIGHT:
+            support = support[w >= -ZERO_WEIGHT]
             continue
         candidate = np.zeros(n)
-        candidate[support] = np.where(w > 1e-12, w, 0.0)
+        candidate[support] = np.where(w > ZERO_WEIGHT, w, 0.0)
         candidate /= candidate.sum()
         if float(candidate @ q @ candidate) >= float(x @ q @ x):
             x = candidate
-        support = support[w > 1e-12]
+        support = support[w > ZERO_WEIGHT]
         if ray is not None:
             continue
         g = 2.0 * (q @ x)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -20,14 +21,14 @@ from .tolerances import Tolerances
 
 
 def _open_for(path_or_file, mode: str):
+    """The file as a context manager: a path is opened and closed, a file object left open."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
+        return nullcontext(path_or_file)
+    return open(path_or_file, mode)
 
 
 def read_csv(path_or_file, tol: Tolerances | None = None) -> MetricSpace:
-    f, close = _open_for(path_or_file, "r")
-    try:
+    with _open_for(path_or_file, "r") as f:
         rows: list[list[float]] = []
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
@@ -43,9 +44,6 @@ def read_csv(path_or_file, tol: Tolerances | None = None) -> MetricSpace:
                     raise NonFiniteEntryError(f"at line {lineno}, column {colno}")
                 row.append(value)
             rows.append(row)
-    finally:
-        if close:
-            f.close()
     if not rows:
         raise ParseError("empty input")
     n = len(rows)
@@ -56,13 +54,9 @@ def read_csv(path_or_file, tol: Tolerances | None = None) -> MetricSpace:
 
 
 def write_csv(space: MetricSpace, path_or_file) -> None:
-    f, close = _open_for(path_or_file, "w")
-    try:
+    with _open_for(path_or_file, "w") as f:
         for row in space.dist:
             f.write(",".join(repr(float(x)) for x in row) + "\n")
-    finally:
-        if close:
-            f.close()
 
 
 def _reject_constant(name: str):
@@ -70,15 +64,11 @@ def _reject_constant(name: str):
 
 
 def read_json(path_or_file, tol: Tolerances | None = None) -> MetricSpace:
-    f, close = _open_for(path_or_file, "r")
-    try:
+    with _open_for(path_or_file, "r") as f:
         try:
             doc = json.load(f, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    finally:
-        if close:
-            f.close()
     if not isinstance(doc, dict) or "dist" not in doc:
         raise ParseError('expected a JSON object with a "dist" key')
     dist = doc["dist"]
@@ -105,13 +95,9 @@ def write_json(space: MetricSpace, path_or_file) -> None:
     if space.labels is not None:
         doc["labels"] = list(space.labels)
     doc["dist"] = [[float(x) for x in row] for row in space.dist]
-    f, close = _open_for(path_or_file, "w")
-    try:
+    with _open_for(path_or_file, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    finally:
-        if close:
-            f.close()
 
 
 def guess_format(path: str) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classify import Analysis, distance_matrix_nullspace
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
-from .frankwolfe import SimplexMaxResult, maximize_quadratic_on_simplex
+from .frankwolfe import ZERO_WEIGHT, maximize_quadratic_on_simplex
 from .linalg import cholesky, gram_rank, semidefinite_solve
 from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -73,11 +73,12 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
 
     Schoenberg's form at the last point, K_ij = d_in + d_jn - d_ij, is -d on
     mass-zero vectors in the basis B = [I; -1'], and B'B = S = I + 11'. With
-    ptol = ``pos_tol``, K - ptol S positive definite means strictly QH, and
-    K y = g (the last column of d) gives M = g'y and the maximal measure
-    [y; 1 - sum y]; K + ptol S not positive definite means not QH, as in
-    ``check_quasihypermetric``. In the band between, and for a Cholesky
-    solution that fails a check, the semidefinite elimination of
+    ptol = ``pos_tol``, where ``Analysis.strict`` holds (K - ptol S positive
+    definite: the verdicts' and the hypermetric check's strictness test) the
+    space is strictly QH, and K y = g (the last column of d) gives M = g'y and
+    the maximal measure [y; 1 - sum y]; else K + ptol S not positive definite
+    means not QH, as in ``check_quasihypermetric``. In the band between, and
+    for a Cholesky solution that fails a check, the semidefinite elimination of
     ``_band_solution`` decides, with no eigensolver: it gives M, or M = inf
     with a zero-mass certificate, or raises ``InconsistentSystemError``
     (exit 14) naming ``pos``. A one-point space has M = 0, attained by its
@@ -89,9 +90,8 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
     k, g, shift = a.form
-    # with pos >= rank every eigenvalue of d exceeds rank times the largest
-    # (``Analysis.certified_strict``), so the maximal measure is unique
-    if t.pos >= t.rank and a.strict is not None:
+    # rank(d) = n (``Analysis.strict``), so the maximal measure is unique
+    if a.strict is not None:
         y = a.strict[1]
         w = np.append(y, 1.0 - y.sum()) / float(g @ y)
         try:
@@ -224,22 +224,14 @@ def uniqueness_of_maximal(space: MetricSpace, tol: Tolerances | None = None) -> 
     return gram_rank(bordered, rank_rel=t.rank) == space.n
 
 
-def maximize_energy_over_probability(
-    space: MetricSpace, tol: Tolerances | None = None, x0: np.ndarray | None = None
-) -> SimplexMaxResult:
-    """Maximization of the energy over probability measures by the exact active
-    set, from the support of the probability vector ``x0`` when given and else
-    from the diametral pair."""
-    return maximize_quadratic_on_simplex(space.dist, tol, x0)
-
-
 def compute_m_plus(space: MetricSpace, tol: Tolerances | None = None) -> float:
-    """Compute M+(X) = sup of the energy over probability measures.
+    """M+(X) = sup of the energy over probability measures: the package's M+ entry.
 
-    Requires a quasihypermetric space with finite M (which makes the simplex
-    problem a concave maximization whose gap criterion is sound). Warns and
-    returns the best value found if the active set stalls before its gap
-    criterion is met.
+    Requires a quasihypermetric space, on which the simplex problem is a
+    concave maximization whose gap criterion certifies the maximum; finite M
+    is needed only for the warm start and for the check M+ <= M. Refuses any
+    other space with ``PreconditionError`` (exit 15). Warns and returns the
+    best value found if the active set stalls before its gap criterion is met.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     return _m_plus_from_report(space, compute_m(space, tol=t), t).m_plus
@@ -256,10 +248,9 @@ def _m_plus_from_report(space: MetricSpace, report: MReport, t: Tolerances) -> M
         raise PreconditionError("M+ is only computed for quasihypermetric spaces")
     if not report.is_finite:
         raise PreconditionError("M+ is only computed when M(X) is finite")
-    # weights within 1e-12 of zero count as zero, as in the active set's drop
     w = report.maximal_measure.weights
-    positive = np.where(w > 1e-12, w, 0.0)
-    result = maximize_energy_over_probability(space, tol=t, x0=positive / positive.sum())
+    positive = np.where(w > ZERO_WEIGHT, w, 0.0)
+    result = maximize_quadratic_on_simplex(space.dist, t, positive / positive.sum())
     if not result.converged:
         warnings.warn(
             ConvergenceWarning(

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_REL, definite_solve, ratio_step, semidefinite_solve
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,22 @@ def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     return lam if np.all(alpha >= 0.0) else ratio_step(lam - lam[-1] * alpha, alpha)
 
 
-def min_norm_point_in_hull(
-    points, tol: float = 1e-12, max_iter: int | None = None, start=None
-) -> MinNormResult:
+def min_norm_point_in_hull(points, tol: Tolerances | None = None, start=None) -> MinNormResult:
     """Nearest point of conv{rows of ``points``} to the origin.
 
-    ``tol`` controls both the optimality slack (relative to the squared point
-    scale, and at least 8 eps) and the weight cleanup inside corral updates.
-    ``start``, a collection of point indices, is the first corral when its
-    affine minimizer has every weight above ``tol``; the weights are that
-    minimizer's, so any start is a valid corral or is not used. Otherwise the
-    first corral is the input point nearest the origin. All ties break toward
-    the lowest index, making the run deterministic, and only the optimality
-    test ends a run as converged, whatever its start. No points, a point that
-    is not finite, or a start index outside [0, n) raises ``ValueError``, and
-    a start index that is not an integer ``TypeError``.
+    ``minnorm`` of the record ``tol`` is both the optimality slack (relative
+    to the squared point scale, and at least 8 eps) and the weight cleanup
+    inside corral updates. ``start``, a collection of point indices, is the
+    first corral when its affine minimizer has every weight above
+    ``minnorm``; the weights are that minimizer's, so any start is a valid
+    corral or is not used. Otherwise the first corral is the input point
+    nearest the origin. All ties break toward the lowest index, making the
+    run deterministic, and only the optimality test ends a run as converged,
+    whatever its start, within 16 n^2 + 64 major cycles. No points, a point
+    that is not finite, or a start index outside [0, n) raises
+    ``ValueError``, and a start index that is not an integer ``TypeError``.
     """
+    t = tol if tol is not None else DEFAULT_TOLERANCES
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected an (n, k) array of points")
@@ -87,8 +88,6 @@ def min_norm_point_in_hull(
         raise TypeError(f"start must hold integer indices, got {start!r}") from None
     if corral and (corral[0] < 0 or corral[-1] >= n):
         raise ValueError(f"start indices must lie in [0, {n}), got {list(start)!r}")
-    if max_iter is None:
-        max_iter = 16 * n * n + 64
 
     # work on unit-scale points so the affine subproblem's Gram block and its
     # constraint row stay comparable and all tolerances are scale-free; the
@@ -100,19 +99,18 @@ def min_norm_point_in_hull(
     pts = pts / unit
 
     norms = np.einsum("ij,ij->i", pts, pts)
-    # floored at a few ulps of the point scale: at tol = 0 a corral whose
+    # floored at a few ulps of the point scale: at minnorm = 0 a corral whose
     # point is at rounding level would fail the test forever
-    stop_slack = max(tol, 8.0 * np.finfo(float).eps) * max(float(np.max(norms)), 1.0)
+    stop_slack = max(t.minnorm, 8.0 * np.finfo(float).eps) * max(float(np.max(norms)), 1.0)
 
     idx, lam = [int(np.argmin(norms))], np.array([1.0])
     if corral:
         mu = _affine_minimizer(pts[corral])
-        if np.all(mu > tol):
+        if np.all(mu > t.minnorm):
             idx, lam = corral, mu
     x = lam @ pts[idx]
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
+    it, converged = 0, False
+    for it in range(1, 16 * n * n + 64 + 1):
         scores = pts @ x
         j = int(np.argmin(scores))
         if scores[j] >= float(x @ x) - stop_slack:
@@ -126,16 +124,16 @@ def min_norm_point_in_hull(
         lam = np.append(lam, 0.0)
         while True:
             mu = _affine_minimizer(pts[idx])
-            if np.all(mu > tol):
+            if np.all(mu > t.minnorm):
                 lam = mu
                 break
-            shrink = np.flatnonzero(mu <= tol)
+            shrink = np.flatnonzero(mu <= t.minnorm)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = lam[shrink] / (lam[shrink] - mu[shrink])
             theta = float(np.min(ratios[np.isfinite(ratios)], initial=1.0))
             theta = min(max(theta, 0.0), 1.0)
             lam = (1.0 - theta) * lam + theta * mu
-            keep = lam > tol
+            keep = lam > t.minnorm
             if keep.all():
                 # keep at least the touched coordinate out to avoid stalling
                 keep[shrink[0]] = False

@@ -92,7 +92,7 @@ def build_report(
     cross: dict = {"m_vs_sphere": None, "m_plus_vs_hull": None}
     if classification.quasihypermetric.holds:
         emb = with_circumsphere(s_embed(space, tol=t, analysis=a), tol=t)
-        if a.certified_strict and emb.dim < space.n - 1:
+        if a.strict is not None and emb.dim < space.n - 1:
             raise ContradictionError(
                 "strictly quasihypermetric by Cholesky, but the embedding has "
                 f"dimension {emb.dim} < n - 1"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qhm
+from qhm.linalg import definite_solve
 from qhm.tolerances import DEFAULT_TOLERANCES
 
 
@@ -30,6 +31,22 @@ def star():
 @pytest.fixture
 def one_point():
     return qhm.MetricSpace(np.zeros((1, 1)))
+
+
+# ``Analysis.strict`` forced on a space that is quasihypermetric but not
+# strictly so: the solve of K + ptol S, positive definite there, in place of K
+SHIFTED_STRICT = property(lambda a: definite_solve(a.form[0] + a.form[2], a.form[1]))
+
+
+def k23():
+    """The K_{2,3} graph metric: two hubs 2 apart, three leaves 2 apart from
+    each other and 1 from each hub. It is not quasihypermetric: the uniform
+    measure on the leaves has energy 4/3, but the active set from the
+    diametral pair stops at energy 1 with gap 0, a KKT point."""
+    d = np.full((5, 5), 2.0)
+    d[:2, 2:] = d[2:, :2] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return qhm.MetricSpace(d)
 
 
 # random_metric(5, seed=279) fails the quasihypermetric check (found by scan,

@@ -14,7 +14,7 @@ from qhm.linalg import jacobi_eigh
 from qhm.spaces import FIXTURE_NAMES
 from qhm.tolerances import DEFAULT_TOLERANCES
 
-from conftest import NON_QH_SEED, circle_sample, euclidean_corpus, projector_centred, restricted_top
+from conftest import NON_QH_SEED, SHIFTED_STRICT, circle_sample, euclidean_corpus, projector_centred, restricted_top
 from conftest import near_threshold_space, seeded_spaces
 
 
@@ -281,7 +281,7 @@ def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_qua
     routes = Counter()
     for space, tol, route in cases:
         c = qhm.classify_space(space, hyper_bound=1, tol=tol)
-        cholesky = classify.Analysis(space, tol).certified_strict
+        cholesky = classify.Analysis(space, tol).strict is not None
         assert route is None or cholesky == route
         routes[cholesky, c.strictly_quasihypermetric.holds] += 1
         pairs = (
@@ -373,11 +373,11 @@ def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):
     assert qhm.check_strictly_quasihypermetric(space).holds
     assert sizes == []
     spaces = seeded_spaces(27, 4)
-    certified = [classify.Analysis(s).certified_strict for s in spaces]
+    certified = [classify.Analysis(s).strict is not None for s in spaces]
     checks = [(qhm.check_quasihypermetric(s), qhm.check_strictly_quasihypermetric(s)) for s in spaces]
     # one decomposition per check, of the spaces that are not certified only
     assert sorted(sizes) == sorted(2 * [s.n - 1 for s, c in zip(spaces, certified) if not c])
-    monkeypatch.setattr(classify.Analysis, "certified_strict", False)
+    monkeypatch.setattr(classify.Analysis, "strict", None)
     for space, cert, checked in zip(spaces, certified, checks):
         for alone, spectral in zip(checked, classify._centred_verdicts(classify.Analysis(space))):
             assert alone.holds == spectral.holds
@@ -399,7 +399,7 @@ def test_hypermetric_budget_fails_before_any_decomposition(monkeypatch):
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
     space = qhm.random_metric(9, seed=12345)
-    assert not classify.Analysis(space).certified_strict
+    assert classify.Analysis(space).strict is None
     with pytest.raises(BudgetExceededError, match="exceeds the budget"):
         qhm.build_report(space)
     assert sizes == []
@@ -408,7 +408,7 @@ def test_hypermetric_budget_fails_before_any_decomposition(monkeypatch):
 def test_report_rechecks_the_cholesky_verdict_on_the_embedding(monkeypatch, cycle4):
     """A strict verdict whose embedding has dimension below n - 1 is a
     contradiction; cycle4 embeds in the plane."""
-    monkeypatch.setattr(classify.Analysis, "certified_strict", True)
+    monkeypatch.setattr(classify.Analysis, "strict", SHIFTED_STRICT)
     with pytest.raises(qhm.errors.ContradictionError, match="dimension 2 < n - 1"):
         qhm.build_report(cycle4)
 
@@ -647,3 +647,15 @@ def test_box_route_memory_is_bounded():
         tracemalloc.stop()
     assert verdict.holds and verdict.witness is None
     assert peak < 4e6, peak
+
+
+def test_pos_below_neg_sends_a_strict_space_down_the_box_route(star):
+    """The hypermetric check reads ``Analysis.strict`` as ``compute_m`` and
+    the verdicts do: under pos < neg a strictly quasihypermetric space takes
+    the box route, with the full box's verdict and witness."""
+    t, violated = qhm.Tolerances(neg=1e-8), qhm.random_metric(6, seed=363)
+    for space, bound in ((star, 3), (violated, 1), (violated, 2)):
+        assert _routes(space, bound)[0] == "ellipsoid"
+        route, verdict, box = _routes(space, bound, tol=t)
+        assert route == "box"
+        _assert_matches(verdict, box, _full_box_witness(space, bound, tol=t))

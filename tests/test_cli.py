@@ -8,7 +8,7 @@ import pytest
 import qhm
 from qhm.cli import main
 
-from conftest import LOOSENED_POS_CASES
+from conftest import LOOSENED_POS_CASES, k23
 
 
 def run(capsys, *argv):
@@ -176,6 +176,14 @@ def test_mplus_on_infinite_space_exits_15(capsys, assouad_csv):
     code, _, err = run(capsys, "mplus", assouad_csv)
     assert code == 15
     assert "error:" in err
+
+
+def test_mplus_on_a_space_that_is_not_quasihypermetric_exits_15(capsys, tmp_path):
+    path = str(tmp_path / "k23.csv")
+    qhm.dump(k23(), path)
+    code, out, err = run(capsys, "mplus", path)
+    assert code == 15 and out == ""
+    assert "quasihypermetric" in err and err.count("\n") == 1
 
 
 def test_approx_command(capsys):
@@ -382,7 +390,7 @@ def test_report_carries_the_m_plus_certificate(capsys, tmp_path, assouad_csv):
         space = qhm.from_euclidean(rng.normal(size=(n, 2)))
         rep = qhm.build_report(space)["m_report"]
         cert, m_plus = rep["m_plus_certificate"], rep["m_plus"]
-        level = space.dist @ qhm.mconstant.maximize_energy_over_probability(space).weights
+        level = space.dist @ qhm.frankwolfe.maximize_quadratic_on_simplex(space.dist).weights
         assert np.allclose(level[cert["support"]], m_plus, rtol=1e-12)
         outside = np.delete(level, cert["support"])
         assert (cert["max_outside_potential"] is None) == (outside.size == 0)
@@ -399,3 +407,28 @@ def test_m_exits_14_where_a_loosened_pos_leaves_no_maximal_measure(capsys, tmp_p
     code, out, err = run(capsys, "m", path, "--tol", f"pos={pos!r}")
     assert code == 14
     assert out == "" and "pos" in err
+
+
+def test_a_tolerance_that_is_not_a_number_is_exit_1_naming_the_key_and_its_type(capsys, monkeypatch, tmp_path):
+    path = str(tmp_path / "star.csv")
+    qhm.dump(qhm.make_fixture("star_1_2"), path)
+    for extra, env in ((["--tol", "rank=abc"], None), ([], "abc")):
+        if env is not None:
+            monkeypatch.setenv("QHM_TOL_RANK", env)
+        code, out, err = run(capsys, "m", path, *extra)
+        assert code == 1 and out == ""
+        assert err == "error: tolerance 'rank' expects float, got 'abc'\n"
+
+
+def test_approx_unknown_descriptor_kind_is_exit_18(capsys):
+    code, out, err = run(capsys, "approx", '{"kind":"torus","radius":1}')
+    assert code == 18 and out == ""
+    assert err == "error: unknown descriptor kind 'torus'\n"
+
+
+def test_json_dist_that_is_not_a_list_is_exit_8(capsys, tmp_path):
+    path = tmp_path / "five.json"
+    path.write_text('{"dist": 5}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 8 and out == ""
+    assert "list of rows" in err

@@ -13,7 +13,7 @@ from qhm.cli import main
 from qhm.errors import ContradictionError, NotQuasihypermetricError, PreconditionError
 from qhm.linalg import _factor_eigh, _sign_columns, cholesky, gram_rank, lstsq_minnorm
 
-from conftest import euclidean_corpus, near_threshold_space, projector_centred
+from conftest import SHIFTED_STRICT, euclidean_corpus, near_threshold_space, projector_centred
 
 
 def test_equilateral_embedding(equilateral):
@@ -300,7 +300,7 @@ def test_one_sided_route_agrees_with_lapack():
     for space in _strict_spaces():
         n = space.n
         a = classify.Analysis(space)
-        assert a.certified_strict
+        assert a.strict is not None
         w, v = _lapack_kernel(space)
         emb = qhm.s_embed(space, analysis=a)
         assert emb.dim == n - 1
@@ -361,7 +361,7 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
     circle = qhm.CompactSpaceDescriptor("circle", circumference=5.0)
     for n in (4, 7, 16, 20, 33):
         band = circle.sample_space(n)
-        assert not classify.Analysis(band).certified_strict
+        assert classify.Analysis(band).strict is None
         assert qhm.s_embed(band).dim < n - 1
     for n in (5, 9, 16, 20, 33):
         with pytest.raises(NotQuasihypermetricError):
@@ -371,7 +371,7 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
     strict = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in range(2, 18)]
     strict += [qhm.make_fixture("equilateral3_6"), qhm.make_fixture("star_1_2")]
     for space in strict:
-        assert classify.Analysis(space).certified_strict
+        assert classify.Analysis(space).strict is not None
         qhm.full_embedding(space)
     assert factored == rotated == [space.n - 1 for space in strict]
 
@@ -382,7 +382,7 @@ def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
             classify, "cholesky", lambda a, cut=0.0: None if _by_kernel() else cholesky(a, cut)
         )
         a = classify.Analysis(space)
-        assert a.certified_strict
+        assert a.strict is not None
         fallback = qhm.s_embed(space, analysis=a)
         w, v = a.kernel
         assert np.array_equal(fallback.gram_eigenvalues, np.append(w, 0.0))
@@ -406,8 +406,8 @@ def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypa
         return cholesky(a, cut)
 
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
-    monkeypatch.setattr(classify.Analysis, "certified_strict", True)
-    # the box route of the hypermetric check would exceed its budget at this size
+    monkeypatch.setattr(classify.Analysis, "strict", SHIFTED_STRICT)
+    # the hypermetric check would exceed its budget n (2B+1)^n at this size
     monkeypatch.setattr(classify, "check_hypermetric_bounded", lambda *args, **kwargs: classify.Verdict(True))
     with pytest.raises(ContradictionError, match="< n - 1"):
         qhm.build_report(space)

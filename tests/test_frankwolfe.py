@@ -10,7 +10,6 @@ import qhm
 from qhm import frankwolfe, minnorm
 from qhm.errors import ConvergenceWarning
 from qhm.frankwolfe import maximize_quadratic_on_simplex
-from qhm.mconstant import maximize_energy_over_probability
 
 
 def _gap(q, gap):
@@ -52,11 +51,11 @@ def test_a_start_that_is_not_a_probability_vector_is_a_value_error():
     bad += [[0.5, 0.5, np.nan, 0.0], [0.5, np.inf, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25 + 1e-9]]
     for x0 in bad:
         with pytest.raises(ValueError, match="x0 must"):
-            maximize_energy_over_probability(star, x0=x0)
+            maximize_quadratic_on_simplex(star.dist, x0=x0)
     # a sum within rounding of 1, as that of a start normalized by its sum
     x0 = np.array([0.3, 0.3, 0.3, 0.1])
     assert x0.sum() != 1.0
-    res = maximize_energy_over_probability(star, x0=x0)
+    res = maximize_quadratic_on_simplex(star.dist, x0=x0)
     assert res.converged and res.value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
@@ -133,7 +132,7 @@ def test_active_set_matches_bordered_faces_and_the_hull(monkeypatch):
     monkeypatch.setattr(
         frankwolfe, "semidefinite_solve", lambda *a: eliminated.append(1) or eliminate(*a)
     )
-    active = [maximize_energy_over_probability(s) for s in spaces]
+    active = [maximize_quadratic_on_simplex(s.dist) for s in spaces]
     assert not eliminated  # every face solve was a Cholesky solve
     stalled = sum(not r.converged for r in active)
     assert stalled == 0
@@ -142,7 +141,7 @@ def test_active_set_matches_bordered_faces_and_the_hull(monkeypatch):
     # route 2(r^2 - s^2) through the embedding's hull distance
     monkeypatch.setattr(frankwolfe, "definite_solve", lambda *args: None)
     for space, res in zip(spaces, active):
-        ref = maximize_energy_over_probability(space)
+        ref = maximize_quadratic_on_simplex(space.dist)
         assert ref.converged
         assert abs(res.value - ref.value) <= 1e-12 * ref.value
         assert res.value == pytest.approx(qhm.full_embedding(space).m_plus_geometric, rel=1e-9)
@@ -175,8 +174,8 @@ def test_singular_faces_are_eliminated_without_an_eigensolver(monkeypatch):
 
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", refused)
     for space in spaces:
-        warm = maximize_energy_over_probability(space, x0=np.full(space.n, 1.0 / space.n))
-        cold = maximize_energy_over_probability(space)
+        warm = maximize_quadratic_on_simplex(space.dist, x0=np.full(space.n, 1.0 / space.n))
+        cold = maximize_quadratic_on_simplex(space.dist)
         assert warm.converged and cold.converged
         assert abs(warm.value - cold.value) <= 1e-12 * cold.value
     assert len(eliminated) >= 30, len(eliminated)
@@ -319,8 +318,8 @@ def test_warm_starts_agree_with_the_cold_runs():
         emb = qhm.full_embedding(space)
         centred = emb.points - emb.sphere.centre
         support = report.m_plus_certificate["support"]
-        cold = minnorm.min_norm_point_in_hull(centred, tol=t.minnorm)
-        hot = minnorm.min_norm_point_in_hull(centred, tol=t.minnorm, start=support)
+        cold = minnorm.min_norm_point_in_hull(centred, tol=t)
+        hot = minnorm.min_norm_point_in_hull(centred, tol=t, start=support)
         assert cold.converged and hot.converged
         assert cold.distance == emb.hull_distance
         assert abs(hot.distance - cold.distance) <= 1e-12 * max(1.0, space.diameter)
@@ -376,12 +375,12 @@ def test_an_accepted_face_sheds_its_rounding_level_weights(monkeypatch):
     monkeypatch.setattr(
         frankwolfe, "_face_stationary", lambda q, s, t: faces.append(s) or solve(q, s, t)
     )
-    warm = maximize_energy_over_probability(space, x0=np.full(13, 1.0 / 13.0))
+    warm = maximize_quadratic_on_simplex(space.dist, x0=np.full(13, 1.0 / 13.0))
     assert len(faces) == 1 and len(faces[0]) == 13
     assert warm.converged and warm.iterations == 1
     assert np.flatnonzero(warm.weights).tolist() == [0, 1]
     assert np.allclose(warm.weights[:2], 0.5, rtol=0.0, atol=1e-15)
-    cold = maximize_energy_over_probability(space)
+    cold = maximize_quadratic_on_simplex(space.dist)
     assert np.flatnonzero(cold.weights).tolist() == [0, 1]
     assert abs(warm.value - cold.value) <= 1e-15
 
@@ -434,7 +433,7 @@ def test_an_unbounded_face_steps_along_its_ray(monkeypatch):
         return w, ray
 
     monkeypatch.setattr(frankwolfe, "_face_stationary", recorded)
-    res = maximize_energy_over_probability(space, x0=np.full(5, 0.2))
+    res = maximize_quadratic_on_simplex(space.dist, x0=np.full(5, 0.2))
     assert res.converged and res.value == pytest.approx(3.125, rel=1e-15)
     assert max(weights) <= 1e3
     taken = [ray for ray in rays if ray is not None]

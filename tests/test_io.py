@@ -85,3 +85,22 @@ def test_load_and_dump_by_extension(tmp_path, star):
 def test_digest_stable_and_distinguishing(star, equilateral):
     assert qhm.matrix_digest(star) == qhm.matrix_digest(star)
     assert qhm.matrix_digest(star) != qhm.matrix_digest(equilateral)
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n0,1\n   \n1,0\n\n")
+    space = qhm.read_csv(path)
+    assert np.array_equal(space.dist, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_a_file_object_is_left_open_and_a_path_is_closed(tmp_path, star):
+    for fmt, reader in (("csv", qhm.read_csv), ("json", qhm.read_json)):
+        buf = io.StringIO()
+        qhm.dump(star, buf, fmt=fmt)
+        assert not buf.closed
+        buf.seek(0)
+        assert np.array_equal(reader(buf).dist, star.dist) and not buf.closed
+        path = tmp_path / f"star.{fmt}"
+        qhm.dump(star, path, fmt=fmt)
+        assert np.array_equal(qhm.load(path).dist, star.dist)

@@ -12,7 +12,7 @@ from qhm.linalg import _nonzero, eigh_pinv_solve, jacobi_eigh, lstsq_minnorm, se
 from qhm.mconstant import TAG_NOT_QUASIHYPERMETRIC, TAG_ZERO_MASS, MReport, _certified
 from qhm.spaces import FIXTURE_NAMES
 
-from conftest import LOOSENED_POS_CASES, NON_QH_SEED, circle_sample, euclidean_corpus
+from conftest import LOOSENED_POS_CASES, NON_QH_SEED, circle_sample, euclidean_corpus, k23
 from conftest import quadratic_oracle_m
 from conftest import restricted_top as _restricted_top
 from conftest import seeded_spaces
@@ -107,6 +107,25 @@ def test_m_plus_preconditions(assouad, non_quasihypermetric):
         qhm.compute_m_plus(assouad)  # M infinite
     with pytest.raises(PreconditionError):
         qhm.compute_m_plus(non_quasihypermetric)
+
+
+def test_m_plus_refuses_a_space_where_its_gap_certifies_only_a_kkt_point():
+    """On K_{2,3}, not quasihypermetric, the gap test passes at energy 1,
+    below the energy 4/3 of the uniform measure on the leaves, so M+ is
+    refused rather than reported."""
+    space = k23()
+    stalled = qhm.frankwolfe.maximize_quadratic_on_simplex(space.dist)
+    leaves = np.array([0.0, 0.0, 1.0, 1.0, 1.0]) / 3.0
+    assert stalled.converged and stalled.value == 1.0 < leaves @ space.dist @ leaves
+    with pytest.raises(PreconditionError, match="quasihypermetric"):
+        qhm.compute_m_plus(space)
+
+
+def test_the_package_has_one_m_plus_entry():
+    for home in (qhm, qhm.mconstant):
+        assert not hasattr(home, "maximize_energy_over_probability")
+    assert "maximize_energy_over_probability" not in qhm.__all__
+    assert "compute_m_plus" in qhm.__all__
 
 
 def test_m_plus_at_most_m():
@@ -618,3 +637,30 @@ def test_approx_m_of_a_circle_makes_no_decomposition(monkeypatch):
     assert calls == []
     assert trace.sizes == list(range(2, 49)) and trace.monotone_ok
     assert np.allclose(trace.m_values, ref, rtol=1e-13, atol=0.0)
+
+
+def test_strictness_is_decided_by_the_tolerances_before_any_factoring(monkeypatch, star):
+    """With pos < neg the strict test is off without a factorization, as it
+    is for the verdicts: ``compute_m`` takes the elimination and finds the
+    same M and maximal measure."""
+    t = qhm.Tolerances(neg=1e-8)
+    ref = qhm.compute_m(star)
+    assert ref.method_tags[0] == "m:cholesky"
+    monkeypatch.setattr(qhm.classify, "cholesky", None)  # Analysis.strict never factors
+    rep = qhm.compute_m(star, tol=t)
+    assert rep.method_tags == ("m:elimination", "m:unique-solution")
+    assert abs(rep.m_value - ref.m_value) <= t.inv_tol(star.n, star.diameter)
+    assert np.allclose(rep.maximal_measure.weights, ref.maximal_measure.weights, rtol=0.0, atol=1e-12)
+
+
+def test_a_strict_solution_that_fails_its_certificate_falls_to_the_elimination(monkeypatch):
+    """A Cholesky solution of d w = 1 that ``_certified`` refuses is not
+    reported: the elimination decides, with the same M."""
+    for space in (qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")):
+        ref = qhm.compute_m(space)
+        low, y = qhm.classify.Analysis(space).strict
+        with monkeypatch.context() as m:
+            m.setattr(qhm.classify.Analysis, "strict", (low, 2.0 * y + 1.0))
+            rep = qhm.compute_m(space)
+        assert rep.method_tags == ("m:elimination", "m:unique-solution")
+        assert abs(rep.m_value - ref.m_value) <= 1e-12 * ref.m_value

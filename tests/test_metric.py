@@ -369,3 +369,8 @@ def test_subspace_rejects_repeated_and_out_of_range_indices(star):
     with pytest.raises(TypeError):
         star.subspace([0.5])
     assert star.subspace(np.array([3, 1])).dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+
+
+def test_an_empty_matrix_is_a_shape_error():
+    with pytest.raises(ShapeError, match="at least one point"):
+        qhm.MetricSpace(np.zeros((0, 0)))

@@ -8,6 +8,7 @@ import pytest
 from qhm import minnorm
 from qhm.linalg import eigh_pinv_solve
 from qhm.minnorm import min_norm_point_in_hull
+from qhm.tolerances import Tolerances
 
 
 def brute_force_min_norm(pts):
@@ -181,7 +182,8 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         m = int(rng.integers(2, 7))
         pts = rng.integers(-3, 4, size=(m, k)).astype(float)
         pts = np.vstack([pts, pts[: int(rng.integers(1, m + 1))]])
-        res = min_norm_point_in_hull(pts, tol=0.0, max_iter=64)
+        res = min_norm_point_in_hull(pts, tol=Tolerances(minnorm=0.0))
+        assert res.iterations <= 64
         x = res.point
         assert res.converged
         assert np.all(res.weights >= 0.0) and abs(res.weights.sum() - 1.0) < 1e-12
@@ -198,7 +200,8 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         near = pts[: int(rng.integers(1, m + 1))]
         pts = np.vstack([pts, near + 1e-7 * rng.standard_normal(near.shape)])
         before = len(calls)
-        res = min_norm_point_in_hull(pts, tol=0.0, max_iter=64)
+        res = min_norm_point_in_hull(pts, tol=Tolerances(minnorm=0.0))
+        assert res.iterations <= 64
         if len(calls) > before:
             fallbacks += 1
             assert res.converged
@@ -237,12 +240,12 @@ def test_stuck_corral_is_not_converged(monkeypatch):
 
 
 def test_zero_tolerance_converges_with_the_origin_inside():
-    """At tol = 0 a corral whose point is at rounding level, the origin
+    """At minnorm = 0 a corral whose point is at rounding level, the origin
     being inside the hull, converges instead of stopping with its best vertex
     already in the corral."""
     pts = np.array([[0, -1], [0, 1], [1, -2], [2, 2], [3, 2], [-2, -1]], dtype=float)
     for hull in (pts, np.vstack([pts, pts[:4]])):
-        res = min_norm_point_in_hull(hull, tol=0.0)
+        res = min_norm_point_in_hull(hull, tol=Tolerances(minnorm=0.0))
         assert res.converged and res.distance < 1e-12
 
 
@@ -279,3 +282,13 @@ def test_wrong_start_corrals_still_reach_the_cold_distance():
     # an empty start is no start
     pts = rng.normal(size=(6, 3)) + 1.0
     assert np.array_equal(min_norm_point_in_hull(pts, start=[]).weights, min_norm_point_in_hull(pts).weights)
+
+
+def test_the_corral_cut_does_not_follow_the_rank_tolerance():
+    """The triangle 3e-4 high holds the origin. Its corral's pivot cut is
+    ``RANK_REL`` whatever the record's ``rank``; a cut of 1e-6 would treat the
+    triangle as a segment and stop unconverged at distance 1e-4."""
+    pts = np.array([[-1.0, -1e-4], [1.0, -1e-4], [0.0, 2e-4]])
+    for t in (Tolerances(), Tolerances(rank=1e-6)):
+        res = min_norm_point_in_hull(pts, tol=t)
+        assert res.converged and res.distance < 1e-12

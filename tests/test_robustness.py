@@ -1,15 +1,16 @@
 """Regression coverage for numerically hostile inputs.
 
 These regimes each broke a first implementation: extreme distance scales
-(mixed-block bordered systems, dimensionless residuals) and almost-coincident
-points (collapsed Frank-Wolfe rate).
+(pivot cuts and residuals must be scale-free) and almost-coincident points
+(a first-order method on the simplex crawls there; the exact active set's
+face solve does not).
 """
 
 import numpy as np
 import pytest
 
 import qhm
-from qhm.mconstant import maximize_energy_over_probability
+from qhm.frankwolfe import maximize_quadratic_on_simplex
 
 
 @pytest.mark.parametrize("lam", [1e-6, 1e6])
@@ -37,7 +38,7 @@ def test_tiny_scale_system_is_not_flagged_inconsistent():
 @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
 def test_near_coincident_points_converge(gap):
     space = qhm.from_euclidean(np.array([[0, 0], [1, 0], [1 + gap, 0], [0.5, 1.0]]))
-    res = maximize_energy_over_probability(space)
+    res = maximize_quadratic_on_simplex(space.dist)
     assert res.converged
     assert res.iterations <= 1000  # the exact face finish, not the zig-zag cap
     emb = qhm.full_embedding(space)

@@ -275,3 +275,19 @@ def test_approx_m_validates_one_sample_per_trace(monkeypatch):
         for n in range(2, 25):
             qhm.MetricSpace(full[:n, :n])
         assert calls == [24] + list(range(2, 25))
+
+
+def test_from_euclidean_of_a_flat_array_puts_the_points_on_a_line():
+    flat = qhm.from_euclidean([0.0, 1.0, 3.0])
+    assert np.array_equal(flat.dist, qhm.from_euclidean([[0.0], [1.0], [3.0]]).dist)
+
+
+def test_point_cloud_descriptor_json_round_trip_and_unknown_kind():
+    desc = qhm.CompactSpaceDescriptor(kind="euclidean_pointcloud", points=[[0, 0], [1, 0], [0, 2]])
+    doc = json.loads(json.dumps(desc.to_json()))
+    assert doc == {"kind": "euclidean_pointcloud", "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]}
+    back = qhm.CompactSpaceDescriptor.from_json(doc)
+    assert back == desc
+    assert np.array_equal(back.sample_space(3, seed=4).dist, desc.sample_space(3, seed=4).dist)
+    with pytest.raises(DescriptorError, match="unknown descriptor kind 'torus'"):
+        qhm.CompactSpaceDescriptor.from_json({"kind": "torus"})

@@ -1,7 +1,10 @@
 """The tolerance record: overrides, serialization, scale helpers."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -95,3 +98,25 @@ def test_float_field_stores_a_float_however_built(capsys, tmp_path, star, value)
     doc = qhm.build_report(star, tol=t)
     doc["input_path"] = path
     assert json.dumps(doc, indent=2) + "\n" == capsys.readouterr().out
+
+
+def test_every_public_tol_parameter_is_a_tolerance_record():
+    """Every parameter named ``tol`` of a public function or method in a qhm
+    module is annotated as a ``Tolerances`` record (or None)."""
+    names = [info.name for info in pkgutil.iter_modules(qhm.__path__) if info.name != "__main__"]
+    found, wrong = 0, []
+    for module in (importlib.import_module(f"qhm.{name}") for name in names):
+        for attr, value in vars(module).items():
+            if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [value] if inspect.isfunction(value) else []
+            if inspect.isclass(value):
+                members += [f for k, f in vars(value).items() if inspect.isfunction(f) and not k.startswith("_")]
+            for fn in members:
+                param = inspect.signature(fn).parameters.get("tol")
+                if param is not None:
+                    found += 1
+                    if param.annotation not in ("Tolerances", "Tolerances | None"):
+                        wrong.append(f"{module.__name__}.{fn.__qualname__}: {param.annotation}")
+    assert wrong == []
+    assert found >= 20, found
