@@ -1,14 +1,14 @@
 """Metric-property verdicts for finite spaces, each with a checkable witness.
 
 Quasihypermetricity (the distance matrix is negative semidefinite on the
-mass-zero hyperplane) is read off the n - 1 eigenvalues of d on that
-hyperplane: those of the centred kernel -1/2 P d P, P = I - J/n, with the
+mass-zero hyperplane) has one test, ``Analysis.qh``: K + ptol S positive
+definite, for Schoenberg's form K. Strictness asks the restricted form to be
+negative definite: where ``Analysis.strict`` holds (K - ptol S positive
+definite) the space is strictly quasihypermetric and rank(d) = n; elsewhere
+an eigenvalue of d on the hyperplane near zero fails it. Those n - 1
+eigenvalues are the centred kernel's, -1/2 P d P with P = I - J/n and the
 constants direction removed exactly by a Householder reflection
-(``Analysis.kernel``). Strictness asks the restricted form to be negative
-definite, so that no eigenvalue lies near zero. Both verdicts read that
-spectrum only in the band around the threshold and on spaces that are not
-quasihypermetric: where ``Analysis.strict`` holds (K - ptol S positive
-definite) the space is strictly quasihypermetric and rank(d) = n. The
+(``Analysis.kernel``); its top eigenvector witnesses a failing verdict. The
 hypermetric property is only ever certified up to a coefficient bound B: it
 asks b'db <= 0 of every integer b with sum(b) = 1 and |b_i| <= B. On a
 strictly quasihypermetric space with maximal measure w*, every mass-one b
@@ -53,14 +53,24 @@ class Analysis:
     """What a run learns of one space, each piece made when first read:
     ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
     ``strict``, the strictness test of every verdict, of ``compute_m`` and of
-    the hypermetric check; and ``kernel``, the centred kernel's eigenpairs.
-    ``build_report`` passes one per report to the entry points that take
-    ``analysis=``; called alone, each makes its own, so none outlives a call.
+    the hypermetric check; ``qh``, the one quasihypermetric test; ``kernel``,
+    the centred kernel's eigenpairs. ``build_report`` passes one per report to
+    ``analysis=``; called alone, each entry point makes its own.
     """
 
     def __init__(self, space: MetricSpace, tol: Tolerances | None = None):
         self.space = space
         self.tol = tol if tol is not None else DEFAULT_TOLERANCES
+
+    @classmethod
+    def of(cls, space: MetricSpace, tol: Tolerances | None, analysis: Analysis | None) -> Analysis:
+        """``analysis`` if given, else a new one; ``ValueError`` unless it is of
+        ``space`` itself and, where ``tol`` is not None, of an equal record."""
+        if analysis is None:
+            return cls(space, tol)
+        if analysis.space is not space or (tol is not None and tol != analysis.tol):
+            raise ValueError("analysis= must be of the same space object and tolerances")
+        return analysis
 
     @cached_property
     def form(self):
@@ -79,6 +89,12 @@ class Analysis:
             return None
         k, g, shift = self.form
         return None if cholesky(k - shift) is None else definite_solve(k, g)
+
+    @cached_property
+    def qh(self) -> bool:
+        """Quasihypermetric, of every verdict, ``compute_m``, M+ and the
+        embedding: ``strict`` holds, or else K + ptol S is positive definite."""
+        return self.strict is not None or cholesky(self.form[0] + self.form[2]) is not None
 
     @cached_property
     def kernel(self):
@@ -120,34 +136,35 @@ class Classification:
 def check_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) -> Verdict:
     """Holds iff the distance matrix is negative semidefinite on mass-zero vectors.
 
-    On failure the witness is the unit mass-zero eigenvector of the largest
-    eigenvalue of d on the mass-zero hyperplane.
+    Decided by ``Analysis.qh``; on failure the witness is the unit mass-zero
+    eigenvector of the largest eigenvalue of d on the mass-zero hyperplane.
     """
-    return _centred_verdicts(Analysis(space, tol))[0]
+    a = Analysis(space, tol)
+    return Verdict(True) if a.qh else _centred_verdicts(a)[0]
 
 
 def check_strictly_quasihypermetric(space: MetricSpace, tol: Tolerances | None = None) -> Verdict:
     """Holds iff the energy form is negative definite on nonzero mass-zero vectors.
 
-    Judged on the n - 1 eigenvalues of d on the mass-zero hyperplane: one in
-    [-ntol, ptol] belongs to a nonzero mass-zero vector of (near) zero
+    Judged on the n - 1 eigenvalues of d on the mass-zero hyperplane: one at
+    or above -ntol belongs to a nonzero mass-zero vector of (near) zero
     energy, and the first such eigenvector is returned as the witness.
     """
     return _centred_verdicts(Analysis(space, tol))[1]
 
 
 def _centred_verdicts(a: Analysis) -> tuple[Verdict, Verdict]:
-    """The quasihypermetric and the strict verdict: both hold where
-    ``strict`` does, with no eigensolver run; else from ``kernel``, whose
-    -2 w is the spectrum of d on the mass-zero hyperplane, ascending."""
+    """The quasihypermetric and the strict verdict: both hold where ``strict``
+    does, with no eigensolver run, and both fail where ``qh`` does; else from
+    ``kernel``, whose -2 w is the spectrum of d on the hyperplane, ascending."""
     if a.strict is not None:
         return Verdict(True), Verdict(True)
     space, t = a.space, a.tol
     w, v = -2.0 * a.kernel[0], a.kernel[1]
-    if w.size and w[-1] > t.pos_tol(space.n, space.diameter):
+    if not a.qh:
         fails = Verdict(False, witness=SignedMeasure(space, v[:, -1]))
         return fails, fails
-    near = (w >= -t.neg_tol(space.n, space.diameter)) & (w <= t.pos_tol(space.n, space.diameter))
+    near = w >= -t.neg_tol(space.n, space.diameter)
     if not near.any():
         return Verdict(True), Verdict(True)
     return Verdict(True), Verdict(False, witness=SignedMeasure(space, v[:, np.argmax(near)]))
@@ -285,8 +302,8 @@ def check_hypermetric_bounded(
         raise TypeError(f"bound must be an integer, got {bound!r}") from None
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    a = analysis or Analysis(space, tol)
-    space, t = a.space, a.tol
+    a = Analysis.of(space, tol, analysis)
+    t = a.tol
     work = space.n * float(2 * bound + 1) ** space.n
     if work > t.hyper_budget:
         raise BudgetExceededError(
@@ -320,8 +337,7 @@ def classify_space(
     eigenvector witnesses.
     The hypermetric check runs first, so a space over its budget fails before
     anything is decomposed."""
-    a = analysis or Analysis(space, tol)
-    space = a.space
+    a = Analysis.of(space, tol, analysis)
     hyper = check_hypermetric_bounded(space, hyper_bound, a.tol, analysis=a)
     qh, strict = _centred_verdicts(a)
     if a.strict is not None:

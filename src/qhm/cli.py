@@ -2,7 +2,11 @@
 
 Commands: validate, classify, m, mplus, embed, report, approx, gen.
 JSON on stdout is the canonical output; human-oriented extras go to stderr.
-Exit codes: 0 success, 1 usage, 2-9 input validation, 10+ computation.
+Exit codes: 0 success, 1 usage; validation 2 asymmetry, 3 triangle, 4 diagonal,
+5 duplicate points, 6 non-finite, 7 parse, 8 shape, 9 negative distance;
+computation 10 other, 11 dimension mismatch, 12 mass, 13 not quasihypermetric,
+14 M not certified, 15 precondition, 16 hypermetric budget, 17 contradiction,
+18 descriptor.
 
 Tolerances can be overridden per run with repeated ``--tol key=value`` flags
 or ``QHM_TOL_<KEY>`` environment variables (flags win); every report echoes

@@ -21,7 +21,7 @@ import numpy as np
 from .classify import Analysis, _centred_verdicts
 from .errors import ContradictionError, ConvergenceWarning, NotQuasihypermetricError, PreconditionError
 from .linalg import RANK_REL, lstsq_minnorm
-from .metric import MetricSpace
+from .metric import MetricSpace, energy
 from .minnorm import min_norm_point_in_hull
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from . import mconstant
@@ -75,14 +75,14 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
     and else from ``jacobi_eigh`` of that kernel.
 
     Raises ``NotQuasihypermetricError``, with the witness of the
-    classification's quasihypermetric verdict, where that verdict fails.
+    classification's quasihypermetric verdict, where ``Analysis.qh`` fails.
     """
-    a = analysis or Analysis(space, tol)
-    space, t = a.space, a.tol
+    a = Analysis.of(space, tol, analysis)
+    t = a.tol
     if not (qh := _centred_verdicts(a)[0]):
         raise NotQuasihypermetricError(
-            f"centred kernel has negative eigenvalue {a.kernel[0][-1]:.3e}; "
-            "no Schoenberg embedding",
+            "not quasihypermetric (K + ptol S is not positive definite; the witness "
+            f"has energy {energy(qh.witness):.3e}); no Schoenberg embedding",
             witness=qh.witness,
         )
     w, v = a.kernel
@@ -164,11 +164,13 @@ def with_hull_distance(emb: SEmbedding, tol: Tolerances | None = None, start=Non
     return replace(emb, hull_distance=hull_distance(emb, tol=tol, start=start))
 
 
-def full_embedding(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> SEmbedding:
-    """Embedding with circumsphere and, when it exists, hull distance attached."""
+def full_embedding(
+    space: MetricSpace, tol: Tolerances | None = None, *, analysis=None, start=None
+) -> SEmbedding:
+    """Embedding with circumsphere and, when it exists, hull distance from ``start``."""
     emb = with_circumsphere(s_embed(space, tol=tol, analysis=analysis), tol=tol)
     if emb.sphere is not None:
-        emb = with_hull_distance(emb, tol=tol)
+        emb = with_hull_distance(emb, tol=tol, start=start)
     return emb
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .classify import Analysis, distance_matrix_nullspace
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import ZERO_WEIGHT, maximize_quadratic_on_simplex
-from .linalg import cholesky, gram_rank, semidefinite_solve
+from .linalg import gram_rank, semidefinite_solve
 from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -76,29 +76,28 @@ def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=Non
     ptol = ``pos_tol``, where ``Analysis.strict`` holds (K - ptol S positive
     definite: the verdicts' and the hypermetric check's strictness test) the
     space is strictly QH, and K y = g (the last column of d) gives M = g'y and
-    the maximal measure [y; 1 - sum y]; else K + ptol S not positive definite
-    means not QH, as in ``check_quasihypermetric``. In the band between, and
-    for a Cholesky solution that fails a check, the semidefinite elimination of
-    ``_band_solution`` decides, with no eigensolver: it gives M, or M = inf
-    with a zero-mass certificate, or raises ``InconsistentSystemError``
-    (exit 14) naming ``pos``. A one-point space has M = 0, attained by its
-    only probability measure (our convention).
+    the maximal measure [y; 1 - sum y]; else where ``Analysis.qh``, the one
+    quasihypermetric test, fails (K + ptol S not positive definite) it is not
+    QH. In the band between, and for a Cholesky solution that fails a check,
+    the semidefinite elimination of ``_band_solution`` decides, with no
+    eigensolver: it gives M, or M = inf with a zero-mass certificate, or
+    raises ``InconsistentSystemError`` (exit 14) naming ``pos``. A one-point
+    space has M = 0, attained by its only probability measure (our convention).
     """
-    a = analysis or Analysis(space, tol)
-    space, t = a.space, a.tol
+    a = Analysis.of(space, tol, analysis)
+    t = a.tol
     if space.n == 1:
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
-    k, g, shift = a.form
     # rank(d) = n (``Analysis.strict``), so the maximal measure is unique
     if a.strict is not None:
         y = a.strict[1]
-        w = np.append(y, 1.0 - y.sum()) / float(g @ y)
+        w = np.append(y, 1.0 - y.sum()) / float(a.form[1] @ y)
         try:
             return _certified(space, w, True, t, "cholesky")
         except InconsistentSystemError:
             pass  # the elimination decides, and raises if it declines too
-    elif cholesky(k + shift) is None:
+    elif not a.qh:
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
     return _band_solution(space, t)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classify import Analysis, Classification, Verdict, classify_space
-from .embedding import embedding_to_json, s_embed, with_circumsphere, with_hull_distance
+from .embedding import embedding_to_json, full_embedding
 from .errors import ContradictionError
 from .io import matrix_digest
 from .mconstant import MReport, _m_plus_from_report, compute_m
@@ -81,30 +81,29 @@ def build_report(
     """Classify, compute the M numbers, embed, and cross-check, in one document.
     Every step reads one ``Analysis``; the embedding's kernel re-checks its
     Cholesky verdict (n - 1 positive eigenvalues, or ``ContradictionError``).
-    M+ is solved before the hull distance, whose min-norm run starts from
-    M+'s support."""
+    Finite M implies QH by the one test, ``Analysis.qh``, so M+ is solved
+    right after M, and the hull distance's min-norm run starts from M+'s
+    support."""
     t = tol if tol is not None else DEFAULT_TOLERANCES
     a = Analysis(space, t)
     classification = classify_space(space, hyper_bound=hyper_bound, tol=t, analysis=a)
     m_rep = compute_m(space, tol=t, analysis=a)
+    support = None
+    if m_rep.is_finite:
+        m_rep = _m_plus_from_report(space, m_rep, t)
+        support = m_rep.m_plus_certificate["support"]
 
     embedding = None
     cross: dict = {"m_vs_sphere": None, "m_plus_vs_hull": None}
     if classification.quasihypermetric.holds:
-        emb = with_circumsphere(s_embed(space, tol=t, analysis=a), tol=t)
+        # M+'s support is the hull's optimal corral on most spaces; Wolfe's
+        # method still certifies s by its own optimality test
+        emb = full_embedding(space, t, analysis=a, start=support)
         if a.strict is not None and emb.dim < space.n - 1:
             raise ContradictionError(
                 "strictly quasihypermetric by Cholesky, but the embedding has "
                 f"dimension {emb.dim} < n - 1"
             )
-        if emb.sphere is not None:
-            # M+'s support is the hull's optimal corral on most spaces; Wolfe's
-            # method still certifies s by its own optimality test
-            start = None
-            if m_rep.is_finite:
-                m_rep = _m_plus_from_report(space, m_rep, t)
-                start = m_rep.m_plus_certificate["support"]
-            emb = with_hull_distance(emb, tol=t, start=start)
         embedding = embedding_to_json(emb)
         if m_rep.is_finite and emb.sphere is not None:
             two_r2 = 2.0 * emb.sphere.radius**2

@@ -331,7 +331,9 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     monkeypatch.setattr(classify, "definite_solve", counted_solve)
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify, "_factor_eigh", counted_one_sided)
-    monkeypatch.setattr(qhm.mconstant, "cholesky", None)  # the not-QH test never runs
+    # the not-QH test, K + ptol S, never runs
+    never = property(lambda a: a.strict is not None or pytest.fail("K + ptol S was factored"))
+    monkeypatch.setattr(classify.Analysis, "qh", never)
     rng = np.random.default_rng(23)
     spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
     spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (5, 8)]
@@ -375,8 +377,10 @@ def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):
     spaces = seeded_spaces(27, 4)
     certified = [classify.Analysis(s).strict is not None for s in spaces]
     checks = [(qhm.check_quasihypermetric(s), qhm.check_strictly_quasihypermetric(s)) for s in spaces]
-    # one decomposition per check, of the spaces that are not certified only
-    assert sorted(sizes) == sorted(2 * [s.n - 1 for s, c in zip(spaces, certified) if not c])
+    # one decomposition per strict check of a space that is not certified, and
+    # one per quasihypermetric check of a space that is not quasihypermetric
+    failing = [s.n - 1 for s, (qh, _) in zip(spaces, checks) if not qh]
+    assert sorted(sizes) == sorted([s.n - 1 for s, c in zip(spaces, certified) if not c] + failing)
     monkeypatch.setattr(classify.Analysis, "strict", None)
     for space, cert, checked in zip(spaces, certified, checks):
         for alone, spectral in zip(checked, classify._centred_verdicts(classify.Analysis(space))):
@@ -384,6 +388,104 @@ def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):
             if not cert and alone.witness is not None:
                 assert np.array_equal(alone.witness.weights, spectral.witness.weights)
     assert sum(certified) >= 50 and len(spaces) - sum(certified) >= 15
+
+
+def test_quasihypermetric_check_of_a_band_space_runs_no_eigensolver(monkeypatch, cycle4):
+    """On spaces in the band, quasihypermetric but not strictly so, the
+    check alone is ``Analysis.qh``'s factorization: no Jacobi
+    eigendecomposition of the centred kernel."""
+    sizes = []
+    monkeypatch.setattr(classify, "jacobi_eigh", lambda a: sizes.append(len(a)) or jacobi_eigh(a))
+    circle = qhm.CompactSpaceDescriptor("circle", circumference=7.0)
+    for space in [cycle4] + [circle.sample_space(n) for n in range(4, 13)]:
+        assert classify.Analysis(space).strict is None
+        assert qhm.check_quasihypermetric(space).holds
+    assert sizes == []
+
+
+def _at_threshold_spaces():
+    """40 spaces within rounding of the quasihypermetric threshold: for n = 6
+    and 8 and s = 0..9, both ends of an 80-step bisection of the segment from
+    a Gaussian Euclidean space to the first ``random_metric(n, 1000 s + k)``
+    that is not quasihypermetric by LAPACK, on the largest eigenvalue of d on
+    the mass-zero hyperplane against ``pos_tol``."""
+    spaces = []
+    for n in (6, 8):
+        for s in range(10):
+            lo = qhm.from_euclidean(np.random.default_rng(s).normal(size=(n, 3))).dist
+            seeds = (qhm.random_metric(n, 1000 * s + k) for k in range(1000))
+            hi = next(m for m in seeds if restricted_top(m) > 0.0).dist
+            a, b = 0.0, 1.0
+            for _ in range(80):
+                t = 0.5 * (a + b)
+                space = qhm.MetricSpace((1.0 - t) * lo + t * hi)
+                if restricted_top(space) > DEFAULT_TOLERANCES.pos_tol(n, space.diameter):
+                    b = t
+                else:
+                    a = t
+            spaces += [qhm.MetricSpace((1.0 - t) * lo + t * hi) for t in (a, b)]
+    return spaces
+
+
+def test_every_entry_point_reads_one_quasihypermetric_decision():
+    """At the threshold, the verdict alone and in ``classify_space``,
+    ``compute_m``'s not-QH tag, ``s_embed`` and ``compute_m_plus`` agree on
+    whether a space is quasihypermetric. ``compute_m`` declines (exit 14) only
+    where the verdict holds, and a failing verdict's witness is a unit of mass
+    zero whose energy is at least ptol, to rounding."""
+    verdicts = Counter()
+    for space in _at_threshold_spaces():
+        qh = qhm.check_quasihypermetric(space)
+        verdicts[qh.holds] += 1
+        assert qhm.classify_space(space, hyper_bound=1).quasihypermetric.holds == qh.holds
+        try:
+            tags = qhm.compute_m(space).method_tags
+            assert (qhm.mconstant.TAG_NOT_QUASIHYPERMETRIC in tags) is not qh.holds
+        except qhm.errors.InconsistentSystemError:
+            assert qh.holds
+        if qh.holds:
+            qhm.s_embed(space)  # its isometry check passes
+        else:
+            with pytest.raises(qhm.errors.NotQuasihypermetricError):
+                qhm.s_embed(space)
+        try:
+            qhm.compute_m_plus(space)
+            assert qh.holds
+        except qhm.errors.PreconditionError as refused:
+            assert ("quasihypermetric spaces" in str(refused)) is not qh.holds
+        except qhm.errors.InconsistentSystemError:
+            assert qh.holds
+        if not qh.holds:
+            ptol = DEFAULT_TOLERANCES.pos_tol(space.n, space.diameter)
+            assert abs(qh.witness.mass) <= 1e-12
+            assert qhm.energy(qh.witness) >= (1.0 - 1e-6) * ptol
+    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
+
+def test_an_analysis_of_another_space_or_record_is_refused(star, equilateral):
+    """An ``analysis=`` of another space (the parent returned that space's M,
+    4.0, for star_1_2), or a ``tol`` that is not its record, is refused with
+    ``ValueError``; its own space with ``tol`` None or an equal record is
+    accepted, as ``build_report`` and ``recentred_embedding`` pass it."""
+    loose = qhm.Tolerances(pos=1e-6)
+    entries = (
+        qhm.compute_m,
+        lambda space, **kw: qhm.check_hypermetric_bounded(space, 1, **kw),
+        lambda space, **kw: qhm.classify_space(space, 1, **kw),
+        qhm.s_embed,
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match="analysis="):
+            entry(star, analysis=classify.Analysis(equilateral))
+        with pytest.raises(ValueError, match="analysis="):
+            entry(star, tol=loose, analysis=classify.Analysis(star))
+        with pytest.raises(ValueError, match="analysis="):
+            entry(qhm.MetricSpace(star.dist), analysis=classify.Analysis(star))
+        own = classify.Analysis(star, loose)
+        entry(star, analysis=own)
+        entry(star, tol=qhm.Tolerances(pos=1e-6), analysis=own)
+    assert qhm.build_report(star, hyper_bound=1)["m_report"]["m_value"] == qhm.compute_m(star).m_value
+    assert qhm.recentred_embedding(star).dim == star.n - 1
 
 
 def test_hypermetric_budget_fails_before_any_decomposition(monkeypatch):

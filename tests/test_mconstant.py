@@ -597,7 +597,7 @@ def test_band_declines_raise_naming_pos(monkeypatch):
     -pos_tol, or a solution that fails its checks and no inconsistent column
     to give a zero-mass witness), compute_m raises InconsistentSystemError,
     exit 14, naming pos: on the not-QH threshold spaces at ptol = (1 + 1e-6)
-    kappa, and, with the last-point Cholesky made to pass, on not-QH spaces,
+    kappa, and, with ``Analysis.qh`` made to pass, on not-QH spaces,
     one of them with a certifiable basic solution."""
     cases = [(space, _tolerances_at(space, (1.0 + 1e-6) * top)) for space, top in _threshold_non_qh()]
     assert len(cases) >= 5
@@ -607,7 +607,7 @@ def test_band_declines_raise_naming_pos(monkeypatch):
     for space, t in cases + [(space, None) for space in forced]:
         with monkeypatch.context() as patch:
             if t is None:
-                patch.setattr(qhm.mconstant, "cholesky", lambda a: np.eye(len(a)))
+                patch.setattr(qhm.classify.Analysis, "qh", True)
             with pytest.raises(InconsistentSystemError, match="pos") as caught:
                 qhm.compute_m(space, tol=t)
         assert caught.value.exit_code == 14
@@ -646,7 +646,13 @@ def test_strictness_is_decided_by_the_tolerances_before_any_factoring(monkeypatc
     t = qhm.Tolerances(neg=1e-8)
     ref = qhm.compute_m(star)
     assert ref.method_tags[0] == "m:cholesky"
-    monkeypatch.setattr(qhm.classify, "cholesky", None)  # Analysis.strict never factors
+    k, _, shift = qhm.classify.Analysis(star, t).form
+
+    def no_strict_margin(a, cut=0.0):  # Analysis.strict never factors K - ptol S
+        assert not np.array_equal(a, k - shift)
+        return qhm.linalg.cholesky(a, cut)
+
+    monkeypatch.setattr(qhm.classify, "cholesky", no_strict_margin)
     rep = qhm.compute_m(star, tol=t)
     assert rep.method_tags == ("m:elimination", "m:unique-solution")
     assert abs(rep.m_value - ref.m_value) <= t.inv_tol(star.n, star.diameter)

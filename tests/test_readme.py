@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import qhm
+import qhm.cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -34,3 +37,20 @@ def test_quick_tour_gives_its_commented_values():
     assert values["qhm.compute_m_plus(star)"] == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert values["emb.m_plus_geometric"] == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert values["qhm.approx_m(desc, max_n=64).final"] == pytest.approx(2.0, rel=1e-12)
+
+
+def _subclasses(cls):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _subclasses(sub)]
+
+
+def test_exit_codes_are_listed_in_the_readme_and_the_cli_help():
+    """README's exit-code list holds 0, 1 and the ``exit_code`` of every
+    ``QhmError`` class, and nothing else; the ``cli`` docstring names each."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("- 0: ", text.index("Exit codes, "))
+    block = text[start : text.index("\n\n", start)]
+    listed = [int(code) for code in re.findall(r"^- (\d+): ", block, re.M)]
+    codes = {cls.exit_code for cls in _subclasses(qhm.errors.QhmError)}
+    assert sorted(listed) == listed and set(listed) == {0, 1} | codes
+    for code in listed:
+        assert re.search(rf"(?<![\d-]){code}(?![\d-])", qhm.cli.__doc__), code
