@@ -2,19 +2,20 @@
 
 Two numpy kernels without LAPACK, so results are bit-reproducible from run to
 run. A Cholesky factorization, refusing a pivot at or below its cut, decides
-positive definiteness and solves positive definite systems, and
-``semidefinite_solve``, skipping such pivots, eliminates the semidefinite ones
-and gives the null vector of an inconsistent one. One-sided Jacobi (Hestenes)
-in the Brent-Luk round-robin order, on a Cholesky factor L of a positive
-definite A = L L', gives A's eigenvalues, each to a relative error of about
-eps times the condition number of A scaled to unit diagonal, not of A itself
-(Demmel & Veselic 1992). It turns a round's pairs by one batched 2x2
-correction (Rutishauser) until a sweep's worth of rounds in a row turns none.
-It is the one eigensolver: ``_factor_eigh`` turns a given factor, which on a
-certified strictly QH space is that of the deflated centred kernel itself,
-and ``jacobi_eigh`` a factor of A + sigma I, sigma a Gershgorin bound that
-makes any symmetric A definite, for every other eigendecomposition, rank and
-the pseudoinverse of ``lstsq_minnorm``.
+positive definiteness. One row loop, refusing such pivots or skipping them,
+solves positive definite systems and eliminates semidefinite ones (the null
+vector of an inconsistent one too); it carries the right-hand side and inverts
+the factor's diagonal blocks, so a solve is one product per block each way.
+One-sided Jacobi (Hestenes) in the Brent-Luk round-robin order, on a Cholesky
+factor L of a positive definite A = L L', gives A's eigenvalues, each to a
+relative error of about eps times the condition number of A scaled to unit
+diagonal, not of A itself (Demmel & Veselic 1992). It turns a round's pairs by
+one batched 2x2 correction (Rutishauser) until a sweep's worth of rounds in a
+row turns none. It is the one eigensolver: ``_factor_eigh`` turns a given
+factor, which on a certified strictly QH space is that of the deflated centred
+kernel itself, and ``jacobi_eigh`` a factor of A + sigma I, sigma a Gershgorin
+bound that makes any symmetric A definite, for every other eigendecomposition,
+rank and the pseudoinverse of ``lstsq_minnorm``.
 """
 
 from __future__ import annotations
@@ -206,25 +207,59 @@ def cholesky(a, cut=0.0):
     return up.T
 
 
-def cholesky_solve(low, b) -> np.ndarray:
-    """Solve ``(low low') x = b`` for a lower factor from ``cholesky``."""
-    x = np.array(b, dtype=float)
-    for i in range(len(x)):  # forward substitution, low z = b
-        x[i] = (x[i] - low[i, :i] @ x[:i]) / low[i, i]
-    for i in reversed(range(len(x))):  # back substitution, low' x = z
-        x[i] = (x[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
+SOLVE_BLOCK = 128  # rows of the factor's diagonal blocks that the solves invert
+
+
+def _eliminate(a, b, cut, skip):
+    """``(u, c, inv, kept)``, the kept rows of the upper Cholesky factor of
+    [a | b | I]: u = low' on a's columns, c = low^-1 b, inv the inverses of
+    low's diagonal blocks of ``SOLVE_BLOCK`` rows, and the kept rows' mask. A
+    row is one numpy step over its block's rows and one more over any earlier
+    blocks' rows. A pivot at most ``cut`` gives None, or with ``skip`` leaves
+    its row out, and then u's rows are whole, not only right of the diagonal."""
+    n, width = len(a), min(len(a), SOLVE_BLOCK)
+    up = np.zeros_like(work := np.column_stack((a, b, np.zeros((n, width)))))
+    m, kept, i = up.shape[1] - width, np.zeros(n, dtype=bool), 0
+    for k in range(n):
+        lo, b0 = 0 if skip else k, i - i % SOLVE_BLOCK
+        end = m + i - b0 + 1  # the block's inverse is lower triangular
+        row = work[k, lo:end] - up[b0:i, k] @ up[b0:i, lo:end]
+        if b0:
+            row[: m - lo] -= up[:b0, k] @ up[:b0, lo:m]
+        if not row[k - lo] > cut:
+            if skip:
+                continue
+            return None
+        row[-1] += 1.0
+        up[i, lo:end] = row / math.sqrt(row[k - lo])
+        kept[k], i = True, i + 1
+    return up[:i, :n], up[:i, n:m].reshape((i,) + np.shape(b)[1:]), up[:i, m:], kept
+
+
+def _substitute(u, inv, r, back):
+    """low^-1 r, or low'^-1 r with ``back``, for square u = low' and inv from
+    ``_eliminate``: per block, one product off it and one with its inverse."""
+    if (m := len(u)) <= SOLVE_BLOCK:
+        return (inv[:, :m].T if back else inv[:, :m]) @ r
+    x = np.array(r, dtype=float)
+    for b0 in sorted(range(0, m, SOLVE_BLOCK), reverse=back):
+        b1 = min(b0 + SOLVE_BLOCK, m)
+        off = u[b0:b1, b1:] @ x[b1:] if back else u[:b0, b0:b1].T @ x[:b0]
+        block = inv[b0:b1, : b1 - b0]
+        x[b0:b1] = (block.T if back else block) @ (x[b0:b1] - off)
     return x
 
 
 def definite_solve(a, b, cut=0.0):
     """``(low, x)`` with ``low`` the Cholesky factor of ``a`` and ``x`` the
     solution of ``a x = b`` after one step of iterative refinement, when every
-    pivot exceeds ``cut``; None otherwise."""
-    if (low := cholesky(a, cut)) is None:
+    pivot exceeds ``cut``; None otherwise. Both solves are block products."""
+    if (done := _eliminate(a, b, cut, skip=False)) is None:
         return None
-    x = cholesky_solve(low, b)
-    x += cholesky_solve(low, b - a @ x)
-    return low, x
+    u, c, inv, _ = done
+    x = _substitute(u, inv, c, back=True)
+    x += _substitute(u, inv, _substitute(u, inv, b - a @ x, back=False), back=True)
+    return u.T, x
 
 
 def semidefinite_solve(a, b, cut, level):
@@ -236,20 +271,14 @@ def semidefinite_solve(a, b, cut, level):
     columns, and z, None unless a skipped row's residual b_j - a[j, kept] y
     exceeds ``level``; then the null vector of the worst such column j
     (z_j = 1, z_kept = -a[kept, kept]^-1 a[kept, j]), along which b'z is that
-    residual. A ``b`` of several columns counts a row's largest residual."""
+    residual. A ``b`` of several columns counts a row's largest residual. The
+    elimination carries the forward solves, so y and z are back products."""
     a = np.asarray(a, dtype=float)
-    up = np.zeros_like(a)
-    kept = np.zeros(len(a), dtype=bool)
-    for k in range(len(a)):
-        row = a[k] - up[:k, k] @ up[:k]
-        if row[k] > cut:
-            up[k] = row / math.sqrt(row[k])
-            kept[k] = True
-    u, skip = up[kept], ~kept
-    low = np.triu(u[:, kept]).T
+    u, c, inv, kept = _eliminate(a, b, cut, skip=True)
+    skip, low_t = ~kept, u[:, kept]
     schur = a[np.ix_(skip, skip)] - u[:, skip].T @ u[:, skip]
     y = np.zeros(b.shape)
-    y[kept] = cholesky_solve(low, b[kept])
+    y[kept] = _substitute(low_t, inv, c, back=True)
     residual = np.abs(b[skip] - a[skip] @ y)
     if residual.ndim > 1:
         residual = residual.max(axis=1)
@@ -257,7 +286,7 @@ def semidefinite_solve(a, b, cut, level):
         return kept, schur, y, None
     z = np.zeros(len(a))
     j = np.flatnonzero(skip)[int(np.argmax(residual))]
-    z[j], z[kept] = 1.0, -cholesky_solve(low, a[kept, j])
+    z[j], z[kept] = 1.0, -_substitute(low_t, inv, u[:, j], back=True)
     return kept, schur, y, z
 
 

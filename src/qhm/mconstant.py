@@ -108,23 +108,25 @@ def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
     diagonal entry; point 0 and the kept columns T are d's lowest-index column
     basis. For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I
     and S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0:
-    QH. K0[T, T] y = g0[T] gives M = g0[T]'y and the measure (1 - sum y at
-    point 0, y on T, 0 elsewhere) if ``_certified`` accepts it. Else the null
-    vector z of a skipped column whose residual is beyond ``inv_tol`` is a
-    zero-mass certificate: v = (-sum z, z) has d v constant at g0'z, that
-    residual; ``invariant_value`` checks it, and M = inf. Anything else
-    raises ``InconsistentSystemError``."""
+    QH, which a finite M needs. Then K0[T, T] y = g0[T] gives M = g0[T]'y and
+    the measure (1 - sum y at point 0, y on T, 0 elsewhere) if ``_certified``
+    accepts it. Else the null vector z of a skipped column whose residual is
+    beyond ``inv_tol`` is a zero-mass certificate on any space: v = (-sum z, z)
+    has d v constant at g0'z, that residual, so the energy is linear along v;
+    ``invariant_value`` checks it, and M = inf. Else it raises
+    ``InconsistentSystemError``."""
     k, g, _ = schoenberg_form(np.roll(space.dist, -1, axis=(0, 1)))
     level = t.inv_tol(space.n, space.diameter)
     kept, c, y, z = semidefinite_solve(k, g, t.rank * 2.0 * float(g.max()), level)
     gershgorin = c.diagonal() + np.abs(c.diagonal()) - np.abs(c).sum(axis=1)
     if (bound := gershgorin.min(initial=0.0)) < -t.pos_tol(space.n, space.diameter):
-        raise _declined(space, t, f"a Gershgorin bound of {bound:.3e} on its Schur complement")
-    w = np.concatenate(([1.0 - y[kept].sum()], y))
-    try:
-        return _certified(space, w / float(g[kept] @ y[kept]), bool(kept.all()), t, "elimination")
-    except InconsistentSystemError as refused:
-        declined = _declined(space, t, str(refused))
+        declined = _declined(space, t, f"a Gershgorin bound of {bound:.3e} on its Schur complement")
+    else:
+        w = np.concatenate(([1.0 - y[kept].sum()], y))
+        try:
+            return _certified(space, w / float(g[kept] @ y[kept]), bool(kept.all()), t, "elimination")
+        except InconsistentSystemError as refused:
+            declined = _declined(space, t, str(refused))
     if z is None:
         raise declined
     v = SignedMeasure(space, np.append(-z.sum(), z))

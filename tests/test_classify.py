@@ -462,6 +462,28 @@ def test_every_entry_point_reads_one_quasihypermetric_decision():
     assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
 
 
+def test_a_zero_mass_certificate_is_tried_before_the_gershgorin_decline():
+    """A mass-zero v with d v = c 1, c != 0, makes the energy linear along v
+    on any space, so it proves M = inf even where the Gershgorin bound on the
+    band elimination's Schur complement fails. That bound fails on 17 of the
+    at-threshold spaces: at least 15 of them get the zero-mass tag and a
+    report, and every space still declined names ``pos``, exit 14."""
+    outcomes = Counter()
+    for space in _at_threshold_spaces():
+        try:
+            tags = qhm.compute_m(space).method_tags
+        except qhm.errors.InconsistentSystemError as declined:
+            assert "pos" in str(declined) and declined.exit_code == 14
+            outcomes["declined"] += 1
+            continue
+        if qhm.mconstant.TAG_ZERO_MASS in tags:
+            doc = qhm.build_report(space, hyper_bound=1)
+            assert doc["m_report"]["method_tags"] == list(tags)
+            assert doc["classification"]["quasihypermetric"]["holds"]
+            outcomes["zero mass"] += 1
+    assert outcomes["zero mass"] >= 15, outcomes
+
+
 def test_an_analysis_of_another_space_or_record_is_refused(star, equilateral):
     """An ``analysis=`` of another space (the parent returned that space's M,
     4.0, for star_1_2), or a ``tol`` that is not its record, is refused with

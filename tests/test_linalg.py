@@ -14,13 +14,15 @@ from qhm.errors import ConvergenceWarning
 from qhm.linalg import (
     _round_robin,
     _rotation,
+    SOLVE_BLOCK,
     cholesky,
-    cholesky_solve,
+    definite_solve,
     eigh_pinv_solve,
     gram_rank,
     jacobi_eigh,
     lstsq_minnorm,
     one_sided_jacobi,
+    semidefinite_solve,
     symmetric_rank_and_nullspace,
 )
 
@@ -211,23 +213,48 @@ def test_cholesky_refuses_indefinite_and_singular():
 
 def test_cholesky_deterministic_bitwise():
     rng = np.random.default_rng(13)
-    for n in (7, 33, 64):
+    # n = 300 is three blocks of the solves' block inverses
+    for n in (7, 33, 64, 300):
         a = random_pd(n, rng)
         b = rng.normal(size=n)
         assert cholesky(a).tobytes() == cholesky(a).tobytes()
-        low = cholesky(a)
-        assert cholesky_solve(low, b).tobytes() == cholesky_solve(low, b).tobytes()
+        (low, x), (low2, x2) = definite_solve(a, b), definite_solve(a, b)
+        assert low.tobytes() == low2.tobytes() and x.tobytes() == x2.tobytes()
 
 
 def test_cholesky_solve_residual_at_rounding_level():
     rng = np.random.default_rng(14)
     eps = np.finfo(float).eps
-    for n in (1, 2, 9, 32, 64):
+    for n in (1, 2, 9, 32, 64, 300):
         a = random_pd(n, rng)
         b = rng.normal(size=n)
-        x = cholesky_solve(cholesky(a), b)
+        x = definite_solve(a, b)[1]
         assert np.linalg.norm(a @ x - b) <= 10 * n * eps * np.linalg.norm(a) * np.linalg.norm(x)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=0.0)
+
+
+def test_semidefinite_solve_skips_columns_across_block_boundaries():
+    """Rows of a = Y Y' that repeat earlier rows of Y are skipped on both
+    sides of the kept order's block boundaries at 128 and 256."""
+    rng = np.random.default_rng(15)
+    n = 300
+    y = rng.normal(size=(n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    dependent = [40, 127, 131, 200, 262, 299]
+    for j in dependent:
+        y[j] = y[j - 1] - 0.5 * y[j - 7]
+    a = y @ y.T
+    kept, schur, sol, z = semidefinite_solve(a, a @ rng.normal(size=n), 1e-10 * a.diagonal().max(), 1e-8)
+    assert np.flatnonzero(~kept).tolist() == dependent and z is None
+    positions = np.cumsum(kept)[dependent]  # kept rows before each skipped one
+    assert positions.min() < SOLVE_BLOCK < positions.max() and positions.max() > 2 * SOLVE_BLOCK
+    assert np.abs(schur).max() <= 1e-10 * a.diagonal().max()
+    b = rng.normal(size=n)
+    kept, _, sol, z = semidefinite_solve(a, b, 1e-10 * a.diagonal().max(), 1e-8)
+    block = np.ix_(kept, kept)
+    assert np.allclose(sol[kept], np.linalg.solve(a[block], b[kept]), rtol=1e-10, atol=0.0)
+    assert np.all(sol[~kept] == 0.0) and z is not None
+    assert z[~kept].tolist().count(1.0) == 1 and np.count_nonzero(z[~kept]) == 1
+    assert np.linalg.norm(a @ z) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(z)
 
 
 def test_one_sided_jacobi_orthogonalizes_rows():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -670,3 +672,67 @@ def test_a_strict_solution_that_fails_its_certificate_falls_to_the_elimination(m
             rep = qhm.compute_m(space)
         assert rep.method_tags == ("m:elimination", "m:unique-solution")
         assert abs(rep.m_value - ref.m_value) <= 1e-12 * ref.m_value
+
+
+def _exact_mass(dist):
+    """The mass of an exact rational solution of d w = 1 from d's float
+    entries, by Gauss-Jordan elimination over ``Fraction`` with the free
+    variables at 0 (on a QH space every solution has the same mass), or None
+    where the system is inconsistent. Shares no code with the package."""
+    n = len(dist)
+    rows = [[Fraction(float(x)) for x in row] + [Fraction(1)] for row in dist]
+    rank = 0
+    for c in range(n):
+        p = next((i for i in range(rank, n) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        head = rows[p][c]
+        rows[rank], rows[p] = rows[p], rows[rank]
+        pivot = rows[rank] = [x / head for x in rows[rank]]
+        for i in range(n):
+            if i != rank and (f := rows[i][c]) != 0:
+                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+        rank += 1
+    if any(row[n] != 0 for row in rows[rank:]):
+        return None
+    return sum(row[n] for row in rows[:rank])
+
+
+def _strict_near_threshold(n, s, window):
+    """A strictly quasihypermetric space whose restricted top eigenvalue lies
+    in ``window`` (in units of -ptol): bisection of the segment from a
+    Gaussian Euclidean space to the first ``random_metric`` that is not QH."""
+    lo = qhm.from_euclidean(np.random.default_rng(s).normal(size=(n, 3))).dist
+    seeds = (qhm.random_metric(n, 1000 * s + k) for k in range(1000))
+    hi, a, b = next(m for m in seeds if _restricted_top(m) > 0.0).dist, 0.0, 1.0
+    for _ in range(200):
+        space = qhm.MetricSpace((1.0 - (t := 0.5 * (a + b))) * lo + t * hi)
+        depth = -_restricted_top(space) / qhm.DEFAULT_TOLERANCES.pos_tol(n, space.diameter)
+        if window[0] <= depth <= window[1]:
+            return space
+        a, b = (t, b) if depth > window[1] else (a, t)
+    raise AssertionError("the bisection found no space in the window")
+
+
+def test_finite_m_is_the_exact_rational_solution():
+    """M = 1 / sum w for the exact rational solution w of d w = 1 from d's
+    float entries, within 1e-6 relative wherever ``compute_m`` finds M finite:
+    the fixtures, seeded spaces at n <= 10, and 8 strictly QH spaces 0.5 to
+    50 ptol from the threshold, where M reaches about 1e6."""
+    rng = np.random.default_rng(29)
+    spaces = [qhm.make_fixture(name) for name in FIXTURE_NAMES]
+    for _ in range(10):
+        n = int(rng.integers(2, 11))
+        spaces.append(qhm.from_euclidean(rng.normal(size=(n, int(rng.integers(1, 4))))))
+        spaces.append(qhm.random_metric(n, seed=int(rng.integers(0, 2**31))))
+    windows = [(25.0, 50.0), (2.5, 5.0), (1.0, 1.5), (0.5, 0.75)]
+    near = [_strict_near_threshold(n, s, w) for n, s in ((6, 0), (8, 1)) for w in windows]
+    compared = Counter()
+    for space, is_near in [(space, False) for space in spaces] + [(space, True) for space in near]:
+        m = qhm.compute_m(space).m_value
+        if math.isfinite(m):
+            mass = _exact_mass(space.dist)
+            assert mass is not None and mass != 0
+            assert abs(m * float(mass) - 1.0) <= 1e-6, (m, float(1 / mass))
+            compared[is_near] += 1
+    assert compared[True] == 8 and compared[False] >= 12, compared
