@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError
-from .linalg import _factor_eigh, _sign_columns, cholesky, definite_solve, jacobi_eigh
+from .linalg import _factor_eigh, _sign_columns, cholesky, jacobi_eigh, semidefinite_solve
 from .linalg import symmetric_rank_and_nullspace
 from .metric import MetricSpace, SignedMeasure, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -79,16 +79,20 @@ class Analysis:
 
     @cached_property
     def strict(self):
-        """``definite_solve(K, g)`` when n > 1, pos >= max(neg, rank) (checked
-        first) and K - ptol S is positive definite, else None. Then d is below
-        -ptol <= -ntol on the mass-zero hyperplane, so both QH verdicts hold,
-        and by Cauchy interlacing and trace d = 0 each eigenvalue of d exceeds
-        ptol > rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
+        """``(low, y)``, low the Cholesky factor of K - ptol S and K y = g solved
+        with every column kept, where n > 1, pos >= max(neg, rank) (checked
+        first) and both succeed; else None. Then d is below -ptol <= -ntol on
+        the mass-zero hyperplane, so both QH verdicts hold, and by Cauchy
+        interlacing and trace d = 0 each eigenvalue of d exceeds ptol >
+        rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
         t = self.tol
         if self.space.n < 2 or t.pos < max(t.neg, t.rank):
             return None
         k, g, shift = self.form
-        return None if cholesky(k - shift) is None else definite_solve(k, g)
+        if (low := cholesky(k - shift)) is None:
+            return None
+        kept, _, y, _ = semidefinite_solve(k, g, 0.0, np.inf)
+        return (low, y) if kept.all() else None
 
     @cached_property
     def qh(self) -> bool:
@@ -255,14 +259,16 @@ def _ellipsoid_points(low: np.ndarray, centre: np.ndarray, radius2: float, bound
 
 
 def _ellipsoid_witness(
-    space: MetricSpace, bound: int, ptol: float, g: np.ndarray, low: np.ndarray, centre: np.ndarray
+    space: MetricSpace, bound: int, ptol: float, form, low: np.ndarray, centre: np.ndarray
 ) -> np.ndarray | None:
     """``_box_witness`` for a strictly quasihypermetric space, from the
-    integer points of the ellipsoid (y - y*)'K(y - y*) <= M + margin, where
-    K = low low' and K y* = g with y* = ``centre``."""
+    integer points of (y - y*)'(K - ptol S)(y - y*) <= M + margin for K y* = g,
+    (K, g, ptol S) = ``form`` and low low' = K - ptol S: K - ptol S <= K, so
+    that ellipsoid holds K's, and every violator."""
+    k, g, _ = form
     # margin = ptol plus a bound on the rounding of M, y* and the partial
     # sums: n^2 products of size trace(K) (B + |y*|)^2, at a few ulps each
-    rounding = 8.0 * space.n**2 * np.finfo(float).eps * float((low**2).sum())
+    rounding = 8.0 * space.n**2 * np.finfo(float).eps * float(np.trace(k))
     rounding *= (bound + float(np.abs(centre).max(initial=0.0))) ** 2
     firsts = []  # the lexicographically first violator of each block
     for ys in _ellipsoid_points(low, centre, float(g @ centre) + ptol + rounding, bound):
@@ -289,8 +295,9 @@ def check_hypermetric_bounded(
     the strictness test of ``compute_m``, holds, b = (y, 1 - sum y) has b'db =
     M - (y - y*)'K(y - y*) = M - ||b - w*||^2_{-d}, with K Schoenberg's form
     and w* the maximal measure, and only the integer points of that ellipsoid
-    around w* are enumerated and checked. Otherwise the mass-one points of the
-    (2B+1)^n box are streamed in lexicographic blocks of at most
+    around w* are enumerated, on the strict test's factor of K - ptol S <= K,
+    whose ellipsoid holds K's, and checked. Otherwise the mass-one points of
+    the (2B+1)^n box are streamed in lexicographic blocks of at most
     ``_CHUNK_ROWS`` rows, up to the first violation, in O(``_CHUNK_ROWS`` n)
     memory for any B and n. Neither route holds the box, so the work budget n
     (2B+1)^n, enforced on both, limits time only. A ``bound`` that is not an
@@ -314,7 +321,7 @@ def check_hypermetric_bounded(
     if a.strict is None:
         witness = _box_witness(space, bound, ptol)
     else:
-        witness = _ellipsoid_witness(space, bound, ptol, a.form[1], *a.strict)
+        witness = _ellipsoid_witness(space, bound, ptol, a.form, *a.strict)
     return Verdict(True) if witness is None else Verdict(False, witness=witness)
 
 

@@ -5,8 +5,8 @@ The active set starts from the support of a given point, or else from the
 diametral pair, the lowest-index pair where q is largest (energy D/2, the
 lower bound for M+). The paper gives M+ = M(F) for F the support of a
 maximal probability measure, so each face is solved as ``compute_m`` solves
-a space, by Cholesky of its Schoenberg form or the shared elimination at the
-same pivot cut. An unbounded face (M(F) = inf) takes a ray step to its first
+a space, by the one elimination of its Schoenberg form at the same pivot
+cut. An unbounded face (M(F) = inf) takes a ray step to its first
 zero weight; a bounded one drops every vertex of negative weight at once, or
 else the face grows by the best outside vertex until the gap criterion is
 met, whatever the start. If the active set stalls first, the result says so
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import definite_solve, ratio_step, semidefinite_solve
+from .linalg import ratio_step, semidefinite_solve
 from .metric import schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -41,19 +41,17 @@ def _face_stationary(q: np.ndarray, support: np.ndarray, t: Tolerances):
     one face of the simplex, or ``(None, v)``, v a ray of an unbounded face.
 
     With x = [y; 1 - sum y], x'qx = 2 g'y - y'Ky for (K, g) Schoenberg's form
-    of the face. As in ``compute_m``, Cholesky solves K y = g when every pivot
-    exceeds ``rank`` times 2 max g, and else ``semidefinite_solve`` at that
-    cut does, with y = 0 on the skipped columns. Where a skipped row's
-    residual exceeds ``inv_tol(m, D_F)`` (m points, diameter D_F), its null
-    vector z gives v = (z, -sum z), signed so that g'z > 0: v'qv = 0 and q v
-    is constant at g'z, so the energy rises linearly along v.
+    of the face. As in ``compute_m``'s band, one ``semidefinite_solve`` solves
+    K y = g, skipping each pivot at most ``rank`` times 2 max g, with y = 0 on
+    the skipped columns. Where a skipped row's residual exceeds
+    ``inv_tol(m, D_F)`` (m points, diameter D_F), its null vector z gives
+    v = (z, -sum z), signed so that g'z > 0: v'qv = 0 and q v is constant at
+    g'z, so the energy rises linearly along v.
     """
     face = q[np.ix_(support, support)]
     k, g, _ = schoenberg_form(face)
-    cut = t.rank * 2.0 * float(g.max(initial=0.0))
-    solved = definite_solve(k, g, cut)
     level = t.inv_tol(len(support), float(face.max()))
-    y, z = (solved[1], None) if solved else semidefinite_solve(k, g, cut, level)[2:]
+    _, _, y, z = semidefinite_solve(k, g, t.rank * 2.0 * float(g.max(initial=0.0)), level)
     if z is not None:
         return None, np.append(z, -z.sum()) * np.sign(g @ z)
     return np.append(y, 1.0 - y.sum()), None
@@ -81,10 +79,13 @@ def maximize_quadratic_on_simplex(
     the vertex of largest gradient. At most ``min(2n, fw_max_iter)`` faces
     are solved, and ``iterations`` counts them. When the active set stalls
     (the best vertex is already in the face, or the cap is reached) the
-    result is the best point found, with ``converged`` False.
+    result is the best point found, with ``converged`` False. A ``q`` that is
+    not a non-empty, square, finite matrix raises ``ValueError``.
     """
     t = tol if tol is not None else DEFAULT_TOLERANCES
     q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0 or not np.isfinite(q).all():
+        raise ValueError(f"q must be a non-empty, square, finite matrix, got shape {q.shape}")
     n = q.shape[0]
     gap_tol = t.fw_tol(float(q.max()))
     if x0 is None:

@@ -1,11 +1,11 @@
 """Deterministic dense linear algebra for small symmetric problems.
 
 Two numpy kernels without LAPACK, so results are bit-reproducible from run to
-run. A Cholesky factorization, refusing a pivot at or below its cut, decides
-positive definiteness. One row loop, refusing such pivots or skipping them,
-solves positive definite systems and eliminates semidefinite ones (the null
-vector of an inconsistent one too); it carries the right-hand side and inverts
-the factor's diagonal blocks, so a solve is one product per block each way.
+run. A Cholesky factorization, refusing a pivot that is not positive, decides
+positive definiteness. The one solve, ``semidefinite_solve``, eliminates a
+system once, skipping each pivot at or below its cut; its row loop carries the
+right-hand side and inverts the factor's diagonal blocks, so a solve is one
+product per block each way.
 One-sided Jacobi (Hestenes) in the Brent-Luk round-robin order, on a Cholesky
 factor L of a positive definite A = L L', gives A's eigenvalues, each to a
 relative error of about eps times the condition number of A scaled to unit
@@ -193,15 +193,14 @@ def eigh_pinv_solve(a, b, rank_rel: float = RANK_REL):
     return x, residual, int(np.count_nonzero(keep)), v[:, ~keep]
 
 
-def cholesky(a, cut=0.0):
+def cholesky(a):
     """Lower Cholesky factor of a symmetric matrix, or None at the first pivot
-    at most ``cut`` (``semidefinite_solve`` skips such a pivot). One numpy
-    step per row of the upper factor."""
+    that is not positive. One numpy step per row of the upper factor."""
     a = np.asarray(a, dtype=float)
     up = np.zeros_like(a)
     for k in range(len(a)):
         row = a[k, k:] - up[:k, k] @ up[:k, k:]
-        if not row[0] > cut:
+        if not row[0] > 0.0:
             return None
         up[k, k:] = row / math.sqrt(row[0])
     return up.T
@@ -210,26 +209,25 @@ def cholesky(a, cut=0.0):
 SOLVE_BLOCK = 128  # rows of the factor's diagonal blocks that the solves invert
 
 
-def _eliminate(a, b, cut, skip):
+def _eliminate(a, b, cut):
     """``(u, c, inv, kept)``, the kept rows of the upper Cholesky factor of
     [a | b | I]: u = low' on a's columns, c = low^-1 b, inv the inverses of
     low's diagonal blocks of ``SOLVE_BLOCK`` rows, and the kept rows' mask. A
     row is one numpy step over its block's rows and one more over any earlier
-    blocks' rows. A pivot at most ``cut`` gives None, or with ``skip`` leaves
-    its row out, and then u's rows are whole, not only right of the diagonal."""
+    blocks' rows. A pivot at most ``cut`` leaves its row out, and later rows
+    start at the first such column: u holds the skipped columns whole."""
     n, width = len(a), min(len(a), SOLVE_BLOCK)
     up = np.zeros_like(work := np.column_stack((a, b, np.zeros((n, width)))))
-    m, kept, i = up.shape[1] - width, np.zeros(n, dtype=bool), 0
+    m, kept, i, first = up.shape[1] - width, np.zeros(n, dtype=bool), 0, n
     for k in range(n):
-        lo, b0 = 0 if skip else k, i - i % SOLVE_BLOCK
+        lo, b0 = k if k < first else first, i - i % SOLVE_BLOCK  # min(k, first)
         end = m + i - b0 + 1  # the block's inverse is lower triangular
         row = work[k, lo:end] - up[b0:i, k] @ up[b0:i, lo:end]
         if b0:
             row[: m - lo] -= up[:b0, k] @ up[:b0, lo:m]
         if not row[k - lo] > cut:
-            if skip:
-                continue
-            return None
+            first = min(first, k)
+            continue
         row[-1] += 1.0
         up[i, lo:end] = row / math.sqrt(row[k - lo])
         kept[k], i = True, i + 1
@@ -250,18 +248,6 @@ def _substitute(u, inv, r, back):
     return x
 
 
-def definite_solve(a, b, cut=0.0):
-    """``(low, x)`` with ``low`` the Cholesky factor of ``a`` and ``x`` the
-    solution of ``a x = b`` after one step of iterative refinement, when every
-    pivot exceeds ``cut``; None otherwise. Both solves are block products."""
-    if (done := _eliminate(a, b, cut, skip=False)) is None:
-        return None
-    u, c, inv, _ = done
-    x = _substitute(u, inv, c, back=True)
-    x += _substitute(u, inv, _substitute(u, inv, b - a @ x, back=False), back=True)
-    return u.T, x
-
-
 def semidefinite_solve(a, b, cut, level):
     """``(kept, schur, y, z)`` for a positive semidefinite ``a``, eliminated as
     ``cholesky`` factors it but skipping each column whose pivot is at most
@@ -272,9 +258,14 @@ def semidefinite_solve(a, b, cut, level):
     exceeds ``level``; then the null vector of the worst such column j
     (z_j = 1, z_kept = -a[kept, kept]^-1 a[kept, j]), along which b'z is that
     residual. A ``b`` of several columns counts a row's largest residual. The
-    elimination carries the forward solves, so y and z are back products."""
+    elimination carries the forward solves, so y and z are back products; with
+    every column kept, y takes one refinement step and ``schur`` is empty."""
     a = np.asarray(a, dtype=float)
-    u, c, inv, kept = _eliminate(a, b, cut, skip=True)
+    u, c, inv, kept = _eliminate(a, b, cut)
+    if len(u) == len(a):  # every column kept
+        y = _substitute(u, inv, c, back=True)
+        y += _substitute(u, inv, _substitute(u, inv, b - a @ y, back=False), back=True)
+        return kept, np.empty((0, 0)), y, None
     skip, low_t = ~kept, u[:, kept]
     schur = a[np.ix_(skip, skip)] - u[:, skip].T @ u[:, skip]
     y = np.zeros(b.shape)

@@ -10,12 +10,12 @@ floating-point version.
 
 The affine subproblem min |P λ| s.t. sum λ = 1 is solved on the corral's
 differences q_i = p_i - p_last: affine independence makes their Gram matrix
-Q Q' (half the corral's Schoenberg form) positive definite, so a Cholesky
-factorization solves (Q Q') μ = -Q p_last and λ = (μ, 1 - sum μ). A pivot at
-most ``RANK_REL`` times the largest diagonal entry (nearly affinely dependent
-rows) sends Q Q' to the elimination that ``compute_m``'s band uses, at the
-same cut. Its null vector is an affine dependency of the corral, along which
-every weight vector gives the same point; the weights are moved along it
+Q Q' (half the corral's Schoenberg form) positive definite. One
+``semidefinite_solve``, as for ``compute_m`` and each M+ face, solves
+(Q Q') μ = -Q p_last and λ = (μ, 1 - sum μ), skipping each pivot at most
+``RANK_REL`` times the largest diagonal entry (a nearly dependent row). A
+skipped column's null vector is an affine dependency of the corral, along
+which every weight vector gives the same point; the weights are moved along it
 (Caratheodory) until a point other than the newest has weight zero, so that
 the minor cycle drops that point and the corral is independent again.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_REL, definite_solve, ratio_step, semidefinite_solve
+from .linalg import RANK_REL, ratio_step, semidefinite_solve
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -43,14 +43,11 @@ class MinNormResult:
 def _affine_minimizer(pts: np.ndarray) -> np.ndarray:
     diff = pts[:-1] - pts[-1]
     qq = diff @ diff.T
-    rhs = -(diff @ pts[-1])
-    cut = RANK_REL * float(qq.diagonal().max(initial=0.0))
-    if (solved := definite_solve(qq, rhs, cut)) is not None:
-        return np.append(solved[1], 1.0 - solved[1].sum())
+    rhs = np.column_stack((-(diff @ pts[-1]), np.ones(len(qq))))
     # a null vector z of qq is the dependency alpha = (z, -sum z), and sum z is
     # the residual of qq mu = 1 on z's column: the ones column picks the
     # dependency of largest weight on the newest point
-    _, _, mu, z = semidefinite_solve(qq, np.column_stack((rhs, np.ones(len(qq)))), cut, 0.0)
+    _, _, mu, z = semidefinite_solve(qq, rhs, RANK_REL * float(qq.diagonal().max(initial=0.0)), 0.0)
     lam = np.append(mu[:, 0], 1.0 - mu[:, 0].sum())
     if z is None or abs(z.sum()) <= RANK_REL * float(np.abs(z).max()):
         return lam

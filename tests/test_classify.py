@@ -314,13 +314,13 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
         sizes.append(len(a))
         return jacobi_eigh(a, *args, **kwargs)
 
-    def counted_solve(a, b, cut=0.0):
+    def counted_solve(a, b, cut, level):
         solves.append(cut)
-        return qhm.linalg.definite_solve(a, b, cut)
+        return qhm.linalg.semidefinite_solve(a, b, cut, level)
 
-    def counted_cholesky(a, cut=0.0):
+    def counted_cholesky(a):
         factored.append(a)
-        return qhm.linalg.cholesky(a, cut)
+        return qhm.linalg.cholesky(a)
 
     def counted_one_sided(low, *args, **kwargs):
         one_sided.append(len(low))
@@ -328,7 +328,7 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
 
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
-    monkeypatch.setattr(classify, "definite_solve", counted_solve)
+    monkeypatch.setattr(classify, "semidefinite_solve", counted_solve)
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify, "_factor_eigh", counted_one_sided)
     # the not-QH test, K + ptol S, never runs

@@ -347,10 +347,10 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
     route; every certified strict space, from n = 2 up, takes it once."""
     factored, rotated = [], []
 
-    def counted_cholesky(a, cut=0.0):
+    def counted_cholesky(a):
         if _by_kernel():
             factored.append(len(a))
-        return cholesky(a, cut)
+        return cholesky(a)
 
     def counted_jacobi(low, *args, **kwargs):
         rotated.append(len(low))
@@ -379,7 +379,7 @@ def test_one_sided_route_runs_only_on_strict_spaces_from_n0(monkeypatch):
 def test_embedding_falls_back_when_the_deflated_factor_fails(monkeypatch):
     for space in _strict_spaces()[:1] + _strict_spaces()[-2:]:
         monkeypatch.setattr(
-            classify, "cholesky", lambda a, cut=0.0: None if _by_kernel() else cholesky(a, cut)
+            classify, "cholesky", lambda a: None if _by_kernel() else cholesky(a)
         )
         a = classify.Analysis(space)
         assert a.strict is not None
@@ -400,10 +400,10 @@ def test_forced_strict_verdict_on_a_band_space_is_still_a_contradiction(monkeypa
     space = qhm.CompactSpaceDescriptor("circle", circumference=5.0).sample_space(16)
     factored = []
 
-    def counted_cholesky(a, cut=0.0):
+    def counted_cholesky(a):
         if _by_kernel():
             factored.append(len(a))
-        return cholesky(a, cut)
+        return cholesky(a)
 
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify.Analysis, "strict", SHIFTED_STRICT)

@@ -16,7 +16,6 @@ from qhm.linalg import (
     _rotation,
     SOLVE_BLOCK,
     cholesky,
-    definite_solve,
     eigh_pinv_solve,
     gram_rank,
     jacobi_eigh,
@@ -218,8 +217,8 @@ def test_cholesky_deterministic_bitwise():
         a = random_pd(n, rng)
         b = rng.normal(size=n)
         assert cholesky(a).tobytes() == cholesky(a).tobytes()
-        (low, x), (low2, x2) = definite_solve(a, b), definite_solve(a, b)
-        assert low.tobytes() == low2.tobytes() and x.tobytes() == x2.tobytes()
+        x, x2 = semidefinite_solve(a, b, 0.0, 0.0)[2], semidefinite_solve(a, b, 0.0, 0.0)[2]
+        assert x.tobytes() == x2.tobytes()
 
 
 def test_cholesky_solve_residual_at_rounding_level():
@@ -228,9 +227,45 @@ def test_cholesky_solve_residual_at_rounding_level():
     for n in (1, 2, 9, 32, 64, 300):
         a = random_pd(n, rng)
         b = rng.normal(size=n)
-        x = definite_solve(a, b)[1]
+        kept, schur, x, z = semidefinite_solve(a, b, 0.0, 0.0)
+        # positive definite: every column kept, nothing left to complement
+        assert kept.all() and schur.shape == (0, 0) and z is None
         assert np.linalg.norm(a @ x - b) <= 10 * n * eps * np.linalg.norm(a) * np.linalg.norm(x)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=0.0)
+
+
+def test_each_solve_is_one_elimination(monkeypatch):
+    """An M+ face, a Wolfe corral and the strict solve of K y = g each make
+    one elimination, whether or not it skips a column: the full face of
+    cycle4_arclength and assouad5 (singular, or a pivot at rounding level), a
+    duplicated and a collinear corral, and strictly QH spaces."""
+    eliminated = []  # the size of each system eliminated
+    eliminate = qhm.linalg._eliminate
+
+    def counted(*args, **kwargs):
+        eliminated.append(len(args[0]))
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(qhm.linalg, "_eliminate", counted)
+    for name in ("cycle4_arclength", "assouad5"):
+        q = qhm.make_fixture(name).dist
+        k, g, _ = qhm.metric.schoenberg_form(q)
+        assert not semidefinite_solve(k, g, qhm.Tolerances().rank * 2.0 * g.max(), np.inf)[0].all()
+        eliminated.clear()
+        qhm.frankwolfe._face_stationary(q, np.arange(len(q)), qhm.Tolerances())
+        assert eliminated == [len(q) - 1], name
+    duplicate = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0]])
+    collinear = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    for pts in (duplicate, collinear):
+        eliminated.clear()
+        qhm.minnorm._affine_minimizer(pts)
+        assert eliminated == [2]
+    rng = np.random.default_rng(16)
+    clouds = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (4, 9)]
+    for space in [qhm.make_fixture("star_1_2")] + clouds:
+        eliminated.clear()
+        assert qhm.classify.Analysis(space).strict is not None
+        assert eliminated == [space.n - 1]
 
 
 def test_semidefinite_solve_skips_columns_across_block_boundaries():

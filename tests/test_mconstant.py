@@ -650,9 +650,9 @@ def test_strictness_is_decided_by_the_tolerances_before_any_factoring(monkeypatc
     assert ref.method_tags[0] == "m:cholesky"
     k, _, shift = qhm.classify.Analysis(star, t).form
 
-    def no_strict_margin(a, cut=0.0):  # Analysis.strict never factors K - ptol S
+    def no_strict_margin(a):  # Analysis.strict never factors K - ptol S
         assert not np.array_equal(a, k - shift)
-        return qhm.linalg.cholesky(a, cut)
+        return qhm.linalg.cholesky(a)
 
     monkeypatch.setattr(qhm.classify, "cholesky", no_strict_margin)
     rep = qhm.compute_m(star, tol=t)

@@ -128,10 +128,14 @@ def bordered_affine_minimizer(pts):
 
 
 def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("an affinely independent corral took the elimination")
+    eliminate = minnorm.semidefinite_solve
 
-    monkeypatch.setattr(minnorm, "semidefinite_solve", refused)
+    def every_column_kept(*args):
+        done = eliminate(*args)
+        assert done[0].all(), "an affinely independent corral skipped a column"
+        return done
+
+    monkeypatch.setattr(minnorm, "semidefinite_solve", every_column_kept)
     rng = np.random.default_rng(23)
     for _ in range(200):
         k = int(rng.integers(1, 7))
@@ -145,32 +149,32 @@ def test_cholesky_corral_matches_the_bordered_pseudoinverse(monkeypatch):
 
 
 def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
-    calls = []
+    calls = []  # per corral solve, whether it kept every column
     eliminate = minnorm.semidefinite_solve
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return eliminate(*args, **kwargs)
+        calls.append((done := eliminate(*args, **kwargs))[0].all())
+        return done
 
     monkeypatch.setattr(minnorm, "semidefinite_solve", counted)
     # a duplicate of the last row, and three collinear lattice points: the
-    # Cholesky factor meets an exactly zero pivot
+    # elimination meets an exactly zero pivot and skips its column
     duplicate = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0]])
     collinear = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     for pts in (duplicate, collinear):
         before = len(calls)
         lam = minnorm._affine_minimizer(pts)
-        assert len(calls) == before + 1
+        assert calls[before:] == [False]
         assert abs(lam.sum() - 1.0) < 1e-9
         assert np.allclose(lam @ pts, bordered_affine_minimizer(pts) @ pts, atol=1e-9)
         # the weights are moved along the dependency until an older point's is zero
         assert np.any(lam[:-1] == 0.0)
     # nearly collinear: a positive pivot far below the Gram matrix's scale is
-    # refused too, and the elimination treats the corral as a segment
+    # skipped too, and the elimination treats the corral as a segment
     nearly = collinear + [[0.0, 0.0], [0.0, 1e-7], [0.0, 0.0]]
     before = len(calls)
     lam = minnorm._affine_minimizer(nearly)
-    assert len(calls) == before + 1
+    assert calls[before:] == [False]
     assert np.allclose(lam @ nearly, [0.0, 1.0], atol=1e-6)
     # whole hulls of lattice points, duplicates included, at zero slack: the
     # stopping test's slack is floored at a few ulps, and every run converges
@@ -190,7 +194,7 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         assert np.allclose(res.weights @ pts, x, atol=1e-12)
         assert float(np.min(pts @ x)) >= float(x @ x) - 1e-12
     # the same with the repeated rows moved by 1e-7: a corral picks up a point
-    # nearly dependent on it, the Cholesky factor refuses it, and the run
+    # nearly dependent on it, the elimination skips its column, and the run
     # still converges to the face-enumeration answer
     fallbacks = 0
     for trial in range(300):
@@ -202,7 +206,7 @@ def test_affinely_dependent_points_take_the_bordered_fallback(monkeypatch):
         before = len(calls)
         res = min_norm_point_in_hull(pts, tol=Tolerances(minnorm=0.0))
         assert res.iterations <= 64
-        if len(calls) > before:
+        if not all(calls[before:]):
             fallbacks += 1
             assert res.converged
             assert abs(res.distance - brute_force_min_norm(pts)) < 1e-12
