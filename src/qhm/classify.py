@@ -49,12 +49,19 @@ class Verdict:
         return self.holds
 
 
+def _cuts(g: np.ndarray, diameter: float, t: Tolerances) -> tuple[float, float]:
+    """``semidefinite_solve``'s (cut, level) on Schoenberg's form (K, g) of
+    len(g) + 1 points: ``rank`` times 2 max g, K's largest diagonal entry, and
+    ``inv_tol``, the residual at which a skipped row gives a null vector."""
+    return t.rank * 2.0 * float(g.max(initial=0.0)), t.inv_tol(len(g) + 1, diameter)
+
+
 class Analysis:
     """What a run learns of one space, each piece made when first read:
-    ``form``, Schoenberg's form (K, g, ptol S) with ptol = ``pos_tol``;
-    ``strict``, the strictness test of every verdict, of ``compute_m`` and of
-    the hypermetric check; ``qh``, the one quasihypermetric test; ``kernel``,
-    the centred kernel's eigenpairs. ``build_report`` passes one per report to
+    ``form``, Schoenberg's form at point 0 (K, g, ptol S), ptol = ``pos_tol``;
+    ``strict``, the strictness test; ``qh``, the one quasihypermetric test;
+    ``elimination``, the one solve of K y = g; ``kernel``, the centred
+    kernel's eigenpairs. ``build_report`` passes one per report to
     ``analysis=``; called alone, each entry point makes its own.
     """
 
@@ -79,20 +86,23 @@ class Analysis:
 
     @cached_property
     def strict(self):
-        """``(low, y)``, low the Cholesky factor of K - ptol S and K y = g solved
-        with every column kept, where n > 1, pos >= max(neg, rank) (checked
-        first) and both succeed; else None. Then d is below -ptol <= -ntol on
-        the mass-zero hyperplane, so both QH verdicts hold, and by Cauchy
-        interlacing and trace d = 0 each eigenvalue of d exceeds ptol >
-        rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
+        """The Cholesky factor of K - ptol S, where n > 1, pos >= max(neg,
+        rank) (checked first) and it exists; else None. Then d is below
+        -ptol <= -ntol on the mass-zero hyperplane, so both QH verdicts hold,
+        and by Cauchy interlacing and trace d = 0 each eigenvalue of d exceeds
+        ptol > rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
         t = self.tol
         if self.space.n < 2 or t.pos < max(t.neg, t.rank):
             return None
-        k, g, shift = self.form
-        if (low := cholesky(k - shift)) is None:
-            return None
-        kept, _, y, _ = semidefinite_solve(k, g, 0.0, np.inf)
-        return (low, y) if kept.all() else None
+        return cholesky(self.form[0] - self.form[2])
+
+    @cached_property
+    def elimination(self):
+        """``(kept, schur, y, z)``, the ``semidefinite_solve`` of K y = g at
+        ``_cuts``. Where ``strict`` holds every pivot of K exceeds ptol, which
+        is at least the cut, so every column is kept."""
+        k, g, _ = self.form
+        return semidefinite_solve(k, g, *_cuts(g, self.space.diameter, self.tol))
 
     @cached_property
     def qh(self) -> bool:
@@ -258,22 +268,21 @@ def _ellipsoid_points(low: np.ndarray, centre: np.ndarray, radius2: float, bound
             todo += [(ys[k : k + _CHUNK_ROWS], rest[k : k + _CHUNK_ROWS]) for k in reversed(starts)]
 
 
-def _ellipsoid_witness(
-    space: MetricSpace, bound: int, ptol: float, form, low: np.ndarray, centre: np.ndarray
-) -> np.ndarray | None:
+def _ellipsoid_witness(a: Analysis, bound: int, ptol: float) -> np.ndarray | None:
     """``_box_witness`` for a strictly quasihypermetric space, from the
-    integer points of (y - y*)'(K - ptol S)(y - y*) <= M + margin for K y* = g,
-    (K, g, ptol S) = ``form`` and low low' = K - ptol S: K - ptol S <= K, so
-    that ellipsoid holds K's, and every violator."""
-    k, g, _ = form
+    integer points of (y - y*)'(K - ptol S)(y - y*) <= M + margin, for ``a``'s
+    form (K, g, ptol S), y* of its ``elimination`` and low low' = K - ptol S
+    its ``strict`` factor: K - ptol S <= K, so that ellipsoid holds K's, and
+    every violator b = (1 - sum y, y)."""
+    space, (k, g, _), low, centre = a.space, a.form, a.strict, a.elimination[2]
     # margin = ptol plus a bound on the rounding of M, y* and the partial
     # sums: n^2 products of size trace(K) (B + |y*|)^2, at a few ulps each
     rounding = 8.0 * space.n**2 * np.finfo(float).eps * float(np.trace(k))
     rounding *= (bound + float(np.abs(centre).max(initial=0.0))) ** 2
     firsts = []  # the lexicographically first violator of each block
     for ys in _ellipsoid_points(low, centre, float(g @ centre) + ptol + rounding, bound):
-        b = np.column_stack((ys, 1.0 - ys.sum(axis=1)))
-        b = b[np.abs(b[:, -1]) <= bound]
+        b = np.column_stack((1.0 - ys.sum(axis=1), ys))
+        b = b[np.abs(b[:, 0]) <= bound]
         viol = b[((b @ space.dist) * b).sum(axis=1) > ptol]
         if len(viol):
             firsts.append(viol[np.lexsort(viol.T[::-1])[0]])
@@ -292,11 +301,12 @@ def check_hypermetric_bounded(
     counterexample to full hypermetricity.
 
     Two routes give the same verdict and witness. Where ``Analysis.strict``,
-    the strictness test of ``compute_m``, holds, b = (y, 1 - sum y) has b'db =
-    M - (y - y*)'K(y - y*) = M - ||b - w*||^2_{-d}, with K Schoenberg's form
-    and w* the maximal measure, and only the integer points of that ellipsoid
-    around w* are enumerated, on the strict test's factor of K - ptol S <= K,
-    whose ellipsoid holds K's, and checked. Otherwise the mass-one points of
+    the strictness test of the verdicts, holds, b = (1 - sum y, y) has b'db =
+    M - (y - y*)'K(y - y*) = M - ||b - w*||^2_{-d}, with K Schoenberg's form,
+    y* its ``Analysis.elimination``, which ``compute_m`` reads, and w* the
+    maximal measure; only the integer points of that ellipsoid around w* are
+    enumerated, on the strict test's factor of K - ptol S <= K, whose
+    ellipsoid holds K's, and checked. Otherwise the mass-one points of
     the (2B+1)^n box are streamed in lexicographic blocks of at most
     ``_CHUNK_ROWS`` rows, up to the first violation, in O(``_CHUNK_ROWS`` n)
     memory for any B and n. Neither route holds the box, so the work budget n
@@ -321,7 +331,7 @@ def check_hypermetric_bounded(
     if a.strict is None:
         witness = _box_witness(space, bound, ptol)
     else:
-        witness = _ellipsoid_witness(space, bound, ptol, a.form, *a.strict)
+        witness = _ellipsoid_witness(a, bound, ptol)
     return Verdict(True) if witness is None else Verdict(False, witness=witness)
 
 

@@ -69,10 +69,12 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
     """Embed (X, sqrt(d)) in Euclidean space of minimal dimension.
 
     The coordinates are the analysis' ``kernel`` eigenvectors scaled by the
-    square roots of their eigenvalues, those above ``rank`` times the
-    largest: where ``Analysis.strict`` holds, from one-sided Jacobi on an
-    unshifted Cholesky factor of the deflated centred kernel,
-    and else from ``jacobi_eigh`` of that kernel.
+    square roots of their positive eigenvalues: where ``Analysis.strict``
+    holds, from one-sided Jacobi on an unshifted Cholesky factor of the
+    deflated centred kernel, and else from ``jacobi_eigh`` of that kernel.
+    Those below ``rank`` times the largest are dropped, smallest first, while
+    twice their sum, a bound on the change of any squared distance, is within
+    ``emb_tol``.
 
     Raises ``NotQuasihypermetricError``, with the witness of the
     classification's quasihypermetric verdict, where ``Analysis.qh`` fails.
@@ -86,7 +88,9 @@ def s_embed(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None)
             witness=qh.witness,
         )
     w, v = a.kernel
-    keep = (w >= t.rank * w.max(initial=0.0)) & (w > 0.0)
+    below = np.cumsum(np.maximum(w, 0.0)[::-1])[::-1]  # w is descending
+    drop = (w < t.rank * w.max(initial=0.0)) & (2.0 * below <= t.emb_tol(space.diameter))
+    keep = (w > 0.0) & ~drop
     points = v[:, keep] * np.sqrt(w[keep])
     emb = SEmbedding(space, points, int(np.count_nonzero(keep)), np.append(w, 0.0))
     err = float(np.max(np.abs(emb.squared_point_distances() - space.dist)))

@@ -5,11 +5,11 @@ The active set starts from the support of a given point, or else from the
 diametral pair, the lowest-index pair where q is largest (energy D/2, the
 lower bound for M+). The paper gives M+ = M(F) for F the support of a
 maximal probability measure, so each face is solved as ``compute_m`` solves
-a space, by the one elimination of its Schoenberg form at the same pivot
-cut. An unbounded face (M(F) = inf) takes a ray step to its first
-zero weight; a bounded one drops every vertex of negative weight at once, or
-else the face grows by the best outside vertex until the gap criterion is
-met, whatever the start. If the active set stalls first, the result says so
+a space, by the one elimination of its Schoenberg form at the same cuts. An
+unbounded face (M(F) = inf) takes a ray step to its first zero weight; a
+bounded one drops every vertex of negative weight at once, or else the face
+grows by the best outside vertex until the gap criterion is met, whatever
+the start. If the active set stalls first, the result says so
 and carries the best point found. Ties break toward the lowest index, so runs
 are fully deterministic.
 """
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import _cuts
 from .linalg import ratio_step, semidefinite_solve
 from .metric import schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -40,21 +41,20 @@ def _face_stationary(q: np.ndarray, support: np.ndarray, t: Tolerances):
     """``(w, None)``, w the raw weights summing to 1 that solve 2 q x = nu 1 on
     one face of the simplex, or ``(None, v)``, v a ray of an unbounded face.
 
-    With x = [y; 1 - sum y], x'qx = 2 g'y - y'Ky for (K, g) Schoenberg's form
-    of the face. As in ``compute_m``'s band, one ``semidefinite_solve`` solves
-    K y = g, skipping each pivot at most ``rank`` times 2 max g, with y = 0 on
-    the skipped columns. Where a skipped row's residual exceeds
-    ``inv_tol(m, D_F)`` (m points, diameter D_F), its null vector z gives
-    v = (z, -sum z), signed so that g'z > 0: v'qv = 0 and q v is constant at
-    g'z, so the energy rises linearly along v.
+    With x = (1 - sum y, y), x'qx = 2 g'y - y'Ky for (K, g) Schoenberg's form
+    of the face. As ``Analysis.elimination`` solves a space, one
+    ``semidefinite_solve`` at ``classify._cuts`` solves K y = g, with y = 0 on
+    the skipped columns. Where a skipped row's residual exceeds ``inv_tol``
+    of the face, its null vector z gives v = (-sum z, z), signed so that
+    g'z > 0: v'qv = 0 and q v is constant at g'z, so the energy rises
+    linearly along v.
     """
     face = q[np.ix_(support, support)]
     k, g, _ = schoenberg_form(face)
-    level = t.inv_tol(len(support), float(face.max()))
-    _, _, y, z = semidefinite_solve(k, g, t.rank * 2.0 * float(g.max(initial=0.0)), level)
+    _, _, y, z = semidefinite_solve(k, g, *_cuts(g, float(face.max()), t))
     if z is not None:
-        return None, np.append(z, -z.sum()) * np.sign(g @ z)
-    return np.append(y, 1.0 - y.sum()), None
+        return None, np.append(-z.sum(), z) * np.sign(g @ z)
+    return np.append(1.0 - y.sum(), y), None
 
 
 def maximize_quadratic_on_simplex(

@@ -5,9 +5,9 @@ decided by the linear system d w = 1 (one equation per point): the system is
 always consistent when the space is quasihypermetric, the total mass of any
 solution is solution-independent, and M equals its reciprocal, with w
 normalized to mass 1 being a maximal measure. Zero total mass means the
-supremum is infinite, as does failure of the quasihypermetric property. Away
-from its threshold, Cholesky factorizations of Schoenberg's form decide both,
-and near it a semidefinite elimination of that form does: no eigensolver runs.
+supremum is infinite, as does failure of the quasihypermetric property.
+Cholesky factorizations of Schoenberg's form at point 0 decide the property
+and one elimination of that form solves the system, with no eigensolver.
 
 M+(X), the same supremum over probability measures, is generally smaller: it
 is M(F) for the support F of a maximal probability measure, found by an active
@@ -25,8 +25,8 @@ import numpy as np
 from .classify import Analysis, distance_matrix_nullspace
 from .errors import ContradictionError, ConvergenceWarning, InconsistentSystemError, PreconditionError
 from .frankwolfe import ZERO_WEIGHT, maximize_quadratic_on_simplex
-from .linalg import gram_rank, semidefinite_solve
-from .metric import MetricSpace, SignedMeasure, potential, schoenberg_form
+from .linalg import gram_rank
+from .metric import MetricSpace, SignedMeasure, potential
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TAG_NOT_QUASIHYPERMETRIC = "m:infinite:not-quasihypermetric"
@@ -71,65 +71,49 @@ class MReport:
 def compute_m(space: MetricSpace, tol: Tolerances | None = None, *, analysis=None) -> MReport:
     """Compute M(X), a maximal measure when one exists, and the bookkeeping.
 
-    Schoenberg's form at the last point, K_ij = d_in + d_jn - d_ij, is -d on
-    mass-zero vectors in the basis B = [I; -1'], and B'B = S = I + 11'. With
-    ptol = ``pos_tol``, where ``Analysis.strict`` holds (K - ptol S positive
-    definite: the verdicts' and the hypermetric check's strictness test) the
-    space is strictly QH, and K y = g (the last column of d) gives M = g'y and
-    the maximal measure [y; 1 - sum y]; else where ``Analysis.qh``, the one
-    quasihypermetric test, fails (K + ptol S not positive definite) it is not
-    QH. In the band between, and for a Cholesky solution that fails a check,
-    the semidefinite elimination of ``_band_solution`` decides, with no
-    eigensolver: it gives M, or M = inf with a zero-mass certificate, or
-    raises ``InconsistentSystemError`` (exit 14) naming ``pos``. A one-point
-    space has M = 0, attained by its only probability measure (our convention).
+    M = inf where ``Analysis.qh``, the one quasihypermetric test, fails (K +
+    ptol S not positive definite, K Schoenberg's form at point 0); elsewhere
+    ``_from_elimination`` decides, with no eigensolver. A one-point space has
+    M = 0, attained by its only probability measure (our convention).
     """
     a = Analysis.of(space, tol, analysis)
-    t = a.tol
     if space.n == 1:
         unit = SignedMeasure(space, np.ones(1))
         return MReport(0.0, unit, None, True, 0.0, ("m:single-point-convention",))
-    # rank(d) = n (``Analysis.strict``), so the maximal measure is unique
-    if a.strict is not None:
-        y = a.strict[1]
-        w = np.append(y, 1.0 - y.sum()) / float(a.form[1] @ y)
-        try:
-            return _certified(space, w, True, t, "cholesky")
-        except InconsistentSystemError:
-            pass  # the elimination decides, and raises if it declines too
-    elif not a.qh:
+    if not a.qh:
         return MReport._infinite((TAG_NOT_QUASIHYPERMETRIC,))
-    return _band_solution(space, t)
+    return _from_elimination(a)
 
 
-def _band_solution(space: MetricSpace, t: Tolerances) -> MReport:
-    """``compute_m`` by ``semidefinite_solve``. K0, the form at point 0 (moved
-    last), is eliminated skipping pivots at most ``rank`` times its largest
-    diagonal entry; point 0 and the kept columns T are d's lowest-index column
-    basis. For C the Schur complement on the rest, K0 >= min(0, lambda_min(C)) I
-    and S >= I, so Gershgorin's lambda_min(C) >= -ptol gives K0 + ptol S >= 0:
-    QH, which a finite M needs. Then K0[T, T] y = g0[T] gives M = g0[T]'y and
-    the measure (1 - sum y at point 0, y on T, 0 elsewhere) if ``_certified``
+def _from_elimination(a: Analysis) -> MReport:
+    """``compute_m`` from ``Analysis.elimination``, which skips pivots at most
+    ``rank`` times K's largest diagonal entry; point 0 and the kept columns T
+    are d's lowest-index column basis, and every column is kept where
+    ``Analysis.strict`` holds. For C the Schur complement on the rest,
+    K >= min(0, lambda_min(C)) I and S >= I, so Gershgorin's lambda_min(C) >=
+    -ptol gives K + ptol S >= 0: QH, which a finite M needs. Then
+    K[T, T] y = g[T] gives M = g[T]'y and the measure (1 - sum y at point 0,
+    y on T, 0 elsewhere), unique iff every column is kept, if ``_certified``
     accepts it. Else the null vector z of a skipped column whose residual is
-    beyond ``inv_tol`` is a zero-mass certificate on any space: v = (-sum z, z)
-    has d v constant at g0'z, that residual, so the energy is linear along v;
-    ``invariant_value`` checks it, and M = inf. Else it raises
-    ``InconsistentSystemError``."""
-    k, g, _ = schoenberg_form(np.roll(space.dist, -1, axis=(0, 1)))
-    level = t.inv_tol(space.n, space.diameter)
-    kept, c, y, z = semidefinite_solve(k, g, t.rank * 2.0 * float(g.max()), level)
-    gershgorin = c.diagonal() + np.abs(c.diagonal()) - np.abs(c).sum(axis=1)
-    if (bound := gershgorin.min(initial=0.0)) < -t.pos_tol(space.n, space.diameter):
+    beyond ``inv_tol`` is a zero-mass certificate on any space: v =
+    (-sum z, z) has d v constant at g'z, that residual, so the energy is
+    linear along v; ``invariant_value`` checks it, and M = inf. Else it
+    raises ``InconsistentSystemError`` (exit 14) naming ``pos``."""
+    space, t, g = a.space, a.tol, a.form[1]
+    kept, c, y, z = a.elimination
+    bound = (c.diagonal() + np.abs(c.diagonal()) - np.abs(c).sum(axis=1)).min() if len(c) else 0.0
+    if bound < -t.pos_tol(space.n, space.diameter):
         declined = _declined(space, t, f"a Gershgorin bound of {bound:.3e} on its Schur complement")
     else:
         w = np.concatenate(([1.0 - y[kept].sum()], y))
         try:
-            return _certified(space, w / float(g[kept] @ y[kept]), bool(kept.all()), t, "elimination")
+            return _certified(space, w / float(g[kept] @ y[kept]), bool(kept.all()), t)
         except InconsistentSystemError as refused:
             declined = _declined(space, t, str(refused))
     if z is None:
         raise declined
     v = SignedMeasure(space, np.append(-z.sum(), z))
+    level = t.inv_tol(space.n, space.diameter)
     if (constant := invariant_value(v, t)) is None or abs(constant) <= level:
         raise declined
     w = v.weights / constant
@@ -145,12 +129,12 @@ def _declined(space: MetricSpace, t: Tolerances, why: str) -> InconsistentSystem
     )
 
 
-def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances, route: str) -> MReport:
+def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances) -> MReport:
     """The report for a solution w of d w = 1, once its residual, its mass
     (in units of 1 / diameter), the potential of the maximal measure w / mass
     and M = 1 / mass >= D/2
     (the diametral pair's energy; a saddle of the energy can fall below it)
-    have passed their checks. Tagged ``m:<route>``, the solve that gave w."""
+    have passed their checks."""
     mass = float(w.sum())
     residual = float(np.linalg.norm(space.dist @ w - 1.0))
     measure, m = SignedMeasure(space, w / mass), 1.0 / mass
@@ -168,7 +152,7 @@ def _certified(space: MetricSpace, w: np.ndarray, unique: bool, t: Tolerances, r
             f"deviates from M = {m:.6g} by up to {deviation:.3e}; M is at least D/2 = "
             f"{0.5 * space.diameter:.6g}"
         )
-    tags = (f"m:{route}", f"m:{'unique' if unique else 'basic'}-solution")
+    tags = ("m:elimination", f"m:{'unique' if unique else 'basic'}-solution")
     return MReport(m, measure, None, unique, m, tags, mass, residual)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,9 +105,9 @@ class MetricSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    @property
+    @cached_property
     def diameter(self) -> float:
-        """Largest distance in the space."""
+        """Largest distance in the space, found once: ``dist`` is read-only."""
         return float(self.dist.max())
 
     def scaled(self, factor: float) -> "MetricSpace":
@@ -209,16 +210,16 @@ def potential(mu: SignedMeasure) -> np.ndarray:
 
 
 def schoenberg_form(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schoenberg's form at the last point: ``(K, g, S)`` with
-    K_ij = d_in + d_jn - d_ij, g = d[:-1, -1] and S = I + 11'.
+    """Schoenberg's form at point 0: ``(K, g, S)`` with
+    K_ij = d_i0 + d_j0 - d_ij over the other points, g = d[1:, 0] and S = I + 11'.
 
-    In the basis B = [I; -1'] of the mass-zero hyperplane, K is -d and S is
-    B'B. A mass-one vector b = (y, 1 - sum y) has b'db = 2 g'y - y'Ky, so
+    In the basis B = [-1'; I] of the mass-zero hyperplane, K is -d and S is
+    B'B. A mass-one vector b = (1 - sum y, y) has b'db = 2 g'y - y'Ky, so
     when K is positive definite and K y* = g, b'db = M - (y - y*)'K(y - y*)
     with M = g'y* = M(X).
     """
-    g = dist[:-1, -1]
-    k = g[:, None] + g[None, :] - dist[:-1, :-1]
+    g = dist[1:, 0]
+    k = g[:, None] + g[None, :] - dist[1:, 1:]
     return k, g, np.eye(len(g)) + 1.0
 
 

@@ -358,6 +358,34 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
         assert one_sided == [space.n - 1]
 
 
+def test_a_report_solves_the_space_once_and_the_embedding_never(monkeypatch):
+    """``Analysis.elimination`` is the one solve of the space's own form: a
+    strictly quasihypermetric report makes exactly one ``semidefinite_solve``
+    of it, shared by ``compute_m`` and the hypermetric ellipsoid, and
+    ``s_embed`` and ``full_embedding`` make none. The M+ faces solve through
+    their own binding and are not counted."""
+    forms = []
+
+    def counted_solve(a, b, cut, level):
+        forms.append(a)
+        return qhm.linalg.semidefinite_solve(a, b, cut, level)
+
+    monkeypatch.setattr(classify, "semidefinite_solve", counted_solve)
+    rng = np.random.default_rng(31)
+    spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
+    spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (5, 8)]
+    for space in spaces:
+        assert classify.Analysis(space).strict is not None
+        forms.clear()
+        qhm.build_report(space)
+        [k] = forms
+        assert np.array_equal(k, qhm.metric.schoenberg_form(space.dist)[0])
+        forms.clear()
+        qhm.s_embed(space)
+        qhm.full_embedding(space)
+        assert forms == []
+
+
 def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):
     """``check_quasihypermetric`` and ``check_strictly_quasihypermetric``,
     called alone, decide a space certified strictly quasihypermetric by its

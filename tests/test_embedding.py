@@ -65,6 +65,20 @@ def test_embedding_refuses_by_the_classification_verdict(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_a_loosened_rank_drops_no_eigenvalue_the_isometry_needs():
+    """At rank = 1e-6 the kernel eigenvalue 5e-7 of a triangle 1e-6 high is
+    below rank times the largest, but dropping it would move a squared
+    distance by up to 1e-6, beyond emb_tol: it is kept, and the embedding is
+    planar. A triangle 1e-9 high is flattened within the tolerance."""
+    t = qhm.Tolerances(rank=1e-6)
+    for height, dim in ((1e-6, 2), (1e-9, 1)):
+        space = qhm.from_euclidean([[0.0, 0.0], [1.0, 0.0], [0.0, height]])
+        emb = qhm.s_embed(space, tol=t)
+        assert emb.dim == dim
+        assert np.abs(emb.squared_point_distances() - space.dist).max() <= t.emb_tol(space.diameter)
+        assert qhm.s_embed(space).dim == 2
+
+
 def test_circumsphere_equilateral(equilateral):
     emb = qhm.with_circumsphere(qhm.s_embed(equilateral))
     assert emb.sphere is not None

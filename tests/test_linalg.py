@@ -235,10 +235,11 @@ def test_cholesky_solve_residual_at_rounding_level():
 
 
 def test_each_solve_is_one_elimination(monkeypatch):
-    """An M+ face, a Wolfe corral and the strict solve of K y = g each make
-    one elimination, whether or not it skips a column: the full face of
-    cycle4_arclength and assouad5 (singular, or a pivot at rounding level), a
-    duplicated and a collinear corral, and strictly QH spaces."""
+    """An M+ face, a Wolfe corral and a space's solve of K y = g
+    (``Analysis.elimination``) each make one elimination, whether or not it
+    skips a column: the full face of cycle4_arclength and assouad5 (singular,
+    or a pivot at rounding level), a duplicated and a collinear corral, and
+    strictly QH spaces, whose strictness test eliminates nothing."""
     eliminated = []  # the size of each system eliminated
     eliminate = qhm.linalg._eliminate
 
@@ -264,8 +265,9 @@ def test_each_solve_is_one_elimination(monkeypatch):
     clouds = [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (4, 9)]
     for space in [qhm.make_fixture("star_1_2")] + clouds:
         eliminated.clear()
-        assert qhm.classify.Analysis(space).strict is not None
-        assert eliminated == [space.n - 1]
+        a = qhm.classify.Analysis(space)
+        assert a.strict is not None and eliminated == []
+        assert a.elimination[0].all() and eliminated == [space.n - 1]
 
 
 def test_semidefinite_solve_skips_columns_across_block_boundaries():

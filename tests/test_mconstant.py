@@ -216,50 +216,53 @@ def test_oracle_equivalence_small():
             assert abs(mine - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-def _spied_band_route(monkeypatch):
+def _spied_elimination(monkeypatch):
     """Patch compute_m's elimination to log each report it returns."""
-    band = qhm.mconstant._band_solution
+    solve = qhm.mconstant._from_elimination
     returned = []
     monkeypatch.setattr(
-        qhm.mconstant, "_band_solution", lambda *args: returned.append(band(*args)) or returned[-1]
+        qhm.mconstant, "_from_elimination", lambda *args: returned.append(solve(*args)) or returned[-1]
     )
     return returned
 
 
 def test_qh_decision_matches_the_centred_route(monkeypatch):
-    """compute_m reads the verdict off Cholesky factorizations, or in the band
-    off a semidefinite elimination; P d P must agree, and on a quasihypermetric
+    """compute_m reads the verdict off Cholesky factorizations and solves
+    every quasihypermetric space, strict or in the band, by the one
+    semidefinite elimination; P d P must agree, and on a quasihypermetric
     space M is the reciprocal mass of d's pseudoinverse solution of d w = 1,
     infinite with a zero-mass certificate where that mass is zero."""
     reference_check = qhm.check_quasihypermetric
-    returned = _spied_band_route(monkeypatch)
+    returned = _spied_elimination(monkeypatch)
     spaces = seeded_spaces(2024, 64)
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
     assert len(spaces) >= 1000
-    branches = {"not-qh": 0, "one-positive": 0, "band": 0, "zero-mass": 0}
+    branches = {"not-qh": 0, "strict": 0, "band": 0, "zero-mass": 0}
     t = qhm.DEFAULT_TOLERANCES
     for space in spaces:
         before = len(returned)
         rep = qhm.compute_m(space)
         qh = reference_check(space).holds
         assert (TAG_NOT_QUASIHYPERMETRIC in rep.method_tags) == (not qh)
-        if len(returned) == before:
-            branches["one-positive" if qh else "not-qh"] += 1
-        else:
-            branches["band"] += 1
+        assert (len(returned) > before) == qh
         if not qh:
+            branches["not-qh"] += 1
             assert rep.system_residual is None
             continue
+        if qhm.classify.Analysis(space).strict is not None:
+            branches["strict"] += 1
+            assert rep.method_tags == ("m:elimination", "m:unique-solution")
+        else:
+            branches["band"] += 1
         w0, residual, _, _ = eigh_pinv_solve(space.dist, np.ones(space.n))
         assert residual <= t.res_tol(space.n)
         mass = float(w0.sum())  # null vectors of a consistent system have mass zero
         if abs(mass) <= t.mass_tol(space.n):
             assert math.isinf(rep.m_value) and TAG_ZERO_MASS in rep.method_tags
-            assert len(returned) > before  # certified by the elimination
             branches["zero-mass"] += 1
         else:
             assert abs(rep.m_value - 1.0 / mass) <= 1e-9 * max(1.0, 1.0 / mass)
-    assert min(branches[b] for b in ("not-qh", "one-positive", "band")) >= 10, branches
+    assert min(branches[b] for b in ("not-qh", "strict", "band")) >= 10, branches
     assert branches["zero-mass"] >= 1, branches
 
 
@@ -362,7 +365,7 @@ def _eigenvector_route(space, t=qhm.DEFAULT_TOLERANCES):
     mass = float(w.sum())
     if abs(mass) <= t.mass_tol(space.n):
         return MReport._infinite((TAG_ZERO_MASS, f"m:{how}"), mass, residual), null_basis
-    return _certified(space, w, rank == space.n, t, "eigh"), null_basis
+    return _certified(space, w, rank == space.n, t), null_basis
 
 
 def _counted_eigensolvers(monkeypatch):
@@ -381,11 +384,12 @@ def _counted_eigensolvers(monkeypatch):
 
 
 def test_compute_m_runs_no_eigensolver(monkeypatch):
-    """compute_m decides by Cholesky away from the threshold and by the
-    semidefinite elimination within +-pos_tol of it, zero-mass spaces such as
-    assouad5 included, and makes no jacobi_eigh or eigh_pinv_solve call on any
-    input, not even where the elimination declines and raises."""
-    returned = _spied_band_route(monkeypatch)
+    """compute_m decides the quasihypermetric property by Cholesky and solves
+    every quasihypermetric space by the semidefinite elimination, within
+    +-pos_tol of the threshold too, zero-mass spaces such as assouad5
+    included, and makes no jacobi_eigh or eigh_pinv_solve call on any input,
+    not even where the elimination declines and raises."""
+    returned = _spied_elimination(monkeypatch)
     calls = _counted_eigensolvers(monkeypatch)
     spaces = seeded_spaces(4048, 64) + [circle_sample(n) for n in range(14, 25)]
     spaces += [qhm.make_fixture(name) for name in FIXTURE_NAMES]
@@ -404,7 +408,7 @@ def test_compute_m_runs_no_eigensolver(monkeypatch):
             assert TAG_NOT_QUASIHYPERMETRIC in rep.method_tags
         else:
             branch = "band" if rep.is_finite else "zero-mass"
-            assert returned == [rep]
+        assert returned == ([] if branch == "not-qh" else [rep])
         assert calls == [], (branch, space.n)
         branches[branch] += 1
     assert branches["zero-mass"] >= 1, branches
@@ -494,7 +498,7 @@ def test_band_route_agrees_with_the_eigenvector_route(monkeypatch):
     are those of the frozen eigenvector route to rounding. On assouad5 both
     find M infinite at zero mass."""
     t = qhm.DEFAULT_TOLERANCES
-    # (space, whether the elimination decides it): circles of 4 points or
+    # (space, whether it is in the band, where Analysis.strict fails): circles of 4 points or
     # more, even cycles and hypercubes of 4 points or more are in the band
     cases = [(circle_sample(n, c), n >= 4) for c in np.linspace(0.9, 12.7, 10) for n in range(2, 49)]
     for n in range(3, 16):
@@ -504,18 +508,17 @@ def test_band_route_agrees_with_the_eigenvector_route(monkeypatch):
         cases.append((_graph_space(lambda i, j: bin(i ^ j).count("1") == 1, 2**k), k >= 2))
     band_fixtures = ("cycle4_arclength", "assouad5")
     cases += [(qhm.make_fixture(name), name in band_fixtures) for name in FIXTURE_NAMES]
-    returned = _spied_band_route(monkeypatch)
+    returned = _spied_elimination(monkeypatch)
     for space, in_band in cases:
         returned.clear()
         rep = qhm.compute_m(space)
         ref, null_basis = _eigenvector_route(space)
         assert rep.is_finite == ref.is_finite
-        assert bool(returned) == in_band, space.n
+        assert returned == [rep] and (qhm.classify.Analysis(space).strict is None) == in_band, space.n
         if not rep.is_finite:
             assert TAG_ZERO_MASS in rep.method_tags and rep.method_tags[0] == ref.method_tags[0]
             continue
-        route = "m:elimination" if in_band else "m:cholesky"
-        assert rep.method_tags == (route, *ref.method_tags[1:])
+        assert rep.method_tags == ("m:elimination", *ref.method_tags[1:])
         assert rep.unique_maximal == ref.unique_maximal
         if in_band:
             # what _canonical_solution zeroes: from a generic start the rest is nonzero
@@ -643,11 +646,12 @@ def test_approx_m_of_a_circle_makes_no_decomposition(monkeypatch):
 
 def test_strictness_is_decided_by_the_tolerances_before_any_factoring(monkeypatch, star):
     """With pos < neg the strict test is off without a factorization, as it
-    is for the verdicts: ``compute_m`` takes the elimination and finds the
-    same M and maximal measure."""
+    is for the verdicts; ``compute_m``'s one elimination does not read it and
+    finds the same M, maximal measure and tags."""
     t = qhm.Tolerances(neg=1e-8)
     ref = qhm.compute_m(star)
-    assert ref.method_tags[0] == "m:cholesky"
+    assert qhm.classify.Analysis(star).strict is not None
+    assert ref.method_tags == ("m:elimination", "m:unique-solution")
     k, _, shift = qhm.classify.Analysis(star, t).form
 
     def no_strict_margin(a):  # Analysis.strict never factors K - ptol S
@@ -659,19 +663,6 @@ def test_strictness_is_decided_by_the_tolerances_before_any_factoring(monkeypatc
     assert rep.method_tags == ("m:elimination", "m:unique-solution")
     assert abs(rep.m_value - ref.m_value) <= t.inv_tol(star.n, star.diameter)
     assert np.allclose(rep.maximal_measure.weights, ref.maximal_measure.weights, rtol=0.0, atol=1e-12)
-
-
-def test_a_strict_solution_that_fails_its_certificate_falls_to_the_elimination(monkeypatch):
-    """A Cholesky solution of d w = 1 that ``_certified`` refuses is not
-    reported: the elimination decides, with the same M."""
-    for space in (qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")):
-        ref = qhm.compute_m(space)
-        low, y = qhm.classify.Analysis(space).strict
-        with monkeypatch.context() as m:
-            m.setattr(qhm.classify.Analysis, "strict", (low, 2.0 * y + 1.0))
-            rep = qhm.compute_m(space)
-        assert rep.method_tags == ("m:elimination", "m:unique-solution")
-        assert abs(rep.m_value - ref.m_value) <= 1e-12 * ref.m_value
 
 
 def _exact_mass(dist):

@@ -371,6 +371,17 @@ def test_subspace_rejects_repeated_and_out_of_range_indices(star):
     assert star.subspace(np.array([3, 1])).dist.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
+def test_diameter_is_found_once_and_a_subspace_finds_its_own(star):
+    """``diameter`` is computed on first read and kept; a subspace and a
+    scaled copy each find their own, not their parent's."""
+    space = qhm.MetricSpace(star.dist)
+    assert "diameter" not in vars(space)
+    assert space.diameter == 2.0 and vars(space)["diameter"] == 2.0
+    assert space.subspace([0, 1]).diameter == 1.0
+    assert space.scaled(3.0).diameter == 6.0
+    assert space.diameter == 2.0
+
+
 def test_an_empty_matrix_is_a_shape_error():
     with pytest.raises(ShapeError, match="at least one point"):
         qhm.MetricSpace(np.zeros((0, 0)))

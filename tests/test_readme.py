@@ -54,3 +54,17 @@ def test_exit_codes_are_listed_in_the_readme_and_the_cli_help():
     assert sorted(listed) == listed and set(listed) == {0, 1} | codes
     for code in listed:
         assert re.search(rf"(?<![\d-]){code}(?![\d-])", qhm.cli.__doc__), code
+
+
+def test_method_tags_are_listed_in_the_readme(one_point, non_quasihypermetric, assouad, star, cycle4):
+    """README's tag list is every tag ``compute_m`` emits, and nothing else:
+    one point, not quasihypermetric, zero mass, a unique and a basic
+    maximal measure reach every branch."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("- `m:", text.index("`compute_m` emits"))
+    block = text[start : text.index("\n\n", start)]
+    listed = re.findall(r"^- `(m:[^`]+)`: ", block, re.M)
+    seen = set()
+    for space in (one_point, non_quasihypermetric, assouad, star, cycle4):
+        seen.update(qhm.compute_m(space).method_tags)
+    assert len(set(listed)) == len(listed) and set(listed) == seen
