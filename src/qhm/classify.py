@@ -32,8 +32,8 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError
-from .linalg import _factor_eigh, _sign_columns, cholesky, jacobi_eigh, semidefinite_solve
-from .linalg import symmetric_rank_and_nullspace
+from .linalg import _eliminate, _factor_eigh, _refine, _sign_columns, cholesky, jacobi_eigh
+from .linalg import semidefinite_solve, symmetric_rank_and_nullspace
 from .metric import MetricSpace, SignedMeasure, schoenberg_form
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -85,23 +85,33 @@ class Analysis:
         return k, g, self.tol.pos_tol(self.space.n, self.space.diameter) * s
 
     @cached_property
-    def strict(self):
-        """The Cholesky factor of K - ptol S, where n > 1, pos >= max(neg,
-        rank) (checked first) and it exists; else None. Then d is below
-        -ptol <= -ntol on the mass-zero hyperplane, so both QH verdicts hold,
-        and by Cauchy interlacing and trace d = 0 each eigenvalue of d exceeds
-        ptol > rank (n - 1) diameter >= rank |d| in magnitude: rank(d) = n."""
-        t = self.tol
+    def _factor(self):
+        """The strictness test: ``_eliminate`` of (K - ptol S, g), None at its
+        first pivot that is not positive or unless n > 1 and pos >= max(neg,
+        rank), checked first."""
+        t, (k, g, s) = self.tol, self.form
         if self.space.n < 2 or t.pos < max(t.neg, t.rank):
             return None
-        return cholesky(self.form[0] - self.form[2])
+        return _eliminate(k - s, g, 0.0, stop=True)
+
+    @cached_property
+    def strict(self):
+        """The lower Cholesky factor of K - ptol S, from ``_factor``, or None.
+        Where it exists, d is below -ptol <= -ntol on the mass-zero
+        hyperplane, so both QH verdicts hold, and by Cauchy interlacing and
+        trace d = 0 each eigenvalue of d exceeds ptol > rank (n - 1) diameter
+        >= rank |d| in magnitude: rank(d) = n."""
+        return None if self._factor is None else self._factor[0].T
 
     @cached_property
     def elimination(self):
-        """``(kept, schur, y, z)``, the ``semidefinite_solve`` of K y = g at
-        ``_cuts``. Where ``strict`` holds every pivot of K exceeds ptol, which
-        is at least the cut, so every column is kept."""
+        """``(kept, schur, y, z)`` for K y = g: y ``_refine``d on the strict
+        factor, K = (K - ptol S) + ptol S, every column kept; else the
+        ``semidefinite_solve`` at ``_cuts``, which on a strict space keeps
+        every column too, each pivot exceeding ptol >= the cut."""
         k, g, _ = self.form
+        if (f := self._factor) is not None and (y := _refine(k, g, *f[:3])) is not None:
+            return f[3], np.empty((0, 0)), y, None
         return semidefinite_solve(k, g, *_cuts(g, self.space.diameter, self.tol))
 
     @cached_property

@@ -2,10 +2,10 @@
 
 Two numpy kernels without LAPACK, so results are bit-reproducible from run to
 run. A Cholesky factorization, refusing a pivot that is not positive, decides
-positive definiteness. The one solve, ``semidefinite_solve``, eliminates a
-system once, skipping each pivot at or below its cut; its row loop carries the
-right-hand side and inverts the factor's diagonal blocks, so a solve is one
-product per block each way.
+positive definiteness. The one elimination carries the right-hand side and
+inverts the factor's diagonal blocks, so a solve is one product per block each
+way: ``semidefinite_solve`` skips each pivot at or below its cut, and
+``_refine`` solves by refinement on a nearby definite system's elimination.
 One-sided Jacobi (Hestenes) in the Brent-Luk round-robin order, on a Cholesky
 factor L of a positive definite A = L L', gives A's eigenvalues, each to a
 relative error of about eps times the condition number of A scaled to unit
@@ -61,6 +61,9 @@ def _rotation(d, apq):
 # and the sweeps it makes before ConvergenceWarning
 SWEEP_TOL = 1e-14
 MAX_SWEEPS = 64
+# _refine's cap on steps and the last relative step it accepts: rounding constants
+REFINE_STEPS = 4
+REFINE_TOL = 1e-10
 
 
 def jacobi_eigh(a):
@@ -209,29 +212,34 @@ def cholesky(a):
 SOLVE_BLOCK = 128  # rows of the factor's diagonal blocks that the solves invert
 
 
-def _eliminate(a, b, cut):
+def _eliminate(a, b, cut, stop=False):
     """``(u, c, inv, kept)``, the kept rows of the upper Cholesky factor of
     [a | b | I]: u = low' on a's columns, c = low^-1 b, inv the inverses of
     low's diagonal blocks of ``SOLVE_BLOCK`` rows, and the kept rows' mask. A
     row is one numpy step over its block's rows and one more over any earlier
     blocks' rows. A pivot at most ``cut`` leaves its row out, and later rows
-    start at the first such column: u holds the skipped columns whole."""
-    n, width = len(a), min(len(a), SOLVE_BLOCK)
-    up = np.zeros_like(work := np.column_stack((a, b, np.zeros((n, width)))))
-    m, kept, i, first = up.shape[1] - width, np.zeros(n, dtype=bool), 0, n
+    start at the first such column: u holds the skipped columns whole. With
+    ``stop``, the first such pivot returns None, as ``cholesky`` refuses it."""
+    n, width, m = len(a), min(len(a), SOLVE_BLOCK), len(a) + (b.shape[1] if b.ndim > 1 else 1)
+    work = np.zeros((n, m + width))
+    work[:, :n], work[:, n:m] = a, b.reshape(n, m - n)
+    up, kept, i, first = np.zeros(work.shape), np.zeros(n, dtype=bool), 0, n
     for k in range(n):
         lo, b0 = k if k < first else first, i - i % SOLVE_BLOCK  # min(k, first)
-        end = m + i - b0 + 1  # the block's inverse is lower triangular
-        row = work[k, lo:end] - up[b0:i, k] @ up[b0:i, lo:end]
+        row = work[k, lo : (end := m + i - b0 + 1)]  # the block's inverse is lower triangular
+        if i > b0:
+            row -= up[b0:i, k] @ up[b0:i, lo:end]
         if b0:
             row[: m - lo] -= up[:b0, k] @ up[:b0, lo:m]
         if not row[k - lo] > cut:
+            if stop:
+                return None
             first = min(first, k)
             continue
         row[-1] += 1.0
         up[i, lo:end] = row / math.sqrt(row[k - lo])
         kept[k], i = True, i + 1
-    return up[:i, :n], up[:i, n:m].reshape((i,) + np.shape(b)[1:]), up[:i, m:], kept
+    return up[:i, :n], up[:i, n:m].reshape((i,) + b.shape[1:]), up[:i, m:], kept
 
 
 def _substitute(u, inv, r, back):
@@ -246,6 +254,22 @@ def _substitute(u, inv, r, back):
         block = inv[b0:b1, : b1 - b0]
         x[b0:b1] = (block.T if back else block) @ (x[b0:b1] - off)
     return x
+
+
+def _refine(a, b, u, c, inv):
+    """y with a y = b by refinement on ``_eliminate``'s (u, c, inv) of a nearby
+    u'u with the same b (Higham 2002, ch. 12): y = (u'u)^-1 b, then y +=
+    (u'u)^-1 (b - a y) until a step, relative to y, is no longer below half
+    the one before, the next, predicted at their ratio, is below eps, or
+    ``REFINE_STEPS`` are made. y if the last is within ``REFINE_TOL``, else None."""
+    y, last = _substitute(u, inv, c, back=True), math.nan  # no step before the first
+    for _ in range(REFINE_STEPS):
+        y += (step := _substitute(u, inv, _substitute(u, inv, b - a @ y, back=False), back=True))
+        size = float(np.abs(step).max() / np.abs(y).max())
+        if size > 0.5 * last or size * size <= np.finfo(float).eps * last:
+            break
+        last = size
+    return y if size <= REFINE_TOL else None
 
 
 def semidefinite_solve(a, b, cut, level):

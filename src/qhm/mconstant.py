@@ -6,8 +6,9 @@ always consistent when the space is quasihypermetric, the total mass of any
 solution is solution-independent, and M equals its reciprocal, with w
 normalized to mass 1 being a maximal measure. Zero total mass means the
 supremum is infinite, as does failure of the quasihypermetric property.
-Cholesky factorizations of Schoenberg's form at point 0 decide the property
-and one elimination of that form solves the system, with no eigensolver.
+Schoenberg's form at point 0 decides the property and one elimination of it
+solves the system, with no eigensolver; on a strictly quasihypermetric space
+that elimination is the strictness test's, refined.
 
 M+(X), the same supremum over probability measures, is generally smaller: it
 is M(F) for the support F of a maximal probability measure, found by an active

@@ -1,5 +1,6 @@
 """Property verdicts: fixtures, witnesses, and the supporting laws."""
 
+import math
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -305,14 +306,20 @@ def test_classify_space_matches_the_single_checks(assouad, cycle4, star, non_qua
 
 
 def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
-    """A strictly quasihypermetric report makes one strict-margin Cholesky
-    test and one decomposition of the centred kernel, one-sided Jacobi on its
-    deflated factor, at every n, and no Jacobi eigendecomposition."""
-    sizes, solves, factored, one_sided = [], [], [], []
+    """A strictly quasihypermetric report makes one elimination, of K - ptol S,
+    which decides strictness and solves K y = g, and one decomposition of the
+    centred kernel, one-sided Jacobi on its deflated factor, at every n: no
+    Jacobi eigendecomposition, no ``semidefinite_solve`` of K and no Cholesky
+    factorization but the kernel's."""
+    sizes, eliminated, solves, factored, one_sided = [], [], [], [], []
 
     def counted_eigh(a, *args, **kwargs):
         sizes.append(len(a))
         return jacobi_eigh(a, *args, **kwargs)
+
+    def counted_eliminate(a, *args, **kwargs):
+        eliminated.append(a)
+        return qhm.linalg._eliminate(a, *args, **kwargs)
 
     def counted_solve(a, b, cut, level):
         solves.append(cut)
@@ -328,6 +335,7 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
 
     monkeypatch.setattr(qhm.linalg, "jacobi_eigh", counted_eigh)
     monkeypatch.setattr(classify, "jacobi_eigh", counted_eigh)
+    monkeypatch.setattr(classify, "_eliminate", counted_eliminate)
     monkeypatch.setattr(classify, "semidefinite_solve", counted_solve)
     monkeypatch.setattr(classify, "cholesky", counted_cholesky)
     monkeypatch.setattr(classify, "_factor_eigh", counted_one_sided)
@@ -342,6 +350,7 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
     wide = qhm.Tolerances(hyper_budget=1e14)
     for space in spaces:
         sizes.clear()
+        eliminated.clear()
         solves.clear()
         factored.clear()
         one_sided.clear()
@@ -351,39 +360,93 @@ def test_strictly_quasihypermetric_report_decomposes_once(monkeypatch):
             doc = qhm.build_report(space, hyper_bound=1, tol=wide)
         assert doc["classification"]["strictly_quasihypermetric"]["holds"]
         assert doc["classification"]["matrix_rank"] == space.n
-        # the strict margin, K - ptol S, factored once and then K itself solved
-        k, _, shift = classify.Analysis(space).form
-        assert len(solves) == 1 and np.array_equal(factored[0], k - shift)
         assert sizes == []
         assert one_sided == [space.n - 1]
+        # the strict margin, K - ptol S, eliminated once, and K never solved
+        a = classify.Analysis(space)
+        k, _, shift = a.form
+        assert len(eliminated) == 1 and np.array_equal(eliminated[0], k - shift)
+        assert solves == []
+        # the one Cholesky factor is the centred kernel's: its spectrum
+        [kernel] = factored
+        assert np.allclose(np.linalg.eigvalsh(kernel)[::-1], a.kernel[0], rtol=1e-9, atol=0.0)
 
 
 def test_a_report_solves_the_space_once_and_the_embedding_never(monkeypatch):
-    """``Analysis.elimination`` is the one solve of the space's own form: a
-    strictly quasihypermetric report makes exactly one ``semidefinite_solve``
-    of it, shared by ``compute_m`` and the hypermetric ellipsoid, and
-    ``s_embed`` and ``full_embedding`` make none. The M+ faces solve through
-    their own binding and are not counted."""
-    forms = []
+    """The strictness test's elimination of K - ptol S is the one solve of the
+    space's own form: a strictly quasihypermetric report makes exactly that
+    ``_eliminate`` and one ``_refine`` on it, which gives the y of
+    ``compute_m`` and of the hypermetric ellipsoid, and no
+    ``semidefinite_solve`` of K. ``s_embed`` and ``full_embedding`` refine
+    and solve nothing; they eliminate only to test strictness. The M+ faces
+    solve through their own binding and are not counted."""
+    eliminated, refined, forms = [], [], []
+
+    def counted_eliminate(a, *args, **kwargs):
+        eliminated.append(a)
+        return qhm.linalg._eliminate(a, *args, **kwargs)
+
+    def counted_refine(a, *args, **kwargs):
+        refined.append(a)
+        return qhm.linalg._refine(a, *args, **kwargs)
 
     def counted_solve(a, b, cut, level):
         forms.append(a)
         return qhm.linalg.semidefinite_solve(a, b, cut, level)
 
+    monkeypatch.setattr(classify, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(classify, "_refine", counted_refine)
     monkeypatch.setattr(classify, "semidefinite_solve", counted_solve)
     rng = np.random.default_rng(31)
     spaces = [qhm.make_fixture("star_1_2"), qhm.make_fixture("equilateral3_6")]
     spaces += [qhm.from_euclidean(rng.normal(size=(n, 3))) for n in (5, 8)]
     for space in spaces:
         assert classify.Analysis(space).strict is not None
-        forms.clear()
+        k, _, shift = classify.Analysis(space).form
+        eliminated.clear()
         qhm.build_report(space)
-        [k] = forms
-        assert np.array_equal(k, qhm.metric.schoenberg_form(space.dist)[0])
-        forms.clear()
+        [margin] = eliminated
+        [form] = refined
+        assert np.array_equal(margin, k - shift) and np.array_equal(form, k) and forms == []
+        eliminated.clear()
+        refined.clear()
         qhm.s_embed(space)
         qhm.full_embedding(space)
-        assert forms == []
+        assert all(np.array_equal(m, k - shift) for m in eliminated)
+        assert refined == [] and forms == []
+
+
+def test_the_strictness_test_stops_at_its_first_nonpositive_pivot(monkeypatch):
+    """``Analysis.strict`` eliminates K - ptol S only up to its first pivot that
+    is not positive, as a Cholesky factorization refuses it: on band spaces
+    (cycle4_arclength, a circle(8) sample) and on spaces that are not QH, it
+    takes the square root of the pivots of the leading blocks that are
+    positive definite and of no row past them, although skipping that pivot
+    would keep a later row of random_metric(6, 63)."""
+    pivots = []
+
+    class CountedMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def sqrt(x):
+            pivots.append(x)
+            return math.sqrt(x)
+
+    monkeypatch.setattr(qhm.linalg, "math", CountedMath())
+    spaces = [qhm.make_fixture("cycle4_arclength"), circle_sample(8)]
+    spaces += [qhm.random_metric(5, seed=NON_QH_SEED), qhm.random_metric(6, seed=63)]
+    later = 0
+    for space in spaces:
+        a = classify.Analysis(space)
+        k, g, shift = a.form
+        first = next(j for j in range(len(k)) if np.linalg.eigvalsh((k - shift)[: j + 1, : j + 1])[0] <= 0.0)
+        later += int(qhm.linalg._eliminate(k - shift, g, 0.0)[3][first:].sum())
+        pivots.clear()
+        assert a.strict is None
+        assert len(pivots) == first, space
+    assert later > 0
 
 
 def test_single_checks_of_a_certified_space_run_no_eigensolver(monkeypatch):

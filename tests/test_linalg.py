@@ -239,7 +239,7 @@ def test_each_solve_is_one_elimination(monkeypatch):
     (``Analysis.elimination``) each make one elimination, whether or not it
     skips a column: the full face of cycle4_arclength and assouad5 (singular,
     or a pivot at rounding level), a duplicated and a collinear corral, and
-    strictly QH spaces, whose strictness test eliminates nothing."""
+    strictly QH spaces, whose strictness test is that one elimination."""
     eliminated = []  # the size of each system eliminated
     eliminate = qhm.linalg._eliminate
 
@@ -248,6 +248,7 @@ def test_each_solve_is_one_elimination(monkeypatch):
         return eliminate(*args, **kwargs)
 
     monkeypatch.setattr(qhm.linalg, "_eliminate", counted)
+    monkeypatch.setattr(qhm.classify, "_eliminate", counted)
     for name in ("cycle4_arclength", "assouad5"):
         q = qhm.make_fixture(name).dist
         k, g, _ = qhm.metric.schoenberg_form(q)
@@ -266,7 +267,7 @@ def test_each_solve_is_one_elimination(monkeypatch):
     for space in [qhm.make_fixture("star_1_2")] + clouds:
         eliminated.clear()
         a = qhm.classify.Analysis(space)
-        assert a.strict is not None and eliminated == []
+        assert a.strict is not None and eliminated == [space.n - 1]
         assert a.elimination[0].all() and eliminated == [space.n - 1]
 
 

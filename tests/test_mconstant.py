@@ -727,3 +727,51 @@ def test_finite_m_is_the_exact_rational_solution():
             assert abs(m * float(mass) - 1.0) <= 1e-6, (m, float(1 / mass))
             compared[is_near] += 1
     assert compared[True] == 8 and compared[False] >= 12, compared
+
+
+def test_strict_m_is_the_exact_rational_solution_to_rounding():
+    """On every strictly quasihypermetric ``random_metric`` space at n = 3..8,
+    seeds 0..24 (136 spaces), M from the refined strictness factor is within
+    1e-12 relative of M = 1 / sum w for the exact rational solution of d w = 1
+    from d's float entries. Floats form K from d at eps |d|, which cond(K)
+    amplifies; no number of refinement steps removes that."""
+    checked = 0
+    for seed in range(25):
+        for n in range(3, 9):
+            space = qhm.random_metric(n, seed=seed)
+            if qhm.classify.Analysis(space).strict is None:
+                continue
+            rep = qhm.compute_m(space)
+            assert rep.method_tags == ("m:elimination", "m:unique-solution")
+            assert abs(rep.m_value * float(_exact_mass(space.dist)) - 1.0) <= 1e-12, (n, seed)
+            checked += 1
+    assert checked == 136
+
+
+def test_a_strict_space_whose_refinement_does_not_contract_falls_back(monkeypatch):
+    """Strictly quasihypermetric spaces 2.5 to 5 ptol from the threshold pass
+    the strictness test, but its factor of K - ptol S is too far from K for
+    refinement to contract: ``Analysis.elimination`` falls back to one
+    ``semidefinite_solve`` of K, which it returns bit for bit, and M is the
+    exact rational one within 1e-6 relative."""
+    solves = []
+
+    def counted_solve(a, b, cut, level):
+        solves.append(a)
+        return semidefinite_solve(a, b, cut, level)
+
+    monkeypatch.setattr(qhm.classify, "semidefinite_solve", counted_solve)
+    for n, s in ((6, 0), (8, 1)):
+        space = _strict_near_threshold(n, s, (2.5, 5.0))
+        a = qhm.classify.Analysis(space)
+        k, g, _ = a.form
+        assert a.strict is not None and qhm.linalg._refine(k, g, *a._factor[:3]) is None
+        solves.clear()
+        kept, schur, y, z = a.elimination
+        [form] = solves
+        assert np.array_equal(form, k)
+        want = semidefinite_solve(k, g, *qhm.classify._cuts(g, space.diameter, a.tol))
+        assert kept.all() and np.array_equal(kept, want[0]) and np.array_equal(y, want[2])
+        assert schur.shape == want[1].shape == (0, 0) and z is None and want[3] is None
+        m = qhm.compute_m(space, analysis=a).m_value
+        assert abs(m * float(_exact_mass(space.dist)) - 1.0) <= 1e-6
